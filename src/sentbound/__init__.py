@@ -2,7 +2,6 @@
 
 from .candidates import Candidate, scan
 from .corpus import (
-    AbbreviationSet,
     AnnotatedCorpus,
     LabeledCandidateSet,
     induce_abbreviations,
@@ -17,7 +16,6 @@ from .pipeline import segment_text, train_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbbreviationSet",
     "AnnotatedCorpus",
     "Candidate",
     "EvaluationReport",

@@ -38,23 +38,14 @@ class Candidate:
         return self.offset_in_token == len(self.token) - 1
 
 
-def neighbors(tokens: Sequence[str], index: int) -> tuple[Optional[str], Optional[str]]:
-    """Adjacent tokens at ``index``; NO_WORD beyond stream edges.
-
-    Context window is exactly one token on each side.
-    """
-    if not 0 <= index < len(tokens):
-        raise IndexError(f"token index {index} out of range for {len(tokens)} tokens")
-    prev_word = tokens[index - 1] if index > 0 else NO_WORD
-    next_word = tokens[index + 1] if index < len(tokens) - 1 else NO_WORD
-    return prev_word, next_word
-
-
 def scan(
     tokens: Sequence[str],
     positions: Optional[Sequence[int]] = None,
 ) -> list[Candidate]:
     """Emit one Candidate per occurrence of '.', '?' or '!', left to right.
+
+    The context window is exactly one token on each side, NO_WORD beyond the
+    stream edges.
 
     ``positions`` gives the character offset of each token in the original
     text; when omitted, tokens are assumed to be single-space separated.
@@ -66,10 +57,12 @@ def scan(
             positions.append(offset)
             offset += len(tok) + 1
     out: list[Candidate] = []
+    last = len(tokens) - 1
     for i, tok in enumerate(tokens):
         if not tok:
             raise ValueError("empty token in stream")
-        prev_word, next_word = neighbors(tokens, i)
+        prev_word = tokens[i - 1] if i > 0 else NO_WORD
+        next_word = tokens[i + 1] if i < last else NO_WORD
         for j, ch in enumerate(tok):
             if ch in BOUNDARY_MARKS:
                 out.append(

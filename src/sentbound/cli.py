@@ -41,28 +41,30 @@ def _write_output(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _lexicons(args) -> features.ResourceLexicons:
+def _lexicons(args) -> Optional[features.ResourceLexicons]:
+    if args.templates != "best":
+        return None
     return features.load_lexicons(args.honorifics, args.designators)
 
 
 def cmd_train(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
-    lexicons = _lexicons(args) if args.templates == "best" else None
     model, labeled = pipeline.train_model(
         corp,
         args.templates,
         cutoff=args.cutoff,
         max_iters=args.max_iters,
         tolerance=args.tolerance,
-        lexicons=lexicons,
+        lexicons=_lexicons(args),
     )
     for warning in labeled.warnings:
         _log(f"warning: {warning}")
     for i, (ll, viol) in enumerate(model.history):
         _log(f"iter {i}: log-likelihood {ll:.6f}  max-violation {viol:.6g}")
+    n_features = sum(w is not None for pair in model.log_alpha for w in pair)
     _log(
         f"trained {args.templates} model: {len(model.registry)} predicates, "
-        f"{len(model.log_alpha)} features, C={model.C}, "
+        f"{n_features} features, C={model.C}, "
         f"{'converged' if model.converged else 'not converged'} "
         f"after {model.iterations} iterations"
     )
@@ -88,9 +90,8 @@ def _load_model_checked(args) -> maxent.Model:
 
 def cmd_segment(args) -> int:
     model = _load_model_checked(args)
-    lexicons = _lexicons(args) if model.template_set == "best" else None
     text = corpus_mod.load_raw(args.input, encoding=args.encoding)
-    seg = pipeline.segment_text(model, text, lexicons)
+    seg = pipeline.segment_text(model, text)
     if args.offsets:
         offsets = pipeline.byte_offsets(text, seg.boundary_offsets, args.encoding)
         out = "".join(f"{off}\n" for off in offsets)
@@ -102,10 +103,9 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = _load_model_checked(args)
-    lexicons = _lexicons(args) if model.template_set == "best" else None
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
     labeled = corpus_mod.label_candidates(corp)
-    report = evaluation.evaluate(model, labeled, lexicons, sentences=len(corp))
+    report = evaluation.evaluate(model, labeled, sentences=len(corp))
     _write_output(evaluation.format_report(report), args.output)
     return EXIT_OK
 
@@ -114,7 +114,7 @@ def cmd_induce_abbrevs(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
     labeled = corpus_mod.label_candidates(corp)
     abbrevs = corpus_mod.induce_abbreviations(labeled)
-    out = "".join(tok + "\n" for tok in abbrevs.sorted())
+    out = "".join(tok + "\n" for tok in sorted(abbrevs))
     _write_output(out, args.output)
     return EXIT_OK
 
@@ -123,12 +123,6 @@ def cmd_learning_curve(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
     eval_corp = corpus_mod.load_annotated(args.input, encoding=args.encoding)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    for size in sizes:
-        if size > len(corp):
-            raise corpus_mod.CorpusError(
-                f"requested training size {size} exceeds corpus size {len(corp)}"
-            )
-    lexicons = _lexicons(args) if args.templates == "best" else None
     eval_labeled = corpus_mod.label_candidates(eval_corp)
     rows = evaluation.learning_curve(
         corp,
@@ -136,7 +130,7 @@ def cmd_learning_curve(args) -> int:
         sizes,
         args.templates,
         args.seed,
-        lexicons=lexicons,
+        lexicons=_lexicons(args),
         eval_sentences=len(eval_corp),
         cutoff=args.cutoff,
         max_iters=args.max_iters,
@@ -153,55 +147,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False, corpus=False, inp=False, templates=True):
+    def command(name, func, help, *, model=False, corpus=False, inp=False, output=True):
+        p = sub.add_parser(name, help=help)
         if corpus:
             p.add_argument("--corpus", required=True, help="annotated corpus, one sentence per line")
         if model:
             p.add_argument("--model", required=True, help="model file path")
         if inp:
             p.add_argument("--input", required=True)
-        p.add_argument("--output", default=None)
-        if templates:
-            p.add_argument("--templates", choices=features.TEMPLATE_SETS, default=None)
+        if output:
+            p.add_argument("--output", default=None)
+        p.add_argument("--encoding", default="utf-8", type=_normalize_encoding)
+        p.set_defaults(func=func)
+        return p
+
+    def training(p):
+        p.add_argument("--templates", choices=features.TEMPLATE_SETS, default="portable")
         p.add_argument("--cutoff", type=int, default=1)
         p.add_argument("--max-iters", type=int, default=maxent.DEFAULT_MAX_ITERS)
         p.add_argument("--tolerance", type=float, default=maxent.DEFAULT_TOLERANCE)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--honorifics", default=None, help="honorific lexicon file")
-        p.add_argument("--designators", default=None, help="corporate designator lexicon file")
-        p.add_argument("--encoding", default="utf-8", type=_normalize_encoding)
+        p.add_argument("--honorifics", default=None, help="honorific lexicon file (best)")
+        p.add_argument("--designators", default=None, help="corporate designator lexicon file (best)")
 
-    p_train = sub.add_parser("train", help="train a model on an annotated corpus")
-    common(p_train, model=True, corpus=True)
-    p_train.set_defaults(func=cmd_train)
+    def template_check(p):
+        p.add_argument(
+            "--templates", choices=features.TEMPLATE_SETS, default=None,
+            help="refuse a model trained with another template set",
+        )
 
-    p_seg = sub.add_parser("segment", help="segment raw text with a trained model")
-    common(p_seg, model=True, inp=True)
+    training(command("train", cmd_train, "train a model on an annotated corpus",
+                     model=True, corpus=True, output=False))
+
+    p_seg = command("segment", cmd_segment, "segment raw text with a trained model",
+                    model=True, inp=True)
+    template_check(p_seg)
     p_seg.add_argument("--offsets", action="store_true", help="emit byte offsets of boundary marks")
-    p_seg.set_defaults(func=cmd_segment)
 
-    p_eval = sub.add_parser("evaluate", help="score a model against a labeled corpus")
-    common(p_eval, model=True, corpus=True)
-    p_eval.set_defaults(func=cmd_evaluate)
+    template_check(command("evaluate", cmd_evaluate, "score a model against a labeled corpus",
+                           model=True, corpus=True))
 
-    p_ind = sub.add_parser("induce-abbrevs", help="induce the abbreviation list from a corpus")
-    common(p_ind, corpus=True, templates=False)
-    p_ind.set_defaults(func=cmd_induce_abbrevs)
+    command("induce-abbrevs", cmd_induce_abbrevs, "induce the abbreviation list from a corpus",
+            corpus=True)
 
-    p_lc = sub.add_parser("learning-curve", help="accuracy as a function of training size")
-    common(p_lc, corpus=True, inp=True)
+    p_lc = command("learning-curve", cmd_learning_curve, "accuracy as a function of training size",
+                   corpus=True, inp=True)
+    training(p_lc)
     p_lc.add_argument("--sizes", required=True, help="comma-separated training sizes")
-    p_lc.set_defaults(func=cmd_learning_curve)
+    p_lc.add_argument("--seed", type=int, default=0, help="seed of the training-set shuffle")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "train" and args.templates is None:
-        args.templates = "portable"
-    if args.command == "learning-curve" and args.templates is None:
-        args.templates = "portable"
     try:
         return args.func(args)
     except (FileNotFoundError, OSError, UnicodeDecodeError) as exc:

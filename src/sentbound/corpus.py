@@ -57,25 +57,6 @@ class LabeledCandidateSet:
         return len(self.candidates)
 
 
-@dataclass(frozen=True)
-class AbbreviationSet:
-    """Training tokens containing a '.' that is not a sentence boundary."""
-
-    entries: frozenset[str]
-    case_sensitive: bool = True
-
-    def __contains__(self, token: str) -> bool:
-        if self.case_sensitive:
-            return token in self.entries
-        return token.lower() in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def sorted(self) -> list[str]:
-        return sorted(self.entries)
-
-
 def load_annotated(path: str | Path, encoding: str = "utf-8") -> AnnotatedCorpus:
     """Read a one-sentence-per-line corpus. Blank lines are skipped."""
     text = Path(path).read_text(encoding=encoding)
@@ -131,18 +112,14 @@ def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
     return LabeledCandidateSet(candidates=labeled, tokens=tokens, warnings=warnings)
 
 
-def induce_abbreviations(
-    labeled: LabeledCandidateSet, case_sensitive: bool = True
-) -> AbbreviationSet:
-    """Tokens containing at least one '.' occurrence labeled no."""
-    entries = set()
-    for cand, label in labeled.candidates:
-        if cand.mark == "." and label == NO:
-            entries.add(cand.token if case_sensitive else cand.token.lower())
-    return AbbreviationSet(frozenset(entries), case_sensitive=case_sensitive)
-
-
-def save_abbreviations(abbrevs: AbbreviationSet, path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(tok + "\n" for tok in abbrevs.sorted()), encoding="utf-8"
+def induce_abbreviations(labeled: LabeledCandidateSet) -> frozenset[str]:
+    """Training tokens containing at least one '.' occurrence labeled no."""
+    return frozenset(
+        cand.token
+        for cand, label in labeled.candidates
+        if cand.mark == "." and label == NO
     )
+
+
+def save_abbreviations(abbrevs: frozenset[str], path: str | Path) -> None:
+    Path(path).write_text("".join(tok + "\n" for tok in sorted(abbrevs)), encoding="utf-8")

@@ -83,12 +83,9 @@ def evaluate_classifier(
 
 
 def evaluate(
-    model: Model,
-    labeled: LabeledCandidateSet,
-    lexicons: Optional[ResourceLexicons] = None,
-    sentences: int = 0,
+    model: Model, labeled: LabeledCandidateSet, *, sentences: int = 0
 ) -> EvaluationReport:
-    return evaluate_classifier(make_classifier(model, lexicons), labeled, sentences)
+    return evaluate_classifier(make_classifier(model), labeled, sentences)
 
 
 def learning_curve(
@@ -117,7 +114,7 @@ def learning_curve(
         model, _ = train_model(
             subset, template_set, lexicons=lexicons, **train_kwargs
         )
-        report = evaluate(model, eval_labeled, lexicons, sentences=eval_sentences)
+        report = evaluate(model, eval_labeled, sentences=eval_sentences)
         rows.append((size, report.accuracy))
     return rows
 

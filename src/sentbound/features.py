@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .candidates import Candidate
-from .corpus import AbbreviationSet, LabeledCandidateSet
+from .corpus import LabeledCandidateSet
 
 TEMPLATE_SETS = ("best", "portable")
 
@@ -95,7 +95,7 @@ def _word_shape_preds(side: str, word: Optional[str], lex: ResourceLexicons) -> 
     return preds
 
 
-def extract_portable(c: Candidate, abbrevs: AbbreviationSet) -> set[str]:
+def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
     """Predicates for the portable template set: identities plus membership in
     the induced abbreviation list. No external lexicons."""
     preds = {
@@ -118,15 +118,16 @@ def extract_portable(c: Candidate, abbrevs: AbbreviationSet) -> set[str]:
 def make_extractor(
     template_set: str,
     lexicons: Optional[ResourceLexicons] = None,
-    abbreviations: Optional[AbbreviationSet] = None,
+    abbreviations: frozenset[str] = frozenset(),
 ) -> Extractor:
+    """The one template dispatch: best reads the lexicons, portable the
+    abbreviation list."""
     if template_set == "best":
         if lexicons is None:
             raise FeatureError("best template set requires resource lexicons")
         return lambda c: extract_best(c, lexicons)
     if template_set == "portable":
-        abbrevs = abbreviations if abbreviations is not None else AbbreviationSet(frozenset())
-        return lambda c: extract_portable(c, abbrevs)
+        return lambda c: extract_portable(c, abbreviations)
     raise FeatureError(f"unknown template set {template_set!r}")
 
 
@@ -184,29 +185,25 @@ def encode(c: Candidate, registry: PredicateRegistry, extractor: Extractor) -> t
     return tuple(sorted(idx[k] for k in extractor(c) if k in idx))
 
 
-def load_lexicon_file(path: str | Path) -> frozenset[str]:
+def _lexicon_entries(text: str) -> frozenset[str]:
     """One token per line; '#' starts a comment; blank lines ignored."""
-    entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            entries.add(line)
-    return frozenset(entries)
+    entries = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return frozenset(entry for entry in entries if entry)
+
+
+def load_lexicon_file(path: str | Path) -> frozenset[str]:
+    return _lexicon_entries(Path(path).read_text(encoding="utf-8"))
 
 
 def default_lexicons() -> ResourceLexicons:
+    """The lexicons shipped in the package's data directory."""
     data = resources.files("sentbound").joinpath("data")
-    hon = frozenset(
-        ln.split("#", 1)[0].strip()
-        for ln in data.joinpath("honorifics.txt").read_text("utf-8").splitlines()
-        if ln.split("#", 1)[0].strip()
+    return ResourceLexicons(
+        honorifics=_lexicon_entries(data.joinpath("honorifics.txt").read_text("utf-8")),
+        corporate_designators=_lexicon_entries(
+            data.joinpath("designators.txt").read_text("utf-8")
+        ),
     )
-    des = frozenset(
-        ln.split("#", 1)[0].strip()
-        for ln in data.joinpath("designators.txt").read_text("utf-8").splitlines()
-        if ln.split("#", 1)[0].strip()
-    )
-    return ResourceLexicons(honorifics=hon, corporate_designators=des)
 
 
 def load_lexicons(

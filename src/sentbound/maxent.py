@@ -1,12 +1,11 @@
 """Maximum entropy model over (outcome, context) with Generalized Iterative
 Scaling training.
 
-The joint form is p(b,c) = pi * prod_j alpha_j^{f_j(b,c)} with binary features
-pairing one contextual predicate with one outcome. Training is conditional
-GIS: expectations are taken over outcomes given each observed context, so pi
-cancels everywhere the decision rule looks. A per-outcome correction (slack)
-feature absorbs C minus the active-feature count, as GIS's constant-sum
-condition requires.
+Binary features pair one contextual predicate with one outcome. Training is
+conditional GIS: expectations are taken over outcomes given each observed
+context, so the joint model's normaliser cancels and is not stored. A
+per-outcome correction (slack) feature absorbs C minus the active-feature
+count, as GIS's constant-sum condition requires.
 """
 
 from __future__ import annotations
@@ -19,19 +18,24 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import NO, YES, AbbreviationSet
-from .features import PredicateRegistry
+from .corpus import NO, YES
+from .features import TEMPLATE_SETS, PredicateRegistry, ResourceLexicons
 
 OUTCOMES = (YES, NO)
 
 DEFAULT_MAX_ITERS = 100
 DEFAULT_TOLERANCE = 1e-3
+# GIS keeps every log-weight within [-DEFAULT_CLAMP, DEFAULT_CLAMP].
 DEFAULT_CLAMP = 50.0
 
 # Relative constraint violation uses max(empirical, floor) as denominator.
 VIOLATION_FLOOR = 1.0
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+_HEADER = f"sentbound-model v{MODEL_FORMAT_VERSION}"
+_NO_LEXICONS = ResourceLexicons(frozenset(), frozenset())
+
+Weight = Optional[float]
 
 
 class TrainingError(Exception):
@@ -51,45 +55,33 @@ class TrainingEvent:
 
 @dataclass
 class Model:
-    """Trained classifier state, bound to its registry by fingerprint."""
+    """A trained classifier with everything that affects its predictions."""
 
     template_set: str
     registry: PredicateRegistry
-    abbreviations: tuple[str, ...]
-    log_alpha: dict[tuple[int, str], float]
-    corr_log_alpha: dict[str, float]
-    corr_active: dict[str, bool]
+    # (yes, no) log-weights per registry predicate; None where GIS fitted no
+    # feature for that predicate and outcome.
+    log_alpha: list[tuple[Weight, Weight]]
+    # (yes, no) log-weights of the correction features.
+    corrections: tuple[float, float]
     C: int
-    pi: float = 1.0
-    clamp: float = DEFAULT_CLAMP
+    abbreviations: frozenset[str] = frozenset()  # portable: the induced list
+    lexicons: Optional[ResourceLexicons] = None  # best: honorifics, designators
     converged: bool = False
     iterations: int = 0
-    abbrev_case_sensitive: bool = True
-    fingerprint: str = ""
     history: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.fingerprint:
-            self.fingerprint = registry_fingerprint(
-                self.registry, self.abbreviations, self.template_set
+        if len(self.log_alpha) != len(self.registry):
+            raise ValueError(
+                f"{len(self.log_alpha)} weight pairs for {len(self.registry)} predicates"
             )
 
-    def abbreviation_set(self) -> AbbreviationSet:
-        return AbbreviationSet(
-            frozenset(self.abbreviations), case_sensitive=self.abbrev_case_sensitive
-        )
-
-
-def registry_fingerprint(
-    registry: PredicateRegistry, abbreviations: Sequence[str], template_set: str
-) -> str:
-    h = hashlib.sha256()
-    h.update(template_set.encode())
-    for key, count in zip(registry.keys, registry.counts):
-        h.update(b"\x00" + key.encode() + b"\x01" + str(count).encode())
-    for tok in sorted(abbreviations):
-        h.update(b"\x02" + tok.encode())
-    return h.hexdigest()
+    @property
+    def fingerprint(self) -> str:
+        """SHA-256 of the serialised template set, C, cutoff, registry (keys,
+        counts, weights), abbreviations, lexicons and corrections."""
+        return _digest(_body(self))
 
 
 def merge_events(raw: Iterable[tuple[tuple[int, ...], str]]) -> list[TrainingEvent]:
@@ -103,30 +95,28 @@ def merge_events(raw: Iterable[tuple[tuple[int, ...], str]]) -> list[TrainingEve
     ]
 
 
-def _log_weight(model: Model, active: Sequence[int], outcome: str) -> float:
-    total = 0.0
-    n = 0
-    for p in active:
-        la = model.log_alpha.get((p, outcome))
-        if la is not None:
-            total += la
-            n += 1
-    if model.corr_active.get(outcome):
-        total += max(model.C - n, 0) * model.corr_log_alpha[outcome]
-    return total + math.log(model.pi)
-
-
-def score(model: Model, active_predicates: Sequence[int]) -> tuple[float, float]:
-    """Joint weights (w_yes, w_no); finite and positive by construction."""
-    ly = _log_weight(model, active_predicates, YES)
-    ln_ = _log_weight(model, active_predicates, NO)
-    return math.exp(min(ly, 700.0)), math.exp(min(ln_, 700.0))
-
-
 def conditional_yes(model: Model, active_predicates: Sequence[int]) -> float:
-    ly = _log_weight(model, active_predicates, YES)
-    ln_ = _log_weight(model, active_predicates, NO)
-    # pi cancels; logistic of the log-odds keeps this in (0, 1).
+    """p(yes|c), the one scoring path for decisions.
+
+    Each outcome sums its fitted log-weights in ascending predicate order and
+    then adds its correction weight times max(C - n, 0), n being the number
+    of fitted features it summed.
+    """
+    ly = ln_ = 0.0
+    n_yes = n_no = 0
+    log_alpha = model.log_alpha
+    for p in active_predicates:
+        w_yes, w_no = log_alpha[p]
+        if w_yes is not None:
+            ly += w_yes
+            n_yes += 1
+        if w_no is not None:
+            ln_ += w_no
+            n_no += 1
+    c_yes, c_no = model.corrections
+    ly += max(model.C - n_yes, 0) * c_yes
+    ln_ += max(model.C - n_no, 0) * c_no
+    # Logistic of the log-odds keeps this in (0, 1).
     return 1.0 / (1.0 + math.exp(min(ln_ - ly, 700.0)))
 
 
@@ -220,7 +210,8 @@ class _GisProblem:
         denom = np.maximum(self.empirical[act], VIOLATION_FLOOR)
         return float(np.max(np.abs(expected[act] - self.empirical[act]) / denom))
 
-    def update(self, expected: np.ndarray, clamp: float) -> None:
+    def update(self, expected: np.ndarray) -> None:
+        clamp = DEFAULT_CLAMP
         act = self.active_cols & (expected > 0.0)
         step = np.zeros_like(self.theta)
         step[act] = np.log(self.empirical[act] / expected[act]) / self.C
@@ -244,17 +235,17 @@ def train_gis(
     registry: PredicateRegistry,
     *,
     template_set: str = "portable",
-    abbreviations: Sequence[str] = (),
-    abbrev_case_sensitive: bool = True,
+    abbreviations: frozenset[str] = frozenset(),
+    lexicons: Optional[ResourceLexicons] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     tolerance: float = DEFAULT_TOLERANCE,
-    clamp: float = DEFAULT_CLAMP,
 ) -> Model:
     """Fit alphas by GIS: alpha_j <- alpha_j * (empirical_j/expected_j)^(1/C).
 
     Stops when the max relative constraint violation drops below ``tolerance``
     or after ``max_iters`` updates. The per-iteration (log-likelihood,
-    violation) trace is kept on the model.
+    violation) trace is kept on the model. ``abbreviations`` and ``lexicons``
+    are the resources the events were extracted with; the model keeps them.
     """
     prob = _GisProblem(events, registry)
     history: list[tuple[float, float]] = []
@@ -269,33 +260,25 @@ def train_gis(
             break
         if iterations >= max_iters:
             break
-        prob.update(expected, clamp)
+        prob.update(expected)
         iterations += 1
 
-    log_alpha = {
+    fitted = {
         pair: float(prob.theta[j])
         for j, pair in enumerate(prob.feature_pairs)
         if prob.active_cols[j]
     }
-    corr_log_alpha = {
-        YES: float(prob.theta[prob.col_yes]),
-        NO: float(prob.theta[prob.col_no]),
-    }
-    corr_active = {
-        YES: bool(prob.active_cols[prob.col_yes]),
-        NO: bool(prob.active_cols[prob.col_no]),
-    }
     return Model(
         template_set=template_set,
         registry=registry,
-        abbreviations=tuple(sorted(abbreviations)),
-        log_alpha=log_alpha,
-        corr_log_alpha=corr_log_alpha,
-        corr_active=corr_active,
+        log_alpha=[(fitted.get((p, YES)), fitted.get((p, NO))) for p in range(len(registry))],
+        # An inactive correction column stays at 0.0, so it adds nothing.
+        corrections=(float(prob.theta[prob.col_yes]), float(prob.theta[prob.col_no])),
         C=prob.C,
+        abbreviations=abbreviations,
+        lexicons=lexicons,
         converged=converged,
         iterations=iterations,
-        abbrev_case_sensitive=abbrev_case_sensitive,
         history=history,
     )
 
@@ -307,10 +290,10 @@ def _model_problem(model: Model, events: Sequence[TrainingEvent]) -> _GisProblem
         raise TrainingError(
             f"event set implies C={prob.C} but model has C={model.C}"
         )
-    for j, pair in enumerate(prob.feature_pairs):
-        prob.theta[j] = model.log_alpha.get(pair, 0.0)
-    prob.theta[prob.col_yes] = model.corr_log_alpha[YES]
-    prob.theta[prob.col_no] = model.corr_log_alpha[NO]
+    for j, (p, b) in enumerate(prob.feature_pairs):
+        w = model.log_alpha[p][OUTCOMES.index(b)]
+        prob.theta[j] = 0.0 if w is None else w
+    prob.theta[prob.col_yes], prob.theta[prob.col_no] = model.corrections
     return prob
 
 
@@ -341,12 +324,6 @@ def constraint_violations(
     return out
 
 
-def log_likelihood(model: Model, events: Sequence[TrainingEvent]) -> float:
-    prob = _model_problem(model, events)
-    _, _, ll = prob.expectations()
-    return ll
-
-
 def entropy(model: Model, events: Sequence[TrainingEvent]) -> float:
     """Average conditional entropy of the outcome (nats per event) under the
     empirical context distribution."""
@@ -364,129 +341,158 @@ def entropy(model: Model, events: Sequence[TrainingEvent]) -> float:
 
 # ----------------------------------------------------------------------------
 # Model persistence: versioned text format with bit-exact float round trip.
+#
+#   sentbound-model v2
+#   fingerprint <sha256 of the lines from template_set to the corrections>
+#   converged 0|1
+#   iterations N
+#   template_set best|portable
+#   C N
+#   cutoff N
+#   [registry] N        then N rows: index, count, key, yes-weight, no-weight
+#   [abbreviations] N   then N entries, sorted
+#   [honorifics] N      likewise
+#   [designators] N     likewise
+#   [corrections]       then "yes <weight>" and "no <weight>"
+#   [end]
+#
+# Fields are tab-separated; weights are float.hex() or "-" where absent.
 
-def save_model(model: Model, path: str | Path) -> None:
+def _weight_text(w: Weight) -> str:
+    return "-" if w is None else w.hex()
+
+
+def _body(model: Model) -> list[str]:
+    lexicons = model.lexicons or _NO_LEXICONS
+    registry = model.registry
     lines = [
-        f"sentbound-model v{MODEL_FORMAT_VERSION}",
         f"template_set {model.template_set}",
         f"C {model.C}",
-        f"pi {float(model.pi).hex()}",
-        f"clamp {float(model.clamp).hex()}",
+        f"cutoff {registry.cutoff}",
+        f"[registry] {len(registry)}",
+    ]
+    for i, (key, count, (w_yes, w_no)) in enumerate(
+        zip(registry.keys, registry.counts, model.log_alpha)
+    ):
+        lines.append(f"{i}\t{count}\t{key}\t{_weight_text(w_yes)}\t{_weight_text(w_no)}")
+    for tag, entries in (
+        ("[abbreviations]", model.abbreviations),
+        ("[honorifics]", lexicons.honorifics),
+        ("[designators]", lexicons.corporate_designators),
+    ):
+        lines.append(f"{tag} {len(entries)}")
+        lines.extend(sorted(entries))
+    lines.append("[corrections]")
+    lines.extend(f"{b}\t{w.hex()}" for b, w in zip(OUTCOMES, model.corrections))
+    return lines
+
+
+def _digest(body: list[str]) -> str:
+    return hashlib.sha256("\n".join(body).encode("utf-8")).hexdigest()
+
+
+def save_model(model: Model, path: str | Path) -> None:
+    body = _body(model)
+    lines = [
+        _HEADER,
+        f"fingerprint {_digest(body)}",
         f"converged {int(model.converged)}",
         f"iterations {model.iterations}",
-        f"abbrev_case_sensitive {int(model.abbrev_case_sensitive)}",
-        f"fingerprint {model.fingerprint}",
-        f"cutoff {model.registry.cutoff}",
-        f"[registry] {len(model.registry)}",
+        *body,
+        "[end]",
     ]
-    for i, (key, count) in enumerate(zip(model.registry.keys, model.registry.counts)):
-        lines.append(f"{i}\t{count}\t{key}")
-    lines.append(f"[abbreviations] {len(model.abbreviations)}")
-    lines.extend(model.abbreviations)
-    feats = sorted(model.log_alpha.items())
-    lines.append(f"[features] {len(feats)}")
-    for (p, b), la in feats:
-        lines.append(f"{p}\t{b}\t{la.hex()}")
-    lines.append("[corrections]")
-    for b in OUTCOMES:
-        lines.append(
-            f"{b}\t{int(model.corr_active.get(b, False))}\t{model.corr_log_alpha[b].hex()}"
-        )
-    lines.append("[end]")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> Model:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    it = iter(enumerate(lines, start=1))
+    """Read a v2 model file. Any damage raises ModelFormatError; so does a
+    file whose fingerprint does not match what it holds."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: model file is not UTF-8: {exc}") from None
+    lines = iter(text.splitlines())
 
     def next_line() -> str:
-        try:
-            _, line = next(it)
-        except StopIteration:
-            raise ModelFormatError(f"{path}: truncated model file") from None
+        line = next(lines, None)
+        if line is None:
+            raise ModelFormatError(f"{path}: truncated model file")
         return line
 
-    header = next_line()
-    if header != f"sentbound-model v{MODEL_FORMAT_VERSION}":
-        raise ModelFormatError(f"{path}: bad header or unsupported version: {header!r}")
-
-    fields: dict[str, str] = {}
-    for name in (
-        "template_set", "C", "pi", "clamp", "converged", "iterations",
-        "abbrev_case_sensitive", "fingerprint", "cutoff",
-    ):
+    def header_field(name: str) -> str:
         line = next_line()
         key, sep, value = line.partition(" ")
         if key != name or not sep:
             raise ModelFormatError(f"{path}: expected header field {name!r}, got {line!r}")
-        fields[name] = value
+        return value
 
-    def section(tag: str) -> int:
+    def section(tag: str) -> list[str]:
         line = next_line()
         head, _, count = line.partition(" ")
         if head != tag:
             raise ModelFormatError(f"{path}: expected section {tag}, got {line!r}")
-        try:
-            return int(count)
-        except ValueError:
-            raise ModelFormatError(f"{path}: bad section count in {line!r}") from None
+        return [next_line() for _ in range(int(count))]
 
+    def weight(text: str) -> Weight:
+        return None if text == "-" else float.fromhex(text)
+
+    header = next_line()
+    if header != _HEADER:
+        if header.startswith("sentbound-model v"):
+            raise ModelFormatError(
+                f"{path}: model format {header.rpartition(' ')[2]} is not supported "
+                f"(this version reads v{MODEL_FORMAT_VERSION}); retrain the model"
+            )
+        raise ModelFormatError(f"{path}: not a sentbound model file: {header!r}")
     try:
-        n_reg = section("[registry]")
-        keys, counts = [], []
-        for i in range(n_reg):
-            parts = next_line().split("\t", 2)
-            if len(parts) != 3 or int(parts[0]) != i:
-                raise ModelFormatError(f"{path}: bad registry row {i}")
+        fingerprint = header_field("fingerprint")
+        converged = header_field("converged")
+        if converged not in ("0", "1"):
+            raise ModelFormatError(f"{path}: bad converged flag {converged!r}")
+        iterations = int(header_field("iterations"))
+        template_set = header_field("template_set")
+        if template_set not in TEMPLATE_SETS:
+            raise ModelFormatError(f"{path}: unknown template set {template_set!r}")
+        C = int(header_field("C"))
+        cutoff = int(header_field("cutoff"))
+        keys, counts, log_alpha = [], [], []
+        for i, row in enumerate(section("[registry]")):
+            parts = row.split("\t")
+            if len(parts) != 5 or parts[0] != str(i):
+                raise ModelFormatError(f"{path}: bad registry row {i}: {row!r}")
             counts.append(int(parts[1]))
             keys.append(parts[2])
-        n_abbr = section("[abbreviations]")
-        abbreviations = tuple(next_line() for _ in range(n_abbr))
-        n_feat = section("[features]")
-        log_alpha = {}
-        for _ in range(n_feat):
-            parts = next_line().split("\t")
-            if len(parts) != 3 or parts[1] not in OUTCOMES:
-                raise ModelFormatError(f"{path}: bad feature row")
-            log_alpha[(int(parts[0]), parts[1])] = float.fromhex(parts[2])
+            log_alpha.append((weight(parts[3]), weight(parts[4])))
+        abbreviations = frozenset(section("[abbreviations]"))
+        honorifics = frozenset(section("[honorifics]"))
+        designators = frozenset(section("[designators]"))
         if next_line() != "[corrections]":
             raise ModelFormatError(f"{path}: missing corrections section")
-        corr_log_alpha, corr_active = {}, {}
+        corrections = []
         for b in OUTCOMES:
-            parts = next_line().split("\t")
-            if len(parts) != 3 or parts[0] != b:
-                raise ModelFormatError(f"{path}: bad correction row")
-            corr_active[b] = bool(int(parts[1]))
-            corr_log_alpha[b] = float.fromhex(parts[2])
+            name, _, value = next_line().partition("\t")
+            if name != b:
+                raise ModelFormatError(f"{path}: bad correction row for {b}")
+            corrections.append(float.fromhex(value))
         if next_line() != "[end]":
             raise ModelFormatError(f"{path}: missing end marker")
-        template_set = fields["template_set"]
-        registry = PredicateRegistry(
-            template_set=template_set,
-            keys=keys,
-            counts=counts,
-            cutoff=int(fields["cutoff"]),
-        )
-        model = Model(
-            template_set=template_set,
-            registry=registry,
-            abbreviations=abbreviations,
-            log_alpha=log_alpha,
-            corr_log_alpha=corr_log_alpha,
-            corr_active=corr_active,
-            C=int(fields["C"]),
-            pi=float.fromhex(fields["pi"]),
-            clamp=float.fromhex(fields["clamp"]),
-            converged=bool(int(fields["converged"])),
-            iterations=int(fields["iterations"]),
-            abbrev_case_sensitive=bool(int(fields["abbrev_case_sensitive"])),
-            fingerprint=fields["fingerprint"],
-        )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
-    expected_fp = registry_fingerprint(registry, abbreviations, template_set)
-    if expected_fp != fields["fingerprint"]:
+    model = Model(
+        template_set=template_set,
+        registry=PredicateRegistry(
+            template_set=template_set, keys=keys, counts=counts, cutoff=cutoff
+        ),
+        log_alpha=log_alpha,
+        corrections=tuple(corrections),
+        C=C,
+        abbreviations=abbreviations,
+        lexicons=(
+            ResourceLexicons(honorifics, designators) if template_set == "best" else None
+        ),
+        converged=converged == "1",
+        iterations=iterations,
+    )
+    if model.fingerprint != fingerprint:
         raise ModelFormatError(f"{path}: fingerprint mismatch (corrupt or edited file)")
     return model

@@ -17,16 +17,6 @@ from .features import Extractor, ResourceLexicons, make_extractor
 from .maxent import Model
 
 
-def extractor_for_model(
-    model: Model, lexicons: Optional[ResourceLexicons] = None
-) -> Extractor:
-    """Rebuild the extractor a model was trained with. Portable models carry
-    their abbreviation list; best models need the lexicons back."""
-    if model.template_set == "best":
-        return make_extractor("best", lexicons=lexicons)
-    return make_extractor("portable", abbreviations=model.abbreviation_set())
-
-
 def events_from_labeled(
     labeled: LabeledCandidateSet,
     registry: features.PredicateRegistry,
@@ -47,40 +37,34 @@ def train_model(
     max_iters: int = maxent.DEFAULT_MAX_ITERS,
     tolerance: float = maxent.DEFAULT_TOLERANCE,
     lexicons: Optional[ResourceLexicons] = None,
-    abbrev_case_sensitive: bool = True,
 ) -> tuple[Model, LabeledCandidateSet]:
-    """Label the corpus, build resources and registry, and run GIS."""
+    """Label the corpus, build resources and registry, and run GIS.
+
+    The portable system induces its abbreviation list from the corpus; the
+    best system needs ``lexicons``. The model keeps whichever it used.
+    """
     labeled = label_candidates(corpus)
+    abbreviations: frozenset[str] = frozenset()
     if template_set == "portable":
-        abbrevs = induce_abbreviations(labeled, case_sensitive=abbrev_case_sensitive)
-        extractor = make_extractor("portable", abbreviations=abbrevs)
-        abbrev_entries = tuple(abbrevs.sorted())
-    elif template_set == "best":
-        if lexicons is None:
-            raise features.FeatureError("best template set requires resource lexicons")
-        extractor = make_extractor("best", lexicons=lexicons)
-        abbrev_entries = ()
-    else:
-        raise features.FeatureError(f"unknown template set {template_set!r}")
+        abbreviations, lexicons = induce_abbreviations(labeled), None
+    extractor = make_extractor(template_set, lexicons, abbreviations)
     registry = features.build_registry(labeled, extractor, template_set, cutoff=cutoff)
     events = events_from_labeled(labeled, registry, extractor)
     model = maxent.train_gis(
         events,
         registry,
         template_set=template_set,
-        abbreviations=abbrev_entries,
-        abbrev_case_sensitive=abbrev_case_sensitive,
+        abbreviations=abbreviations,
+        lexicons=lexicons,
         max_iters=max_iters,
         tolerance=tolerance,
     )
     return model, labeled
 
 
-def make_classifier(
-    model: Model, lexicons: Optional[ResourceLexicons] = None
-) -> Callable[[Candidate], bool]:
+def make_classifier(model: Model) -> Callable[[Candidate], bool]:
     """Candidate -> is-boundary decision function for a trained model."""
-    extractor = extractor_for_model(model, lexicons)
+    extractor = make_extractor(model.template_set, model.lexicons, model.abbreviations)
 
     def classify_candidate(cand: Candidate) -> bool:
         active = features.encode(cand, model.registry, extractor)
@@ -95,11 +79,9 @@ class Segmentation:
     boundary_offsets: list[int]  # character offsets of boundary marks
 
 
-def segment_text(
-    model: Model, text: str, lexicons: Optional[ResourceLexicons] = None
-) -> Segmentation:
+def segment_text(model: Model, text: str) -> Segmentation:
     """Classify every candidate in raw text; a yes splits after the mark."""
-    classify_candidate = make_classifier(model, lexicons)
+    classify_candidate = make_classifier(model)
     tokens, positions = tokenize_with_positions(text)
     offsets = [
         c.stream_position

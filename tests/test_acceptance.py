@@ -14,7 +14,13 @@ import pytest
 from oracle import ml_conditionals
 from sentbound.corpus import NO, YES, label_candidates, load_annotated
 from sentbound.evaluation import evaluate, evaluate_classifier
-from sentbound.features import PredicateRegistry, default_lexicons, extract_best, extract_portable
+from sentbound.features import (
+    PredicateRegistry,
+    default_lexicons,
+    extract_best,
+    extract_portable,
+    make_extractor,
+)
 from sentbound.maxent import (
     TrainingEvent,
     check_constraints,
@@ -25,13 +31,7 @@ from sentbound.maxent import (
     save_model,
     train_gis,
 )
-from sentbound.pipeline import (
-    events_from_labeled,
-    extractor_for_model,
-    make_classifier,
-    segment_text,
-    train_model,
-)
+from sentbound.pipeline import events_from_labeled, segment_text, train_model
 from sentbound.synthetic import make_corpus
 
 MAX_ITERS = 50000
@@ -84,7 +84,7 @@ def test_criterion_1_paper_corpora_optional(lexicons):
     test_labeled = label_candidates(load_annotated(test_path))
     best, _ = train_model(corp, "best", lexicons=lexicons, max_iters=MAX_ITERS)
     portable, _ = train_model(corp, "portable", max_iters=MAX_ITERS)
-    acc_best = evaluate(best, test_labeled, lexicons).accuracy
+    acc_best = evaluate(best, test_labeled).accuracy
     acc_port = evaluate(portable, test_labeled).accuracy
     report(
         1,
@@ -132,9 +132,8 @@ def test_criterion_3_gis_correctness(trained):
             max_iters=MAX_ITERS,
             tolerance=1e-3,
         )
-        events = events_from_labeled(
-            labeled, model.registry, extractor_for_model(model, lex)
-        )
+        extractor = make_extractor(template_set, model.lexicons, model.abbreviations)
+        events = events_from_labeled(labeled, model.registry, extractor)
         runs.append((model, events, template_set))
     elapsed = time.perf_counter() - t0
     ok = True
@@ -191,13 +190,12 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_worked_example_fidelity(lexicons):
     from sentbound.candidates import scan
-    from sentbound.corpus import AbbreviationSet
 
     tokens = "ANLP Corp. chairman Dr. Smith resigned.".split()
     corp_cand = scan(tokens)[0]
     assert corp_cand.token == "Corp."
     best = extract_best(corp_cand, lexicons)
-    portable = extract_portable(corp_cand, AbbreviationSet(frozenset({"Corp.", "Dr."})))
+    portable = extract_portable(corp_cand, frozenset({"Corp.", "Dr."}))
     want_best = {
         "PreviousWordIsCapitalized",
         "Prefix=Corp",
@@ -225,8 +223,8 @@ def test_criterion_6_synthetic_end_to_end(trained, eval_labeled):
     ok = True
     details = []
     for template_set in ("portable", "best"):
-        model, _labeled, lex = trained[template_set]
-        rep = evaluate(model, eval_labeled, lex)
+        model, _labeled, _lex = trained[template_set]
+        rep = evaluate(model, eval_labeled)
         beats = rep.accuracy > rep.baseline_all_yes and rep.accuracy > rep.baseline_token_final
         ok = ok and beats and rep.accuracy >= 0.95
         details.append(
@@ -239,7 +237,7 @@ def test_criterion_6_synthetic_end_to_end(trained, eval_labeled):
 
 
 def test_criterion_7_determinism_and_persistence(trained, train_corpus, tmp_path, eval_labeled):
-    model, _, lex = trained["portable"]
+    model, _, _ = trained["portable"]
     retrained, _ = train_model(
         train_corpus, "portable", max_iters=MAX_ITERS, tolerance=1e-3
     )
@@ -249,7 +247,7 @@ def test_criterion_7_determinism_and_persistence(trained, train_corpus, tmp_path
     identical = p1.read_bytes() == p2.read_bytes()
 
     loaded = load_model(p1)
-    extractor = extractor_for_model(model, lex)
+    extractor = make_extractor("portable", abbreviations=model.abbreviations)
     from sentbound.features import encode
 
     agree = all(

@@ -1,10 +1,9 @@
 import string
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sentbound.candidates import NO_WORD, neighbors, scan, tokenize_with_positions
+from sentbound.candidates import NO_WORD, scan, tokenize_with_positions
 
 tokens_strategy = st.lists(
     st.text(alphabet=string.ascii_letters + ".?!,0123456789", min_size=1, max_size=8),
@@ -40,19 +39,17 @@ def test_lone_punctuation_token_is_emitted():
     assert cand.prefix == "" and cand.suffix == ""
 
 
+def neighbors(tokens):
+    return [(c.prev_word, c.next_word) for c in scan(tokens)]
+
+
 def test_neighbors_middle():
-    assert neighbors(["ANLP", "Corp.", "chairman"], 1) == ("ANLP", "chairman")
+    assert neighbors(["ANLP", "Corp.", "chairman"]) == [("ANLP", "chairman")]
 
 
 def test_neighbors_edges():
-    assert neighbors(["only"], 0) == (NO_WORD, NO_WORD)
-    assert neighbors(["a", "b"], 0) == (NO_WORD, "b")
-    assert neighbors(["a", "b"], 1) == ("a", NO_WORD)
-
-
-def test_neighbors_out_of_range():
-    with pytest.raises(IndexError):
-        neighbors(["a"], 1)
+    assert neighbors(["only."]) == [(NO_WORD, NO_WORD)]
+    assert neighbors(["a.", "b."]) == [(NO_WORD, "b."), ("a.", NO_WORD)]
 
 
 @given(tokens_strategy)

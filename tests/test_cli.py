@@ -1,6 +1,7 @@
 import pytest
 
 from sentbound.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, main
+from sentbound.maxent import load_model, save_model
 from sentbound.synthetic import make_corpus, write_corpus
 
 
@@ -23,7 +24,7 @@ def model_file(tmp_path_factory, corpus_file):
 
 def test_train_produces_model(model_file):
     assert model_file.exists()
-    assert model_file.read_text().startswith("sentbound-model v1")
+    assert model_file.read_text().startswith("sentbound-model v2")
 
 
 def test_train_loglikelihood_logged_non_decreasing(tmp_path, corpus_file, capsys):
@@ -160,3 +161,56 @@ def test_output_flag_writes_file(tmp_path, model_file, corpus_file):
     )
     assert rc == EXIT_OK
     assert "accuracy=" in out.read_text()
+
+
+def test_best_model_carries_its_lexicons(tmp_path, corpus_file):
+    honorifics = tmp_path / "honorifics.txt"
+    honorifics.write_text("Dr.\nGen.\n")
+    model = tmp_path / "best.txt"
+    rc = main(
+        [
+            "train", "--corpus", str(corpus_file), "--model", str(model),
+            "--templates", "best", "--honorifics", str(honorifics), "--max-iters", "300",
+        ]
+    )
+    assert rc == EXIT_OK
+    assert load_model(model).lexicons.honorifics == {"Dr.", "Gen."}
+    raw = tmp_path / "raw.txt"
+    raw.write_text("Mr. Smith met Dr. Chen of Acme Corp. today. Did Gen. Davis stay? No!\n")
+
+    def offsets(name):
+        out = tmp_path / name
+        argv = ["segment", "--model", str(model), "--input", str(raw), "--offsets"]
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    before = offsets("before.txt")
+    honorifics.unlink()
+    assert offsets("after.txt") == before
+
+
+@pytest.mark.parametrize("flag", [["--honorifics", "x"], ["--max-iters", "5"]])
+def test_segment_rejects_training_flags(tmp_path, model_file, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["segment", "--model", str(model_file), "--input", str(tmp_path / "raw.txt"), *flag])
+    assert exc.value.code == 2
+
+
+def test_segment_model_with_unknown_template_set(tmp_path, model_file, capsys):
+    model = load_model(model_file)
+    model.template_set = "bogus"
+    bogus = tmp_path / "bogus.txt"
+    save_model(model, bogus)
+    inp = tmp_path / "raw.txt"
+    inp.write_text("Some text.")
+    assert main(["segment", "--model", str(bogus), "--input", str(inp)]) == EXIT_FORMAT
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_segment_v1_model_asks_for_retraining(tmp_path, capsys):
+    old = tmp_path / "old.txt"
+    old.write_text("sentbound-model v1\ntemplate_set portable\n")
+    inp = tmp_path / "raw.txt"
+    inp.write_text("Some text.")
+    assert main(["segment", "--model", str(old), "--input", str(inp)]) == EXIT_FORMAT
+    assert "retrain" in capsys.readouterr().err

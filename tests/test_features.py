@@ -1,7 +1,6 @@
 import pytest
 
 from sentbound.candidates import Candidate
-from sentbound.corpus import AbbreviationSet
 from sentbound.features import (
     EmptyRegistryError,
     build_registry,
@@ -58,7 +57,7 @@ def test_best_char_classes(lexicons):
 
 
 def test_portable_worked_example(example1_labeled):
-    abbrevs = AbbreviationSet(frozenset({"Corp.", "Dr."}))
+    abbrevs = frozenset({"Corp.", "Dr."})
     preds = extract_portable(CORP, abbrevs)
     assert preds >= {
         "PreviousWord=ANLP",
@@ -70,13 +69,13 @@ def test_portable_worked_example(example1_labeled):
 
 
 def test_portable_empty_abbrevs_no_membership_predicates():
-    preds = extract_portable(CORP, AbbreviationSet(frozenset()))
+    preds = extract_portable(CORP, frozenset())
     assert not any("InducedAbbreviation" in p for p in preds)
 
 
 def test_portable_final_token():
     cand = make_candidate("resigned.", 8, prev="Smith", nxt=None)
-    preds = extract_portable(cand, AbbreviationSet(frozenset()))
+    preds = extract_portable(cand, frozenset())
     assert preds == {
         "PreviousWord=Smith",
         "FollowingWord=NULL",
@@ -93,14 +92,14 @@ def test_portable_never_consults_lexicons():
 
 def test_literal_null_token_does_not_collide():
     cand = make_candidate("x.", 1, prev="NULL", nxt=None)
-    preds = extract_portable(cand, AbbreviationSet(frozenset()))
+    preds = extract_portable(cand, frozenset())
     assert "PreviousWord=\\NULL" in preds
     assert "FollowingWord=NULL" in preds
 
 
 def test_build_registry_portable_example1(example1_labeled):
     extractor = make_extractor(
-        "portable", abbreviations=AbbreviationSet(frozenset({"Corp.", "Dr."}))
+        "portable", abbreviations=frozenset({"Corp.", "Dr."})
     )
     reg = build_registry(example1_labeled, extractor, "portable", cutoff=1)
     assert {"Prefix=Corp", "Prefix=Dr", "Prefix=resigned"} <= set(reg.keys)
@@ -135,7 +134,7 @@ def test_encode_idempotent_and_drops_unseen(example1_labeled):
     assert idx == encode(cand, reg, extractor)
     assert idx == tuple(sorted(idx))
     unseen = make_candidate("zzzz.", 4, prev="qqqq", nxt="wwww")
-    assert all(reg.keys[i] in extract_portable(unseen, AbbreviationSet(frozenset()))
+    assert all(reg.keys[i] in extract_portable(unseen, frozenset())
                for i in encode(unseen, reg, extractor))
 
 

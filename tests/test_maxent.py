@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import grid_conditional_single_predicate, ml_conditionals
-from sentbound.corpus import NO, YES
-from sentbound.features import PredicateRegistry
+from sentbound.corpus import NO, YES, label_candidates
+from sentbound.features import TEMPLATE_SETS, PredicateRegistry, default_lexicons
 from sentbound.maxent import (
     Model,
     ModelFormatError,
@@ -20,9 +20,10 @@ from sentbound.maxent import (
     load_model,
     merge_events,
     save_model,
-    score,
     train_gis,
 )
+from sentbound.pipeline import make_classifier, train_model
+from sentbound.synthetic import make_corpus
 
 
 def registry(n):
@@ -38,10 +39,8 @@ def zero_feature_model():
     return Model(
         template_set="portable",
         registry=registry(0),
-        abbreviations=(),
-        log_alpha={},
-        corr_log_alpha={YES: 0.0, NO: 0.0},
-        corr_active={YES: False, NO: False},
+        log_alpha=[],
+        corrections=(0.0, 0.0),
         C=1,
     )
 
@@ -50,24 +49,21 @@ def single_feature_model(alpha_no=9.0):
     return Model(
         template_set="portable",
         registry=registry(1),
-        abbreviations=(),
-        log_alpha={(0, NO): math.log(alpha_no)},
-        corr_log_alpha={YES: 0.0, NO: 0.0},
-        corr_active={YES: False, NO: False},
+        log_alpha=[(None, math.log(alpha_no))],
+        corrections=(0.0, 0.0),
         C=1,
     )
 
 
 def test_score_zero_features():
-    m = zero_feature_model()
-    assert score(m, ()) == (1.0, 1.0)
+    # Both outcomes weigh 1: p(yes) = 1 / (1 + 1).
+    assert conditional_yes(zero_feature_model(), ()) == 0.5
 
 
 def test_score_single_feature():
-    m = single_feature_model()
-    w_yes, w_no = score(m, (0,))
-    assert w_yes == pytest.approx(1.0)
-    assert w_no == pytest.approx(9.0)
+    # w_yes = 1 and w_no = alpha_no, so p(yes) = 1 / (1 + alpha_no).
+    assert conditional_yes(single_feature_model(9.0), (0,)) == pytest.approx(1 / 10)
+    assert conditional_yes(single_feature_model(3.0), (0,)) == pytest.approx(1 / 4)
 
 
 def test_conditional_zero_features_is_half():
@@ -88,14 +84,6 @@ def test_classify_strict_threshold():
     assert classify(m, ()) is False  # exactly 0.5 -> not a boundary
     assert classify(single_feature_model(alpha_no=0.1), (0,)) is True
     assert classify(single_feature_model(alpha_no=9.0), (0,)) is False
-
-
-def test_pi_rescaling_leaves_conditionals_unchanged():
-    m = single_feature_model()
-    p = conditional_yes(m, (0,))
-    m.pi = 7.5
-    assert conditional_yes(m, (0,)) == pytest.approx(p)
-    assert classify(m, (0,)) is False
 
 
 def test_train_nine_no_one_yes():
@@ -182,7 +170,7 @@ def test_permutation_invariance(rnd):
     m1 = train_gis(merge_events(raw), registry(3), max_iters=50)
     m2 = train_gis(merge_events(shuffled), registry(3), max_iters=50)
     assert m1.log_alpha == m2.log_alpha
-    assert m1.corr_log_alpha == m2.corr_log_alpha
+    assert m1.corrections == m2.corrections
 
 
 ORACLE_CORPORA = [
@@ -227,8 +215,8 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     save_model(m, path)
     m2 = load_model(path)
     assert m2.log_alpha == m.log_alpha
-    assert m2.corr_log_alpha == m.corr_log_alpha
-    assert m2.C == m.C and m2.pi == m.pi and m2.clamp == m.clamp
+    assert m2.corrections == m.corrections
+    assert m2.C == m.C
     assert m2.registry.keys == m.registry.keys
     assert m2.fingerprint == m.fingerprint
     for ctx in [(), (0,), (1,), (0, 1)]:
@@ -271,3 +259,67 @@ def test_load_detects_registry_tampering(tmp_path):
     path.write_text(path.read_text().replace("P0", "PX"))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def test_load_rejects_unknown_template_set(tmp_path):
+    m, _ = trained_toy_model()
+    m.template_set = "bogus"
+    path = tmp_path / "model.txt"
+    save_model(m, path)
+    with pytest.raises(ModelFormatError, match="bogus"):
+        load_model(path)
+
+
+def test_load_rejects_file_that_is_not_utf8(tmp_path):
+    m, _ = trained_toy_model()
+    path = tmp_path / "model.txt"
+    save_model(m, path)
+    path.write_bytes(path.read_bytes().replace(b"P0", b"P\xff"))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_load_v1_file_asks_for_retraining(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("sentbound-model v1\ntemplate_set portable\nC 1\n")
+    with pytest.raises(ModelFormatError, match="retrain"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """template set -> (model file text, candidates, decisions on them)."""
+    corpus = make_corpus(30, seed=4)
+    candidates = [c for c, _ in label_candidates(corpus).candidates]
+    out = {}
+    for template_set in TEMPLATE_SETS:
+        lexicons = default_lexicons() if template_set == "best" else None
+        model, _ = train_model(corpus, template_set, lexicons=lexicons, max_iters=30)
+        path = tmp_path_factory.mktemp("saved") / "model.txt"
+        save_model(model, path)
+        decide = make_classifier(model)
+        out[template_set] = (path.read_text(), candidates, [decide(c) for c in candidates])
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(TEMPLATE_SETS), st.data())
+def test_damaged_model_file_fails_or_decides_alike(saved_models, tmp_path_factory, template_set, data):
+    text, candidates, decisions = saved_models[template_set]
+    if data.draw(st.booleans(), label="truncate"):
+        lines = text.splitlines(keepends=True)
+        damaged = "".join(lines[: data.draw(st.integers(0, len(lines) - 1), label="lines kept")])
+    else:
+        i = data.draw(st.integers(0, len(text) - 1), label="position")
+        # Characters of the file itself often keep a number or key parseable.
+        alphabet = st.sampled_from(sorted(set(text)))
+        ch = data.draw(alphabet | st.characters(blacklist_categories=("Cs",)), label="replacement")
+        damaged = text[:i] + ch + text[i + 1 :]
+    path = tmp_path_factory.getbasetemp() / "damaged-model.txt"
+    path.write_text(damaged, encoding="utf-8")
+    try:
+        loaded = load_model(path)
+    except ModelFormatError:
+        return
+    decide = make_classifier(loaded)
+    assert [decide(c) for c in candidates] == decisions

@@ -2,8 +2,15 @@ import pytest
 
 from sentbound.corpus import label_candidates
 from sentbound.evaluation import evaluate
-from sentbound.features import FeatureError
-from sentbound.pipeline import byte_offsets, make_classifier, segment_text, train_model
+from sentbound.features import FeatureError, make_extractor
+from sentbound.maxent import _model_problem, conditional_yes
+from sentbound.pipeline import (
+    byte_offsets,
+    events_from_labeled,
+    make_classifier,
+    segment_text,
+    train_model,
+)
 from sentbound.synthetic import make_corpus
 
 
@@ -77,12 +84,10 @@ def test_byte_offsets_multibyte():
     assert byte_offsets(text, [4]) == [5]
 
 
-def test_best_and_portable_models_learn_training_data(
-    portable_model, best_model, lexicons_session
-):
+def test_best_and_portable_models_learn_training_data(portable_model, best_model):
     labeled = label_candidates(make_corpus(300, seed=1))
-    for model, lex in ((portable_model, None), (best_model, lexicons_session)):
-        report = evaluate(model, labeled, lex)
+    for model in (portable_model, best_model):
+        report = evaluate(model, labeled)
         assert report.accuracy > 0.95
 
 
@@ -111,3 +116,15 @@ def test_portable_training_without_any_lexicons(monkeypatch):
     monkeypatch.setattr(features, "load_lexicons", boom)
     model, _ = train_model(make_corpus(50, seed=9), "portable", max_iters=50)
     assert segment_text(model, "Dr. Smith resigned. He left.").sentences
+
+
+@pytest.mark.parametrize("template_set", ["portable", "best"])
+def test_scorer_matches_training_path(template_set, synthetic_train, lexicons):
+    # Decisions and GIS compute p(yes|c) separately; they must agree.
+    model, labeled = train_model(synthetic_train, template_set, lexicons=lexicons, max_iters=2000)
+    extractor = make_extractor(template_set, model.lexicons, model.abbreviations)
+    prob = _model_problem(model, events_from_labeled(labeled, model.registry, extractor))
+    _, p_yes, _ = prob.expectations()
+    assert len(prob.contexts) > 10
+    for ctx, p in zip(prob.contexts, p_yes):
+        assert conditional_yes(model, ctx) == pytest.approx(p, abs=1e-12)
