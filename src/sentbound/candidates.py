@@ -38,24 +38,13 @@ class Candidate:
         return self.offset_in_token == len(self.token) - 1
 
 
-def scan(
-    tokens: Sequence[str],
-    positions: Optional[Sequence[int]] = None,
-) -> list[Candidate]:
+def scan(tokens: Sequence[str], positions: Sequence[int]) -> list[Candidate]:
     """Emit one Candidate per occurrence of '.', '?' or '!', left to right.
 
     The context window is exactly one token on each side, NO_WORD beyond the
-    stream edges.
-
-    ``positions`` gives the character offset of each token in the original
-    text; when omitted, tokens are assumed to be single-space separated.
+    stream edges. ``positions`` gives the character offset of each token in
+    the text, as ``tokenize_with_positions`` returns it.
     """
-    if positions is None:
-        positions = []
-        offset = 0
-        for tok in tokens:
-            positions.append(offset)
-            offset += len(tok) + 1
     out: list[Candidate] = []
     last = len(tokens) - 1
     for i, tok in enumerate(tokens):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import corpus as corpus_mod
 from . import evaluation, features, maxent, pipeline
@@ -24,19 +24,43 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _normalize_encoding(name: str) -> str:
-    return {"utf8": "utf-8", "latin1": "latin-1"}.get(name.lower(), name)
+def _encoding(name: str) -> str:
+    """argparse type: a text encoding the codec registry knows (utf8, latin1, ...).
+
+    ``str.encode`` looks the name up as ``codecs.lookup`` does, and also
+    refuses codecs that are not text encodings, such as base64.
+    """
+    try:
+        "".encode(name)
+    except LookupError:
+        raise argparse.ArgumentTypeError(f"unknown text encoding: {name!r}") from None
+    return name
+
+
+def _sizes(text: str) -> list[int]:
+    """argparse type: comma-separated training sizes."""
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}"
+        ) from None
+
+
+def _write_atomic(path: str, write: Callable[[Path], None]) -> None:
+    """Let ``write`` fill a sibling .tmp file, then move it onto ``path``."""
+    tmp = Path(path).with_suffix(Path(path).suffix + ".tmp")
+    try:
+        write(tmp)
+        tmp.replace(path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_output(text: str, output: Optional[str]) -> None:
     if output:
-        tmp = Path(output).with_suffix(Path(output).suffix + ".tmp")
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            tmp.replace(output)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
+        _write_atomic(output, lambda tmp: tmp.write_text(text, encoding="utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -68,13 +92,7 @@ def cmd_train(args) -> int:
         f"{'converged' if model.converged else 'not converged'} "
         f"after {model.iterations} iterations"
     )
-    tmp = Path(args.model).with_suffix(Path(args.model).suffix + ".tmp")
-    try:
-        maxent.save_model(model, tmp)
-        tmp.replace(args.model)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
+    _write_atomic(args.model, lambda tmp: maxent.save_model(model, tmp))
     return EXIT_OK
 
 
@@ -122,12 +140,11 @@ def cmd_induce_abbrevs(args) -> int:
 def cmd_learning_curve(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
     eval_corp = corpus_mod.load_annotated(args.input, encoding=args.encoding)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     eval_labeled = corpus_mod.label_candidates(eval_corp)
     rows = evaluation.learning_curve(
         corp,
         eval_labeled,
-        sizes,
+        args.sizes,
         args.templates,
         args.seed,
         lexicons=_lexicons(args),
@@ -157,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True)
         if output:
             p.add_argument("--output", default=None)
-        p.add_argument("--encoding", default="utf-8", type=_normalize_encoding)
+        p.add_argument("--encoding", default="utf-8", type=_encoding)
         p.set_defaults(func=func)
         return p
 
@@ -192,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lc = command("learning-curve", cmd_learning_curve, "accuracy as a function of training size",
                    corpus=True, inp=True)
     training(p_lc)
-    p_lc.add_argument("--sizes", required=True, help="comma-separated training sizes")
+    p_lc.add_argument("--sizes", required=True, type=_sizes, help="comma-separated training sizes")
     p_lc.add_argument("--seed", type=int, default=0, help="seed of the training-set shuffle")
     return parser
 

@@ -6,12 +6,11 @@ break is the boundary annotation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .candidates import Candidate, scan
+from .candidates import BOUNDARY_MARKS, Candidate, scan, tokenize_with_positions
 
 YES = "yes"
 NO = "no"
@@ -29,10 +28,6 @@ class EmptyCorpusError(CorpusError):
 class AnnotatedCorpus:
     sentences: tuple[str, ...]
 
-    @property
-    def token_count(self) -> int:
-        return sum(len(s.split()) for s in self.sentences)
-
     def __len__(self) -> int:
         return len(self.sentences)
 
@@ -42,7 +37,6 @@ class LabeledCandidateSet:
     """Candidates from an annotated corpus, labeled yes iff the mark ends a sentence."""
 
     candidates: list[tuple[Candidate, str]]
-    tokens: list[str]
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -79,37 +73,34 @@ def corpus_from_sentences(sentences: Iterable[str]) -> AnnotatedCorpus:
 
 
 def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
-    """Concatenate sentences into one token stream and label each candidate.
+    """Join the sentences with single spaces, scan the text as segmentation
+    does, and label each candidate.
 
     A candidate is labeled yes iff its mark is the last character of a
-    sentence-final token. Sentences whose final token carries no candidate
-    mark are recorded as warnings, not errors.
+    sentence. Sentences that end in anything else get no yes label and are
+    recorded as warnings, not errors.
     """
     if not corpus.sentences:
         raise EmptyCorpusError("corpus has no sentences")
-    tokens: list[str] = []
-    final_indices: set[int] = set()
+    text = " ".join(corpus.sentences)
+    ends: set[int] = set()
     warnings: list[str] = []
+    end = -1
     for s_i, sent in enumerate(corpus.sentences):
-        sent_tokens = sent.split()
-        tokens.extend(sent_tokens)
-        final_indices.add(len(tokens) - 1)
-        if not any(ch in ".?!" for ch in sent_tokens[-1]):
+        end += len(sent)  # the sentence's last character in ``text``
+        if sent[-1] in BOUNDARY_MARKS:
+            ends.add(end)
+        else:
             warnings.append(
-                f"sentence {s_i + 1} ends in token {sent_tokens[-1]!r} "
-                "with no candidate punctuation"
+                f"sentence {s_i + 1} ends in token {sent.split()[-1]!r}, whose last "
+                "character is not a boundary mark, so it gets no boundary label"
             )
-    starts = []
-    offset = 0
-    for tok in tokens:
-        starts.append(offset)
-        offset += len(tok) + 1
-    labeled = []
-    for cand in scan(tokens, positions=starts):
-        token_index = bisect_right(starts, cand.stream_position) - 1
-        is_boundary = token_index in final_indices and cand.token_final
-        labeled.append((cand, YES if is_boundary else NO))
-    return LabeledCandidateSet(candidates=labeled, tokens=tokens, warnings=warnings)
+        end += 1  # the joining space
+    labeled = [
+        (cand, YES if cand.stream_position in ends else NO)
+        for cand in scan(*tokenize_with_positions(text))
+    ]
+    return LabeledCandidateSet(candidates=labeled, warnings=warnings)
 
 
 def induce_abbreviations(labeled: LabeledCandidateSet) -> frozenset[str]:
@@ -119,7 +110,3 @@ def induce_abbreviations(labeled: LabeledCandidateSet) -> frozenset[str]:
         for cand, label in labeled.candidates
         if cand.mark == "." and label == NO
     )
-
-
-def save_abbreviations(abbrevs: frozenset[str], path: str | Path) -> None:
-    Path(path).write_text("".join(tok + "\n" for tok in sorted(abbrevs)), encoding="utf-8")

@@ -102,6 +102,8 @@ def learning_curve(
     """Train one model per prefix-sample of each size (under a seeded shuffle
     of the training corpus) and score each on the fixed held-out set."""
     for size in sizes:
+        if size < 1:
+            raise CorpusError(f"requested training size {size} is below 1")
         if size > len(corpus):
             raise CorpusError(
                 f"requested training size {size} exceeds corpus size {len(corpus)}"

@@ -186,12 +186,16 @@ class _GisProblem:
         self.active_cols = self.empirical > 0.0
         self.theta = np.zeros(n_cols)
 
-    def expectations(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(expected counts, p_yes per context, total conditional log-likelihood)."""
+    def p_yes(self) -> np.ndarray:
+        """p(yes|c) per context under the current weights."""
         ly = self.A[YES] @ self.theta
         ln_ = self.A[NO] @ self.theta
         d = ln_ - ly
-        p_yes = 1.0 / (1.0 + np.exp(np.clip(d, -700.0, 700.0)))
+        return 1.0 / (1.0 + np.exp(np.clip(d, -700.0, 700.0)))
+
+    def expectations(self, p_yes: np.ndarray) -> tuple[np.ndarray, float]:
+        """(expected counts, total conditional log-likelihood) given p(yes|c)
+        per context."""
         p_no = 1.0 - p_yes
         expected = self.A[YES].T @ (self.m_tot * p_yes) + self.A[NO].T @ (
             self.m_tot * p_no
@@ -201,7 +205,7 @@ class _GisProblem:
                 np.sum(self.m_yes * np.log(np.maximum(p_yes, 1e-300)))
                 + np.sum(self.m_no * np.log(np.maximum(p_no, 1e-300)))
             )
-        return expected, p_yes, ll
+        return expected, ll
 
     def violation(self, expected: np.ndarray) -> float:
         act = self.active_cols
@@ -252,7 +256,7 @@ def train_gis(
     converged = False
     iterations = 0
     while True:
-        expected, _p_yes, ll = prob.expectations()
+        expected, ll = prob.expectations(prob.p_yes())
         viol = prob.violation(expected)
         history.append((ll, viol))
         if viol <= tolerance:
@@ -283,60 +287,20 @@ def train_gis(
     )
 
 
-def _model_problem(model: Model, events: Sequence[TrainingEvent]) -> _GisProblem:
+def check_constraints(model: Model, events: Sequence[TrainingEvent]) -> float:
+    """Max over features of |expected - empirical| / max(empirical, floor),
+    with p(yes|c) of each context from ``conditional_yes``."""
+    if not events:
+        return 0.0
     prob = _GisProblem(events, model.registry)
     if prob.C != model.C:
         # Constraint checks must use the model's own correction geometry.
         raise TrainingError(
             f"event set implies C={prob.C} but model has C={model.C}"
         )
-    for j, (p, b) in enumerate(prob.feature_pairs):
-        w = model.log_alpha[p][OUTCOMES.index(b)]
-        prob.theta[j] = 0.0 if w is None else w
-    prob.theta[prob.col_yes], prob.theta[prob.col_no] = model.corrections
-    return prob
-
-
-def check_constraints(model: Model, events: Sequence[TrainingEvent]) -> float:
-    """Max over features of |expected - empirical| / max(empirical, floor)."""
-    if not events:
-        return 0.0
-    prob = _model_problem(model, events)
-    expected, _, _ = prob.expectations()
+    p_yes = np.array([conditional_yes(model, ctx) for ctx in prob.contexts])
+    expected, _ = prob.expectations(p_yes)
     return prob.violation(expected)
-
-
-def constraint_violations(
-    model: Model, events: Sequence[TrainingEvent]
-) -> dict[tuple[int, str] | str, float]:
-    """Per-feature relative violations; correction features keyed by outcome."""
-    prob = _model_problem(model, events)
-    expected, _, _ = prob.expectations()
-    out: dict[tuple[int, str] | str, float] = {}
-    for j, pair in enumerate(prob.feature_pairs):
-        if prob.active_cols[j]:
-            denom = max(prob.empirical[j], VIOLATION_FLOOR)
-            out[pair] = abs(expected[j] - prob.empirical[j]) / denom
-    for b, col in ((YES, prob.col_yes), (NO, prob.col_no)):
-        if prob.active_cols[col]:
-            denom = max(prob.empirical[col], VIOLATION_FLOOR)
-            out[f"correction:{b}"] = abs(expected[col] - prob.empirical[col]) / denom
-    return out
-
-
-def entropy(model: Model, events: Sequence[TrainingEvent]) -> float:
-    """Average conditional entropy of the outcome (nats per event) under the
-    empirical context distribution."""
-    prob = _model_problem(model, events)
-    _, p_yes, _ = prob.expectations()
-    p_no = 1.0 - p_yes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(
-            p_yes * np.where(p_yes > 0, np.log(np.maximum(p_yes, 1e-300)), 0.0)
-            + p_no * np.where(p_no > 0, np.log(np.maximum(p_no, 1e-300)), 0.0)
-        )
-    total = float(np.sum(prob.m_tot))
-    return float(np.sum(prob.m_tot * h) / total)
 
 
 # ----------------------------------------------------------------------------

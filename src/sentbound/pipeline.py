@@ -82,10 +82,9 @@ class Segmentation:
 def segment_text(model: Model, text: str) -> Segmentation:
     """Classify every candidate in raw text; a yes splits after the mark."""
     classify_candidate = make_classifier(model)
-    tokens, positions = tokenize_with_positions(text)
     offsets = [
         c.stream_position
-        for c in scan(tokens, positions=positions)
+        for c in scan(*tokenize_with_positions(text))
         if classify_candidate(c)
     ]
     sentences = []

@@ -5,6 +5,11 @@ from hypothesis import strategies as st
 
 from sentbound.candidates import NO_WORD, scan, tokenize_with_positions
 
+
+def scan_text(text):
+    return scan(*tokenize_with_positions(text))
+
+
 tokens_strategy = st.lists(
     st.text(alphabet=string.ascii_letters + ".?!,0123456789", min_size=1, max_size=8),
     min_size=1,
@@ -13,7 +18,7 @@ tokens_strategy = st.lists(
 
 
 def test_scan_corp_token():
-    (cand,) = scan(["Corp."])
+    (cand,) = scan_text("Corp.")
     assert cand.mark == "."
     assert cand.prefix == "Corp"
     assert cand.suffix == ""
@@ -21,26 +26,26 @@ def test_scan_corp_token():
 
 
 def test_scan_dc_token():
-    cands = scan(["D.C."])
+    cands = scan_text("D.C.")
     assert [(c.prefix, c.suffix) for c in cands] == [("D", "C."), ("D.C", "")]
 
 
 def test_scan_no_marks():
-    assert scan(["hello"]) == []
+    assert scan_text("hello") == []
 
 
 def test_ellipsis_and_emphasis_yield_one_candidate_per_mark():
-    assert len(scan(["..."])) == 3
-    assert len(scan(["wow!!!"])) == 3
+    assert len(scan_text("...")) == 3
+    assert len(scan_text("wow!!!")) == 3
 
 
 def test_lone_punctuation_token_is_emitted():
-    (cand,) = scan(["."])
+    (cand,) = scan_text(".")
     assert cand.prefix == "" and cand.suffix == ""
 
 
 def neighbors(tokens):
-    return [(c.prev_word, c.next_word) for c in scan(tokens)]
+    return [(c.prev_word, c.next_word) for c in scan_text(" ".join(tokens))]
 
 
 def test_neighbors_middle():
@@ -55,12 +60,12 @@ def test_neighbors_edges():
 @given(tokens_strategy)
 def test_scan_count_matches_mark_count(tokens):
     marks = sum(tok.count(".") + tok.count("?") + tok.count("!") for tok in tokens)
-    assert len(scan(tokens)) == marks
+    assert len(scan_text(" ".join(tokens))) == marks
 
 
 @given(tokens_strategy)
 def test_scan_reconstruction_and_order(tokens):
-    cands = scan(tokens)
+    cands = scan_text(" ".join(tokens))
     for c in cands:
         assert c.token[c.offset_in_token] == c.mark
         assert c.prefix + c.mark + c.suffix == c.token

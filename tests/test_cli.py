@@ -214,3 +214,58 @@ def test_segment_v1_model_asks_for_retraining(tmp_path, capsys):
     inp.write_text("Some text.")
     assert main(["segment", "--model", str(old), "--input", str(inp)]) == EXIT_FORMAT
     assert "retrain" in capsys.readouterr().err
+
+
+def test_learning_curve_sizes_not_integers(corpus_file):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
+                "--sizes", "1,x",
+            ]
+        )
+    assert exc.value.code == 2
+
+
+def test_learning_curve_size_below_one(corpus_file, capsys):
+    rc = main(
+        [
+            "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
+            "--sizes=-1,2",
+        ]
+    )
+    assert rc == EXIT_FORMAT
+    assert capsys.readouterr().out == ""
+
+
+def test_unknown_encoding_is_a_usage_error(tmp_path, model_file):
+    inp = tmp_path / "raw.txt"
+    inp.write_text("Some text.")
+    for encoding in ("bogus", "base64"):
+        with pytest.raises(SystemExit) as exc:
+            main(["segment", "--model", str(model_file), "--input", str(inp), "--encoding", encoding])
+        assert exc.value.code == 2
+
+
+def test_segment_offsets_latin1_bytes(tmp_path, model_file, capsys):
+    # One byte per character in latin-1; UTF-8 would count two for the é.
+    text = "Café owner Dr. Smith resigned yesterday. Who leads Acme Corp. now?"
+    inp = tmp_path / "raw.txt"
+    inp.write_bytes(text.encode("latin-1"))
+    argv = ["segment", "--model", str(model_file), "--input", str(inp), "--offsets"]
+    assert main(argv + ["--encoding", "latin1"]) == EXIT_OK
+    offsets = [int(line) for line in capsys.readouterr().out.split()]
+    assert offsets == [text.index("yesterday.") + 9, len(text) - 1]
+
+
+def test_output_onto_a_directory_leaves_no_tmp(tmp_path, corpus_file):
+    target = tmp_path / "out"
+    target.mkdir()
+    argvs = [
+        ["train", "--corpus", str(corpus_file), "--model", str(target), "--max-iters", "5"],
+        ["induce-abbrevs", "--corpus", str(corpus_file), "--output", str(target)],
+    ]
+    for argv in argvs:
+        assert main(argv) == EXIT_IO
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert target.is_dir()

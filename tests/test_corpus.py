@@ -1,9 +1,11 @@
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sentbound.candidates import BOUNDARY_MARKS, scan, tokenize_with_positions
+from sentbound.cli import EXIT_OK, main
 from sentbound.corpus import (
     NO,
     YES,
@@ -13,7 +15,6 @@ from sentbound.corpus import (
     label_candidates,
     load_annotated,
     load_raw,
-    save_abbreviations,
 )
 
 sentence_strategy = st.lists(
@@ -28,7 +29,6 @@ def test_load_annotated_minimal(tmp_path):
     p.write_text("Hello world .\n")
     corp = load_annotated(p)
     assert len(corp) == 1
-    assert corp.token_count == 3
 
 
 def test_load_annotated_two_sentences(tmp_path):
@@ -111,10 +111,12 @@ def test_induce_dc(dc_corpus):
     assert induce_abbreviations(lab) == {"D.C."}
 
 
-def test_save_abbreviations_sorted(tmp_path, example1_labeled):
+def test_save_abbreviations_sorted(tmp_path):
+    corp = tmp_path / "c.txt"
+    corp.write_text("Acme Inc. hired Dr. Lee of Zeta Corp. today.\n")
     out = tmp_path / "abbrevs.txt"
-    save_abbreviations(induce_abbreviations(example1_labeled), out)
-    assert out.read_text() == "Corp.\nDr.\n"
+    assert main(["induce-abbrevs", "--corpus", str(corp), "--output", str(out)]) == EXIT_OK
+    assert out.read_text() == "Corp.\nDr.\nInc.\n"
 
 
 @given(st.lists(sentence_strategy, min_size=1, max_size=8))
@@ -131,9 +133,11 @@ def test_label_deterministic_and_bounded(sentences):
 def test_token_stream_preserves_characters(sentences):
     corp = corpus_from_sentences(sentences)
     lab = label_candidates(corp)
-    stream = "".join(lab.tokens)
-    original = "".join("".join(s.split()) for s in corp.sentences)
-    assert stream == original
+    marks = "".join(cand.mark for cand, _ in lab.candidates)
+    original = "".join(ch for s in corp.sentences for ch in s if ch in BOUNDARY_MARKS)
+    assert marks == original
+    for cand, _ in lab.candidates:
+        assert cand.token[cand.offset_in_token] == cand.mark
 
 
 @given(st.lists(sentence_strategy, min_size=1, max_size=8))
@@ -141,5 +145,37 @@ def test_induced_abbrevs_subset_of_dotted_tokens(sentences):
     corp = corpus_from_sentences(sentences)
     lab = label_candidates(corp)
     abbrevs = induce_abbreviations(lab)
-    dotted = {tok for tok in lab.tokens if "." in tok}
+    dotted = {tok for s in corp.sentences for tok in s.split() if "." in tok}
     assert abbrevs <= dotted
+
+
+closer_sentence_strategy = st.lists(
+    st.text(alphabet=string.ascii_letters + ".?!\")", min_size=1, max_size=6),
+    min_size=1,
+    max_size=6,
+).map(" ".join)
+
+
+@example(['He said "stop."', "We met in the U.S", "Fine."])
+@given(st.lists(closer_sentence_strategy, min_size=1, max_size=8))
+def test_labels_come_from_the_inference_scan(sentences):
+    corp = corpus_from_sentences(sentences)
+    lab = label_candidates(corp)
+    text = " ".join(corp.sentences)
+    assert [cand for cand, _ in lab.candidates] == scan(*tokenize_with_positions(text))
+    start, unmarked = 0, 0
+    for sent in corp.sentences:
+        end = start + len(sent) - 1
+        yes = [
+            cand.stream_position
+            for cand, label in lab.candidates
+            if label == YES and start <= cand.stream_position <= end
+        ]
+        if sent[-1] in BOUNDARY_MARKS:
+            assert yes == [end]
+        else:
+            assert yes == []
+            unmarked += 1
+        start = end + 2
+    assert lab.n_yes == len(corp) - unmarked
+    assert len(lab.warnings) == unmarked

@@ -115,10 +115,7 @@ def test_build_registry_cutoff_too_high(example1_labeled):
 def test_registry_counts_scale_linearly(example1_labeled):
     from sentbound.corpus import LabeledCandidateSet
 
-    doubled = LabeledCandidateSet(
-        candidates=example1_labeled.candidates * 2,
-        tokens=example1_labeled.tokens * 2,
-    )
+    doubled = LabeledCandidateSet(candidates=example1_labeled.candidates * 2)
     extractor = make_extractor("portable")
     reg1 = build_registry(example1_labeled, extractor, "portable")
     reg2 = build_registry(doubled, extractor, "portable")

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 
-from sentbound.corpus import label_candidates
+from sentbound.corpus import YES, label_candidates
 from sentbound.evaluation import evaluate
 from sentbound.features import FeatureError, make_extractor
-from sentbound.maxent import _model_problem, conditional_yes
+from sentbound.maxent import check_constraints, conditional_yes
 from sentbound.pipeline import (
     byte_offsets,
     events_from_labeled,
@@ -120,11 +122,16 @@ def test_portable_training_without_any_lexicons(monkeypatch):
 
 @pytest.mark.parametrize("template_set", ["portable", "best"])
 def test_scorer_matches_training_path(template_set, synthetic_train, lexicons):
-    # Decisions and GIS compute p(yes|c) separately; they must agree.
+    # GIS scores contexts with its own matrices; the decision scorer must
+    # reproduce its final log-likelihood and constraint violation.
     model, labeled = train_model(synthetic_train, template_set, lexicons=lexicons, max_iters=2000)
     extractor = make_extractor(template_set, model.lexicons, model.abbreviations)
-    prob = _model_problem(model, events_from_labeled(labeled, model.registry, extractor))
-    _, p_yes, _ = prob.expectations()
-    assert len(prob.contexts) > 10
-    for ctx, p in zip(prob.contexts, p_yes):
-        assert conditional_yes(model, ctx) == pytest.approx(p, abs=1e-12)
+    events = events_from_labeled(labeled, model.registry, extractor)
+    assert len({ev.active_predicates for ev in events}) > 10
+    ll = 0.0
+    for ev in events:
+        p_yes = conditional_yes(model, ev.active_predicates)
+        ll += ev.multiplicity * math.log(p_yes if ev.outcome == YES else 1.0 - p_yes)
+    final_ll, final_violation = model.history[-1]
+    assert ll == pytest.approx(final_ll, rel=1e-12)
+    assert check_constraints(model, events) == pytest.approx(final_violation, rel=1e-12)
