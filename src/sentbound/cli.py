@@ -7,6 +7,7 @@ Logs go to stderr; data to stdout or --output. Exit codes: 0 success, 2 IO,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Optional
@@ -37,14 +38,34 @@ def _encoding(name: str) -> str:
     return name
 
 
+def _at_least(convert: Callable[[str], float], low: float) -> Callable[[str], float]:
+    """argparse type: ``convert(text)``, finite and at least ``low``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {convert.__name__} >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _sizes(text: str) -> list[int]:
-    """argparse type: comma-separated training sizes."""
+    """argparse type: comma-separated, distinct training sizes."""
     try:
-        return [int(s) for s in text.split(",") if s.strip()]
+        sizes = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
+        sizes = []
+    if not sizes or len(set(sizes)) != len(sizes):
         raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}"
-        ) from None
+            f"not a comma-separated list of distinct integers: {text!r}"
+        )
+    return sizes
 
 
 def _write_atomic(path: str, write: Callable[[Path], None]) -> None:
@@ -180,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def training(p):
         p.add_argument("--templates", choices=features.TEMPLATE_SETS, default="portable")
-        p.add_argument("--cutoff", type=int, default=1)
-        p.add_argument("--max-iters", type=int, default=maxent.DEFAULT_MAX_ITERS)
-        p.add_argument("--tolerance", type=float, default=maxent.DEFAULT_TOLERANCE)
+        p.add_argument("--cutoff", type=_at_least(int, 1), default=1)
+        p.add_argument("--max-iters", type=_at_least(int, 0), default=maxent.DEFAULT_MAX_ITERS)
+        p.add_argument("--tolerance", type=_at_least(float, 0), default=maxent.DEFAULT_TOLERANCE)
         p.add_argument("--honorifics", default=None, help="honorific lexicon file (best)")
         p.add_argument("--designators", default=None, help="corporate designator lexicon file (best)")
 
@@ -219,7 +240,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         _log(f"error: {exc}")
         return EXIT_IO
     except (corpus_mod.CorpusError, features.FeatureError, maxent.ModelFormatError) as exc:

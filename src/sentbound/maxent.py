@@ -1,11 +1,13 @@
 """Maximum entropy model over (outcome, context) with Generalized Iterative
 Scaling training.
 
-Binary features pair one contextual predicate with one outcome. Training is
+Binary features pair one contextual predicate with one outcome; the model
+keeps one (yes, no) log-weight pair per registry predicate. Training is
 conditional GIS: expectations are taken over outcomes given each observed
 context, so the joint model's normaliser cancels and is not stored. A
 per-outcome correction (slack) feature absorbs C minus the active-feature
-count, as GIS's constant-sum condition requires.
+count, as GIS's constant-sum condition requires. GIS works on the same
+layout: one context x predicate design matrix and one weight row per outcome.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -126,112 +129,80 @@ def classify(model: Model, active_predicates: Sequence[int]) -> bool:
 
 
 class _GisProblem:
-    """Vectorized training state: one row per distinct context, one column per
-    (predicate, outcome) feature plus the two correction columns."""
+    """Vectorized training state, indexed as the model is.
+
+    ``Z`` is the one design matrix: a row per distinct context, a 0/1 column
+    per registry predicate, then the yes- and no-correction columns (C minus
+    the fitted features the context activates for that outcome). ``theta``
+    has one row of log-weights per outcome over those columns. An entry is
+    fitted (``active``) iff its empirical count is positive; the others, such
+    as the other outcome's correction column, stay at 0.
+    """
 
     def __init__(self, events: Sequence[TrainingEvent], registry: PredicateRegistry):
         if not events:
             raise TrainingError("no training events")
         n_preds = len(registry)
-        contexts: dict[tuple[int, ...], dict[str, int]] = {}
+        contexts: dict[tuple[int, ...], list[int]] = {}
         for ev in events:
             if ev.multiplicity < 1:
                 raise TrainingError("event multiplicity must be >= 1")
-            if any(p < 0 or p >= n_preds for p in ev.active_predicates):
-                raise TrainingError("event references predicate outside registry")
-            slot = contexts.setdefault(ev.active_predicates, {YES: 0, NO: 0})
-            slot[ev.outcome] += ev.multiplicity
+            active = ev.active_predicates
+            # -1 < first < ... < last < n_preds, as features.encode produces them.
+            if any(a >= b for a, b in zip((-1, *active), (*active, n_preds))):
+                raise TrainingError(
+                    f"event predicates {active} must strictly increase within 0..{n_preds - 1}"
+                )
+            contexts.setdefault(active, [0, 0])[OUTCOMES.index(ev.outcome)] += ev.multiplicity
         # Canonical ordering makes training invariant to event permutation.
         self.contexts = sorted(contexts)
-        self.m_yes = np.array([contexts[c][YES] for c in self.contexts], float)
-        self.m_no = np.array([contexts[c][NO] for c in self.contexts], float)
-        self.m_tot = self.m_yes + self.m_no
+        self.m = np.array([contexts[c] for c in self.contexts], float).T  # (yes, no) x contexts
+        self.m_tot = self.m.sum(axis=0)
 
-        emp_pairs: dict[tuple[int, str], float] = {}
-        for ctx in self.contexts:
-            slot = contexts[ctx]
-            for b in OUTCOMES:
-                if slot[b]:
-                    for p in ctx:
-                        emp_pairs[(p, b)] = emp_pairs.get((p, b), 0.0) + slot[b]
-        self.feature_pairs = sorted(emp_pairs)
-        self.pair_col = {pair: j for j, pair in enumerate(self.feature_pairs)}
-        n_feat = len(self.feature_pairs)
-        self.col_yes = n_feat
-        self.col_no = n_feat + 1
-        n_cols = n_feat + 2
-
-        # Active-feature counts per (context, outcome) determine C.
-        n_ctx = len(self.contexts)
-        count_b = {b: np.zeros(n_ctx) for b in OUTCOMES}
-        for i, ctx in enumerate(self.contexts):
-            for b in OUTCOMES:
-                count_b[b][i] = sum(1 for p in ctx if (p, b) in emp_pairs)
-        max_count = max(
-            (int(count_b[b].max()) for b in OUTCOMES if n_ctx), default=0
-        )
-        self.C = max(max_count, 1)
-
-        self.A = {b: np.zeros((n_ctx, n_cols)) for b in OUTCOMES}
-        for i, ctx in enumerate(self.contexts):
-            for b in OUTCOMES:
-                for p in ctx:
-                    col = self.pair_col.get((p, b))
-                    if col is not None:
-                        self.A[b][i, col] = 1.0
-        self.A[YES][:, self.col_yes] = self.C - count_b[YES]
-        self.A[NO][:, self.col_no] = self.C - count_b[NO]
-
-        self.empirical = self.A[YES].T @ self.m_yes + self.A[NO].T @ self.m_no
-        self.active_cols = self.empirical > 0.0
-        self.theta = np.zeros(n_cols)
+        lengths = [len(c) for c in self.contexts]
+        self.Z = np.zeros((len(self.contexts), n_preds + 2))
+        self.Z[
+            np.repeat(np.arange(len(self.contexts)), lengths),
+            np.fromiter(chain.from_iterable(self.contexts), int, sum(lengths)),
+        ] = 1.0
+        seen = (self.m @ self.Z[:, :n_preds]) > 0.0
+        fitted = self.Z[:, :n_preds] @ seen.T.astype(float)  # contexts x (yes, no)
+        self.C = max(int(fitted.max()), 1)
+        self.Z[:, n_preds:] = self.C - fitted
+        self.empirical = self.m @ self.Z
+        corrections = np.eye(2, dtype=bool) & (self.empirical[:, n_preds:] > 0.0)
+        self.active = np.hstack([seen, corrections])
+        self.theta = np.zeros((2, n_preds + 2))
 
     def p_yes(self) -> np.ndarray:
         """p(yes|c) per context under the current weights."""
-        ly = self.A[YES] @ self.theta
-        ln_ = self.A[NO] @ self.theta
-        d = ln_ - ly
+        d = self.Z @ (self.theta[1] - self.theta[0])
         return 1.0 / (1.0 + np.exp(np.clip(d, -700.0, 700.0)))
 
     def expectations(self, p_yes: np.ndarray) -> tuple[np.ndarray, float]:
         """(expected counts, total conditional log-likelihood) given p(yes|c)
         per context."""
-        p_no = 1.0 - p_yes
-        expected = self.A[YES].T @ (self.m_tot * p_yes) + self.A[NO].T @ (
-            self.m_tot * p_no
-        )
-        with np.errstate(divide="ignore"):
-            ll = float(
-                np.sum(self.m_yes * np.log(np.maximum(p_yes, 1e-300)))
-                + np.sum(self.m_no * np.log(np.maximum(p_no, 1e-300)))
-            )
+        p = np.vstack([p_yes, 1.0 - p_yes])
+        expected = (self.m_tot * p) @ self.Z
+        ll = float(np.sum(self.m * np.log(np.maximum(p, 1e-300))))
         return expected, ll
 
     def violation(self, expected: np.ndarray) -> float:
-        act = self.active_cols
-        if not act.any():
-            return 0.0
-        denom = np.maximum(self.empirical[act], VIOLATION_FLOOR)
-        return float(np.max(np.abs(expected[act] - self.empirical[act]) / denom))
+        # Never empty: a context fits a feature or a correction for each outcome it has.
+        emp, exp = self.empirical[self.active], expected[self.active]
+        return float(np.max(np.abs(exp - emp) / np.maximum(emp, VIOLATION_FLOOR)))
 
     def update(self, expected: np.ndarray) -> None:
-        clamp = DEFAULT_CLAMP
-        act = self.active_cols & (expected > 0.0)
+        act = self.active & (expected > 0.0)
         step = np.zeros_like(self.theta)
         step[act] = np.log(self.empirical[act] / expected[act]) / self.C
-        # Zero empirical count with positive expectation: push toward -clamp.
-        dead = self.active_cols & ~act
-        step[dead] = -2.0 * clamp
-        self.theta = np.clip(self.theta + step, -clamp, clamp)
-        self.theta[~self.active_cols] = 0.0
+        # Positive empirical count but zero expectation: push toward -clamp.
+        step[self.active & ~act] = -2.0 * DEFAULT_CLAMP
+        self.theta = np.clip(self.theta + step, -DEFAULT_CLAMP, DEFAULT_CLAMP)
+        self.theta[~self.active] = 0.0
         if not np.isfinite(self.theta).all():
-            bad = int(np.argmax(~np.isfinite(self.theta)))
-            name = (
-                self.feature_pairs[bad]
-                if bad < len(self.feature_pairs)
-                else ("correction", OUTCOMES[bad - len(self.feature_pairs)])
-            )
-            raise TrainingError(f"non-finite parameter for feature {name}")
+            bad = np.argwhere(~np.isfinite(self.theta))[0].tolist()
+            raise TrainingError(f"non-finite parameter at (outcome, column) {bad}")
 
 
 def train_gis(
@@ -267,17 +238,16 @@ def train_gis(
         prob.update(expected)
         iterations += 1
 
-    fitted = {
-        pair: float(prob.theta[j])
-        for j, pair in enumerate(prob.feature_pairs)
-        if prob.active_cols[j]
-    }
+    theta, active = prob.theta.tolist(), prob.active.tolist()
     return Model(
         template_set=template_set,
         registry=registry,
-        log_alpha=[(fitted.get((p, YES)), fitted.get((p, NO))) for p in range(len(registry))],
+        log_alpha=[
+            tuple(w[p] if a[p] else None for w, a in zip(theta, active))
+            for p in range(len(registry))
+        ],
         # An inactive correction column stays at 0.0, so it adds nothing.
-        corrections=(float(prob.theta[prob.col_yes]), float(prob.theta[prob.col_no])),
+        corrections=(theta[0][-2], theta[1][-1]),
         C=prob.C,
         abbreviations=abbreviations,
         lexicons=lexicons,

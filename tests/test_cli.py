@@ -269,3 +269,56 @@ def test_output_onto_a_directory_leaves_no_tmp(tmp_path, corpus_file):
         assert main(argv) == EXIT_IO
         assert list(tmp_path.glob("*.tmp")) == []
         assert target.is_dir()
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_undecodable_utf16_input_exits_2(tmp_path, model_file, command, capsys):
+    # An even number of UTF-8 bytes with no byte-order mark: the UTF-16 codec
+    # raises UnicodeError itself, not UnicodeDecodeError.
+    data = tmp_path / "data.txt"
+    data.write_bytes(b"The cat sat.\nIt ran off!\n\n")
+    flag = "--input" if command == "segment" else "--corpus"
+    argv = [command, "--model", str(model_file), flag, str(data), "--encoding", "utf-16"]
+    assert main(argv) == EXIT_IO
+    assert "BOM" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "learning-curve"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--cutoff", "0"],
+        ["--cutoff", "-3"],
+        ["--cutoff", "1.5"],
+        ["--max-iters", "-1"],
+        ["--tolerance", "nan"],
+        ["--tolerance", "inf"],
+        ["--tolerance", "-1"],
+    ],
+    ids="=".join,
+)
+def test_numeric_training_flags_are_checked(tmp_path, corpus_file, command, flag):
+    if command == "train":
+        argv = ["train", "--corpus", str(corpus_file), "--model", str(tmp_path / "m.txt")]
+    else:
+        argv = [
+            "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
+            "--sizes", "30",
+        ]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("sizes", [",", "", "2,2", "30,120,30"])
+def test_learning_curve_sizes_empty_or_repeated(corpus_file, sizes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
+                f"--sizes={sizes}",
+            ]
+        )
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

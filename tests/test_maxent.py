@@ -11,6 +11,7 @@ from sentbound.features import TEMPLATE_SETS, PredicateRegistry, default_lexicon
 from sentbound.maxent import (
     Model,
     ModelFormatError,
+    TrainingError,
     TrainingEvent,
     check_constraints,
     classify,
@@ -132,6 +133,39 @@ def test_uniform_model_violation_on_nine_one():
 
 def test_check_constraints_empty_events():
     assert check_constraints(zero_feature_model(), []) == 0.0
+
+
+@pytest.mark.parametrize("active", [(0, 0), (1, 0), (-1,), (2,)], ids=str)
+def test_malformed_event_predicates_are_refused(active):
+    # features.encode yields strictly increasing registry indices. A repeated
+    # index would count once in GIS's design matrix but twice in
+    # conditional_yes, so GIS could report convergence while the scorer that
+    # ships violates the constraints.
+    ev = events_of((active, YES, 3), (active, NO, 1))
+    with pytest.raises(TrainingError, match="strictly increase"):
+        train_gis(ev, registry(2), max_iters=100)
+    with pytest.raises(TrainingError, match="strictly increase"):
+        check_constraints(trained_toy_model()[0], ev)
+
+
+def test_weights_follow_the_model_layout():
+    # Predicate 0 is seen with both outcomes, predicate 1 with yes only and
+    # predicate 2 in no event.
+    ev = events_of(((0, 1), YES, 3), ((0,), YES, 1), ((0,), NO, 2))
+    m = train_gis(ev, registry(3), max_iters=5000, tolerance=1e-3)
+    assert [tuple(w is not None for w in pair) for pair in m.log_alpha] == [
+        (True, True),
+        (True, False),
+        (False, False),
+    ]
+    # C is the most features one outcome fits in one context: (0, 1) fits two
+    # for yes and one for no; the registry's size and the three features of
+    # (0, 1) together do not set it.
+    assert m.C == 2
+    assert m.converged
+    assert check_constraints(m, ev) <= 1e-3
+    assert conditional_yes(m, (0, 1)) > 0.99
+    assert conditional_yes(m, (0,)) == pytest.approx(1 / 3, abs=1e-3)
 
 
 @settings(deadline=None, max_examples=25)
