@@ -135,7 +135,6 @@ def make_extractor(
 class PredicateRegistry:
     """Dense-indexed predicate set with training-time occurrence counts."""
 
-    template_set: str
     keys: list[str] = field(default_factory=list)
     counts: list[int] = field(default_factory=list)
     cutoff: int = 1
@@ -152,7 +151,6 @@ class PredicateRegistry:
 def build_registry(
     labeled: LabeledCandidateSet,
     extractor: Extractor,
-    template_set: str,
     cutoff: int = 1,
 ) -> PredicateRegistry:
     """Count predicate occurrences over the training candidates, drop those
@@ -171,7 +169,6 @@ def build_registry(
     if not keys:
         raise EmptyRegistryError(f"no predicate reached the cutoff of {cutoff}")
     return PredicateRegistry(
-        template_set=template_set,
         keys=keys,
         counts=[counts[k] for k in keys],
         cutoff=cutoff,

@@ -6,8 +6,8 @@ keeps one (yes, no) log-weight pair per registry predicate. Training is
 conditional GIS: expectations are taken over outcomes given each observed
 context, so the joint model's normaliser cancels and is not stored. A
 per-outcome correction (slack) feature absorbs C minus the active-feature
-count, as GIS's constant-sum condition requires. GIS works on the same
-layout: one context x predicate design matrix and one weight row per outcome.
+count, as GIS's constant-sum condition requires. GIS sums sparse context
+entries with ``np.bincount``, not BLAS, so training is machine-independent.
 """
 
 from __future__ import annotations
@@ -131,12 +131,12 @@ def classify(model: Model, active_predicates: Sequence[int]) -> bool:
 class _GisProblem:
     """Vectorized training state, indexed as the model is.
 
-    ``Z`` is the one design matrix: a row per distinct context, a 0/1 column
-    per registry predicate, then the yes- and no-correction columns (C minus
-    the fitted features the context activates for that outcome). ``theta``
-    has one row of log-weights per outcome over those columns. An entry is
-    fitted (``active``) iff its empirical count is positive; the others, such
-    as the other outcome's correction column, stay at 0.
+    Columns are the registry predicates, then the yes- and no-correction
+    columns. A context is a row of flat ``(rows, cols, vals)`` entries: 1 per
+    active predicate, then both corrections (C minus the fitted features it
+    activates for that outcome), so no row is empty. Sums over contexts are
+    ``np.bincount`` calls, in entry order. ``theta`` has one row of log-weights
+    per outcome; it stays 0 off the ``active`` (positive empirical count) entries.
     """
 
     def __init__(self, events: Sequence[TrainingEvent], registry: PredicateRegistry):
@@ -159,38 +159,46 @@ class _GisProblem:
         self.m = np.array([contexts[c] for c in self.contexts], float).T  # (yes, no) x contexts
         self.m_tot = self.m.sum(axis=0)
 
-        lengths = [len(c) for c in self.contexts]
-        self.Z = np.zeros((len(self.contexts), n_preds + 2))
-        self.Z[
-            np.repeat(np.arange(len(self.contexts)), lengths),
-            np.fromiter(chain.from_iterable(self.contexts), int, sum(lengths)),
-        ] = 1.0
-        seen = (self.m @ self.Z[:, :n_preds]) > 0.0
-        fitted = self.Z[:, :n_preds] @ seen.T.astype(float)  # contexts x (yes, no)
+        n_ctx, n_cols = len(self.contexts), n_preds + 2
+        rows = np.repeat(np.arange(n_ctx), [len(c) for c in self.contexts])
+        cols = np.fromiter(chain.from_iterable(self.contexts), np.intp)
+        seen = np.array([np.bincount(cols, m[rows], n_preds) > 0.0 for m in self.m])
+        fitted = np.array([np.bincount(rows, s[cols], n_ctx) for s in seen])  # (yes, no) x contexts
         self.C = max(int(fitted.max()), 1)
-        self.Z[:, n_preds:] = self.C - fitted
-        self.empirical = self.m @ self.Z
+        self.rows = np.concatenate([rows, np.tile(np.arange(n_ctx), 2)])
+        self.cols = np.concatenate([cols, np.full(n_ctx, n_preds), np.full(n_ctx, n_preds + 1)])
+        self.vals = np.concatenate([np.ones(len(cols)), (self.C - fitted).ravel()])
+        self.both_cols = np.concatenate([self.cols, self.cols + n_cols])
+        self.empirical = self.column_sums(self.m)
         corrections = np.eye(2, dtype=bool) & (self.empirical[:, n_preds:] > 0.0)
         self.active = np.hstack([seen, corrections])
-        self.theta = np.zeros((2, n_preds + 2))
+        self.theta = np.zeros((2, n_cols))
+        # Never empty: a context fits a feature or a correction for each outcome it has.
+        self.empirical_active = self.empirical[self.active]
+        self.violation_scale = np.maximum(self.empirical_active, VIOLATION_FLOOR)
+
+    def column_sums(self, per_context: np.ndarray) -> np.ndarray:
+        """Per outcome o, the column sums of per_context[o, row] * val; one
+        bincount covers both outcomes, with (o, col) at bin o * columns + col."""
+        weights = (per_context.take(self.rows, 1) * self.vals).ravel()
+        return np.bincount(self.both_cols, weights).reshape(2, -1)
 
     def p_yes(self) -> np.ndarray:
         """p(yes|c) per context under the current weights."""
-        d = self.Z @ (self.theta[1] - self.theta[0])
-        return 1.0 / (1.0 + np.exp(np.clip(d, -700.0, 700.0)))
+        d = np.bincount(self.rows, (self.theta[1] - self.theta[0])[self.cols] * self.vals)
+        return 1.0 / (1.0 + np.exp(d.clip(-700.0, 700.0)))
 
     def expectations(self, p_yes: np.ndarray) -> tuple[np.ndarray, float]:
         """(expected counts, total conditional log-likelihood) given p(yes|c)
         per context."""
-        p = np.vstack([p_yes, 1.0 - p_yes])
-        expected = (self.m_tot * p) @ self.Z
-        ll = float(np.sum(self.m * np.log(np.maximum(p, 1e-300))))
+        p = np.array([p_yes, 1.0 - p_yes])
+        expected = self.column_sums(self.m_tot * p)
+        ll = float((self.m * np.log(np.maximum(p, 1e-300))).sum())
         return expected, ll
 
     def violation(self, expected: np.ndarray) -> float:
-        # Never empty: a context fits a feature or a correction for each outcome it has.
-        emp, exp = self.empirical[self.active], expected[self.active]
-        return float(np.max(np.abs(exp - emp) / np.maximum(emp, VIOLATION_FLOOR)))
+        gap = np.abs(expected[self.active] - self.empirical_active)
+        return float(np.max(gap / self.violation_scale))
 
     def update(self, expected: np.ndarray) -> None:
         act = self.active & (expected > 0.0)
@@ -198,8 +206,7 @@ class _GisProblem:
         step[act] = np.log(self.empirical[act] / expected[act]) / self.C
         # Positive empirical count but zero expectation: push toward -clamp.
         step[self.active & ~act] = -2.0 * DEFAULT_CLAMP
-        self.theta = np.clip(self.theta + step, -DEFAULT_CLAMP, DEFAULT_CLAMP)
-        self.theta[~self.active] = 0.0
+        self.theta = (self.theta + step).clip(-DEFAULT_CLAMP, DEFAULT_CLAMP)
         if not np.isfinite(self.theta).all():
             bad = np.argwhere(~np.isfinite(self.theta))[0].tolist()
             raise TrainingError(f"non-finite parameter at (outcome, column) {bad}")
@@ -414,9 +421,7 @@ def load_model(path: str | Path) -> Model:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
     model = Model(
         template_set=template_set,
-        registry=PredicateRegistry(
-            template_set=template_set, keys=keys, counts=counts, cutoff=cutoff
-        ),
+        registry=PredicateRegistry(keys=keys, counts=counts, cutoff=cutoff),
         log_alpha=log_alpha,
         corrections=tuple(corrections),
         C=C,

@@ -48,7 +48,7 @@ def train_model(
     if template_set == "portable":
         abbreviations, lexicons = induce_abbreviations(labeled), None
     extractor = make_extractor(template_set, lexicons, abbreviations)
-    registry = features.build_registry(labeled, extractor, template_set, cutoff=cutoff)
+    registry = features.build_registry(labeled, extractor, cutoff=cutoff)
     events = events_from_labeled(labeled, registry, extractor)
     model = maxent.train_gis(
         events,

@@ -108,7 +108,7 @@ def test_criterion_2_baseline_identities(eval_labeled):
 
 
 def test_criterion_3_gis_correctness(trained):
-    toy_registry = PredicateRegistry("portable", keys=["P0", "P1"], counts=[1, 1])
+    toy_registry = PredicateRegistry(keys=["P0", "P1"], counts=[1, 1])
     toy_corpora = [
         [TrainingEvent((0,), NO, 9), TrainingEvent((0,), YES, 1)],
         [
@@ -170,7 +170,7 @@ def test_criterion_4_oracle_equivalence():
     for i, spec in enumerate(corpora):
         n_preds = max((p for a, _, _ in spec for p in a), default=-1) + 1
         reg = PredicateRegistry(
-            "portable", keys=[f"P{j}" for j in range(max(n_preds, 1))],
+            keys=[f"P{j}" for j in range(max(n_preds, 1))],
             counts=[1] * max(n_preds, 1),
         )
         events = [TrainingEvent(a, o, m) for a, o, m in spec]

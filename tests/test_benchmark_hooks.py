@@ -31,7 +31,7 @@ def test_gis_summary_fields():
     # call as the GIS build, then reads these fields off the trained model.
     labeled = label_candidates(make_corpus(60, seed=2))
     extractor = make_extractor("portable", None, frozenset())
-    registry = build_registry(labeled, extractor, "portable")
+    registry = build_registry(labeled, extractor)
     events = events_from_labeled(labeled, registry, extractor)
     model = maxent.train_gis(events, registry, max_iters=5)
     build = maxent.train_gis(events, registry, max_iters=0)

@@ -1,3 +1,9 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sentbound.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, main
@@ -49,6 +55,34 @@ def test_retrain_byte_identical(tmp_path, corpus_file, model_file):
     )
     assert rc == EXIT_OK
     assert again.read_bytes() == model_file.read_bytes()
+
+
+def test_retrain_byte_identical_whatever_the_blas_threads(tmp_path):
+    # A 2000-sentence Zipfian set is large enough that a BLAS library would
+    # split its products across threads; the model must not depend on that.
+    root = Path(__file__).resolve().parent.parent
+    zipf_path = root / "perfbench" / "zipf_corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_zipf_corpus", zipf_path)
+    zipf_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(zipf_corpus)
+    corpus = tmp_path / "train.txt"
+    sentences = zipf_corpus.ZipfCorpus(30000, 5).sentences(2000, "5:train")
+    corpus.write_text("".join(s + "\n" for s in sentences), encoding="utf-8")
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    models = []
+    for threads in ("1", "2"):
+        model = tmp_path / f"model-{threads}.txt"
+        subprocess.run(
+            [
+                sys.executable, "-m", "sentbound.cli", "train", "--corpus", str(corpus),
+                "--model", str(model), "--templates", "portable", "--max-iters", "100",
+            ],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath},
+            check=True,
+            capture_output=True,
+        )
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_train_missing_corpus(tmp_path):

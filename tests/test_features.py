@@ -101,7 +101,7 @@ def test_build_registry_portable_example1(example1_labeled):
     extractor = make_extractor(
         "portable", abbreviations=frozenset({"Corp.", "Dr."})
     )
-    reg = build_registry(example1_labeled, extractor, "portable", cutoff=1)
+    reg = build_registry(example1_labeled, extractor, cutoff=1)
     assert {"Prefix=Corp", "Prefix=Dr", "Prefix=resigned"} <= set(reg.keys)
     assert sorted(reg.index.values()) == list(range(len(reg)))
 
@@ -109,7 +109,7 @@ def test_build_registry_portable_example1(example1_labeled):
 def test_build_registry_cutoff_too_high(example1_labeled):
     extractor = make_extractor("portable")
     with pytest.raises(EmptyRegistryError):
-        build_registry(example1_labeled, extractor, "portable", cutoff=99)
+        build_registry(example1_labeled, extractor, cutoff=99)
 
 
 def test_registry_counts_scale_linearly(example1_labeled):
@@ -117,15 +117,15 @@ def test_registry_counts_scale_linearly(example1_labeled):
 
     doubled = LabeledCandidateSet(candidates=example1_labeled.candidates * 2)
     extractor = make_extractor("portable")
-    reg1 = build_registry(example1_labeled, extractor, "portable")
-    reg2 = build_registry(doubled, extractor, "portable")
+    reg1 = build_registry(example1_labeled, extractor)
+    reg2 = build_registry(doubled, extractor)
     assert reg1.keys == reg2.keys
     assert [2 * c for c in reg1.counts] == reg2.counts
 
 
 def test_encode_idempotent_and_drops_unseen(example1_labeled):
     extractor = make_extractor("portable")
-    reg = build_registry(example1_labeled, extractor, "portable")
+    reg = build_registry(example1_labeled, extractor)
     cand = example1_labeled.candidates[0][0]
     idx = encode(cand, reg, extractor)
     assert idx == encode(cand, reg, extractor)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from sentbound.synthetic import make_corpus
 
 
 def registry(n):
-    return PredicateRegistry("portable", keys=[f"P{i}" for i in range(n)], counts=[1] * n)
+    return PredicateRegistry(keys=[f"P{i}" for i in range(n)], counts=[1] * n)
 
 
 def events_of(*specs):
@@ -166,6 +167,22 @@ def test_weights_follow_the_model_layout():
     assert check_constraints(m, ev) <= 1e-3
     assert conditional_yes(m, (0, 1)) > 0.99
     assert conditional_yes(m, (0,)) == pytest.approx(1 / 3, abs=1e-3)
+
+
+def test_gis_memory_follows_the_entries_not_contexts_times_predicates():
+    # 3000 contexts of one predicate each: 9000 entries, where a dense
+    # contexts x predicates matrix would take 3000 * 3002 * 8 bytes (72 MB).
+    n = 3000
+    ev = events_of(*(((i,), YES if i % 3 else NO, 1) for i in range(n)))
+    reg = registry(n)
+    tracemalloc.start()
+    try:
+        m = train_gis(ev, reg, max_iters=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.iterations == 5
+    assert peak < 16 * 2**20
 
 
 @settings(deadline=None, max_examples=25)
