@@ -119,9 +119,10 @@ def cmd_train(args) -> int:
 
 def _load_model_checked(args) -> maxent.Model:
     model = maxent.load_model(args.model)
-    if args.templates and args.templates != model.template_set:
+    trained_with = model.registry.templates.name
+    if args.templates and args.templates != trained_with:
         raise maxent.ModelFormatError(
-            f"model was trained with --templates {model.template_set}, "
+            f"model was trained with --templates {trained_with}, "
             f"refusing to run with --templates {args.templates}"
         )
     return model
@@ -169,7 +170,6 @@ def cmd_learning_curve(args) -> int:
         args.templates,
         args.seed,
         lexicons=_lexicons(args),
-        eval_sentences=len(eval_corp),
         cutoff=args.cutoff,
         max_iters=args.max_iters,
         tolerance=args.tolerance,

@@ -52,9 +52,13 @@ class LabeledCandidateSet:
 
 
 def load_annotated(path: str | Path, encoding: str = "utf-8") -> AnnotatedCorpus:
-    """Read a one-sentence-per-line corpus. Blank lines are skipped."""
+    """Read a one-sentence-per-line corpus. Blank lines are skipped.
+
+    Only a line feed ends a line; reading turns CR LF and CR into LF. Other
+    breaks ``str.splitlines`` knows, such as U+0085, stay inside the sentence
+    and count as whitespace there, as they do at inference."""
     text = Path(path).read_text(encoding=encoding)
-    sentences = tuple(line.strip() for line in text.splitlines() if line.strip())
+    sentences = tuple(line.strip() for line in text.split("\n") if line.strip())
     if not sentences:
         raise EmptyCorpusError(f"no non-blank lines in {path}")
     return AnnotatedCorpus(sentences)

@@ -96,7 +96,6 @@ def learning_curve(
     seed: int,
     *,
     lexicons: Optional[ResourceLexicons] = None,
-    eval_sentences: int = 0,
     **train_kwargs,
 ) -> list[tuple[int, float]]:
     """Train one model per prefix-sample of each size (under a seeded shuffle
@@ -116,8 +115,7 @@ def learning_curve(
         model, _ = train_model(
             subset, template_set, lexicons=lexicons, **train_kwargs
         )
-        report = evaluate(model, eval_labeled, sentences=eval_sentences)
-        rows.append((size, report.accuracy))
+        rows.append((size, evaluate(model, eval_labeled).accuracy))
     return rows
 
 

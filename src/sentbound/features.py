@@ -2,7 +2,9 @@
 
 Two template sets exist: "best" consults hand-maintained honorific and
 corporate-designator lexicons plus character-class tests; "portable" uses only
-token identities and the abbreviation list induced from training data.
+token identities and the abbreviation list induced from training data. A
+``Templates`` value is one template set with its resources; the registry
+carries it, so ``encode(candidate, registry)`` needs nothing else.
 """
 
 from __future__ import annotations
@@ -10,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .candidates import Candidate
 from .corpus import LabeledCandidateSet
 
 TEMPLATE_SETS = ("best", "portable")
-
-Extractor = Callable[[Candidate], set[str]]
 
 
 class FeatureError(Exception):
@@ -115,34 +115,41 @@ def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
     return preds
 
 
-def make_extractor(
-    template_set: str,
-    lexicons: Optional[ResourceLexicons] = None,
-    abbreviations: frozenset[str] = frozenset(),
-) -> Extractor:
-    """The one template dispatch: best reads the lexicons, portable the
-    abbreviation list."""
-    if template_set == "best":
-        if lexicons is None:
+@dataclass(frozen=True)
+class Templates:
+    """A template set and its resources: best reads the lexicons, portable
+    the induced abbreviation list."""
+
+    name: str
+    abbreviations: frozenset[str] = frozenset()
+    lexicons: Optional[ResourceLexicons] = None
+
+    def __post_init__(self):
+        if self.name not in TEMPLATE_SETS:
+            raise FeatureError(f"unknown template set {self.name!r}")
+        if self.name == "best" and self.lexicons is None:
             raise FeatureError("best template set requires resource lexicons")
-        return lambda c: extract_best(c, lexicons)
-    if template_set == "portable":
-        return lambda c: extract_portable(c, abbreviations)
-    raise FeatureError(f"unknown template set {template_set!r}")
+
+    def extract(self, c: Candidate) -> set[str]:
+        """The one template dispatch."""
+        if self.name == "best":
+            return extract_best(c, self.lexicons)
+        return extract_portable(c, self.abbreviations)
 
 
 @dataclass
 class PredicateRegistry:
-    """Dense-indexed predicate set with training-time occurrence counts."""
+    """Dense-indexed predicate set with training-time occurrence counts, and
+    the templates that extract its predicates."""
 
-    keys: list[str] = field(default_factory=list)
-    counts: list[int] = field(default_factory=list)
+    templates: Templates
+    keys: list[str]
+    counts: list[int]
     cutoff: int = 1
-    index: dict[str, int] = field(default_factory=dict)
+    index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index and self.keys:
-            self.index = {k: i for i, k in enumerate(self.keys)}
+        self.index = {k: i for i, k in enumerate(self.keys)}
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -150,7 +157,7 @@ class PredicateRegistry:
 
 def build_registry(
     labeled: LabeledCandidateSet,
-    extractor: Extractor,
+    templates: Templates,
     cutoff: int = 1,
 ) -> PredicateRegistry:
     """Count predicate occurrences over the training candidates, drop those
@@ -160,7 +167,7 @@ def build_registry(
     order: list[str] = []
     counts: dict[str, int] = {}
     for cand, _label in labeled.candidates:
-        for key in sorted(extractor(cand)):
+        for key in sorted(templates.extract(cand)):
             if key not in counts:
                 counts[key] = 0
                 order.append(key)
@@ -168,18 +175,14 @@ def build_registry(
     keys = [k for k in order if counts[k] >= cutoff]
     if not keys:
         raise EmptyRegistryError(f"no predicate reached the cutoff of {cutoff}")
-    return PredicateRegistry(
-        keys=keys,
-        counts=[counts[k] for k in keys],
-        cutoff=cutoff,
-    )
+    return PredicateRegistry(templates, keys, [counts[k] for k in keys], cutoff)
 
 
-def encode(c: Candidate, registry: PredicateRegistry, extractor: Extractor) -> tuple[int, ...]:
+def encode(c: Candidate, registry: PredicateRegistry) -> tuple[int, ...]:
     """Sorted indices of registered predicates active on the candidate.
     Predicates unseen at training time are silently dropped."""
     idx = registry.index
-    return tuple(sorted(idx[k] for k in extractor(c) if k in idx))
+    return tuple(sorted(idx[k] for k in registry.templates.extract(c) if k in idx))
 
 
 def _lexicon_entries(text: str) -> frozenset[str]:

@@ -8,6 +8,8 @@ context, so the joint model's normaliser cancels and is not stored. A
 per-outcome correction (slack) feature absorbs C minus the active-feature
 count, as GIS's constant-sum condition requires. GIS sums sparse context
 entries with ``np.bincount``, not BLAS, so training is machine-independent.
+The model's registry carries the template set and its resources, so a model
+file holds everything that turns a candidate into a decision.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import NO, YES
-from .features import TEMPLATE_SETS, PredicateRegistry, ResourceLexicons
+from .features import FeatureError, PredicateRegistry, ResourceLexicons, Templates
 
 OUTCOMES = (YES, NO)
 
@@ -60,7 +62,6 @@ class TrainingEvent:
 class Model:
     """A trained classifier with everything that affects its predictions."""
 
-    template_set: str
     registry: PredicateRegistry
     # (yes, no) log-weights per registry predicate; None where GIS fitted no
     # feature for that predicate and outcome.
@@ -68,8 +69,6 @@ class Model:
     # (yes, no) log-weights of the correction features.
     corrections: tuple[float, float]
     C: int
-    abbreviations: frozenset[str] = frozenset()  # portable: the induced list
-    lexicons: Optional[ResourceLexicons] = None  # best: honorifics, designators
     converged: bool = False
     iterations: int = 0
     history: list[tuple[float, float]] = field(default_factory=list)
@@ -216,9 +215,6 @@ def train_gis(
     events: Sequence[TrainingEvent],
     registry: PredicateRegistry,
     *,
-    template_set: str = "portable",
-    abbreviations: frozenset[str] = frozenset(),
-    lexicons: Optional[ResourceLexicons] = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Model:
@@ -226,8 +222,7 @@ def train_gis(
 
     Stops when the max relative constraint violation drops below ``tolerance``
     or after ``max_iters`` updates. The per-iteration (log-likelihood,
-    violation) trace is kept on the model. ``abbreviations`` and ``lexicons``
-    are the resources the events were extracted with; the model keeps them.
+    violation) trace is kept on the model.
     """
     prob = _GisProblem(events, registry)
     history: list[tuple[float, float]] = []
@@ -247,7 +242,6 @@ def train_gis(
 
     theta, active = prob.theta.tolist(), prob.active.tolist()
     return Model(
-        template_set=template_set,
         registry=registry,
         log_alpha=[
             tuple(w[p] if a[p] else None for w, a in zip(theta, active))
@@ -256,8 +250,6 @@ def train_gis(
         # An inactive correction column stays at 0.0, so it adds nothing.
         corrections=(theta[0][-2], theta[1][-1]),
         C=prob.C,
-        abbreviations=abbreviations,
-        lexicons=lexicons,
         converged=converged,
         iterations=iterations,
         history=history,
@@ -304,10 +296,11 @@ def _weight_text(w: Weight) -> str:
 
 
 def _body(model: Model) -> list[str]:
-    lexicons = model.lexicons or _NO_LEXICONS
     registry = model.registry
+    templates = registry.templates
+    lexicons = templates.lexicons or _NO_LEXICONS
     lines = [
-        f"template_set {model.template_set}",
+        f"template_set {templates.name}",
         f"C {model.C}",
         f"cutoff {registry.cutoff}",
         f"[registry] {len(registry)}",
@@ -317,7 +310,7 @@ def _body(model: Model) -> list[str]:
     ):
         lines.append(f"{i}\t{count}\t{key}\t{_weight_text(w_yes)}\t{_weight_text(w_no)}")
     for tag, entries in (
-        ("[abbreviations]", model.abbreviations),
+        ("[abbreviations]", templates.abbreviations),
         ("[honorifics]", lexicons.honorifics),
         ("[designators]", lexicons.corporate_designators),
     ):
@@ -392,8 +385,6 @@ def load_model(path: str | Path) -> Model:
             raise ModelFormatError(f"{path}: bad converged flag {converged!r}")
         iterations = int(header_field("iterations"))
         template_set = header_field("template_set")
-        if template_set not in TEMPLATE_SETS:
-            raise ModelFormatError(f"{path}: unknown template set {template_set!r}")
         C = int(header_field("C"))
         cutoff = int(header_field("cutoff"))
         keys, counts, log_alpha = [], [], []
@@ -417,18 +408,18 @@ def load_model(path: str | Path) -> Model:
             corrections.append(float.fromhex(value))
         if next_line() != "[end]":
             raise ModelFormatError(f"{path}: missing end marker")
-    except (ValueError, OverflowError) as exc:
+        templates = Templates(
+            template_set,
+            abbreviations,
+            ResourceLexicons(honorifics, designators) if template_set == "best" else None,
+        )
+    except (ValueError, OverflowError, FeatureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
     model = Model(
-        template_set=template_set,
-        registry=PredicateRegistry(keys=keys, counts=counts, cutoff=cutoff),
+        registry=PredicateRegistry(templates, keys, counts, cutoff),
         log_alpha=log_alpha,
         corrections=tuple(corrections),
         C=C,
-        abbreviations=abbreviations,
-        lexicons=(
-            ResourceLexicons(honorifics, designators) if template_set == "best" else None
-        ),
         converged=converged == "1",
         iterations=iterations,
     )

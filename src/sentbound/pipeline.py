@@ -1,7 +1,12 @@
-"""End-to-end glue: corpus -> trained model, and model -> segmented text."""
+"""End-to-end glue: corpus -> trained model, and model -> segmented text.
+
+``train_model`` picks the template set's resources once; from there the
+model's registry carries them to every ``encode`` call.
+"""
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -13,17 +18,16 @@ from .corpus import (
     induce_abbreviations,
     label_candidates,
 )
-from .features import Extractor, ResourceLexicons, make_extractor
+from .features import ResourceLexicons, Templates
 from .maxent import Model
 
 
 def events_from_labeled(
     labeled: LabeledCandidateSet,
     registry: features.PredicateRegistry,
-    extractor: Extractor,
 ) -> list[maxent.TrainingEvent]:
     raw = [
-        (features.encode(cand, registry, extractor), label)
+        (features.encode(cand, registry), label)
         for cand, label in labeled.candidates
     ]
     return maxent.merge_events(raw)
@@ -41,34 +45,23 @@ def train_model(
     """Label the corpus, build resources and registry, and run GIS.
 
     The portable system induces its abbreviation list from the corpus; the
-    best system needs ``lexicons``. The model keeps whichever it used.
+    best system needs ``lexicons``. The model's registry keeps whichever it used.
     """
     labeled = label_candidates(corpus)
-    abbreviations: frozenset[str] = frozenset()
     if template_set == "portable":
-        abbreviations, lexicons = induce_abbreviations(labeled), None
-    extractor = make_extractor(template_set, lexicons, abbreviations)
-    registry = features.build_registry(labeled, extractor, cutoff=cutoff)
-    events = events_from_labeled(labeled, registry, extractor)
-    model = maxent.train_gis(
-        events,
-        registry,
-        template_set=template_set,
-        abbreviations=abbreviations,
-        lexicons=lexicons,
-        max_iters=max_iters,
-        tolerance=tolerance,
-    )
+        templates = Templates(template_set, induce_abbreviations(labeled))
+    else:
+        templates = Templates(template_set, lexicons=lexicons)
+    registry = features.build_registry(labeled, templates, cutoff=cutoff)
+    events = events_from_labeled(labeled, registry)
+    model = maxent.train_gis(events, registry, max_iters=max_iters, tolerance=tolerance)
     return model, labeled
 
 
 def make_classifier(model: Model) -> Callable[[Candidate], bool]:
     """Candidate -> is-boundary decision function for a trained model."""
-    extractor = make_extractor(model.template_set, model.lexicons, model.abbreviations)
-
     def classify_candidate(cand: Candidate) -> bool:
-        active = features.encode(cand, model.registry, extractor)
-        return maxent.classify(model, active)
+        return maxent.classify(model, features.encode(cand, model.registry))
 
     return classify_candidate
 
@@ -90,9 +83,8 @@ def segment_text(model: Model, text: str) -> Segmentation:
     sentences = []
     start = 0
     for off in offsets:
-        chunk = " ".join(text[start : off + 1].split())
-        if chunk:
-            sentences.append(chunk)
+        # Never empty: the chunk ends in its boundary mark.
+        sentences.append(" ".join(text[start : off + 1].split()))
         start = off + 1
     tail = " ".join(text[start:].split())
     if tail:
@@ -101,11 +93,13 @@ def segment_text(model: Model, text: str) -> Segmentation:
 
 
 def byte_offsets(text: str, char_offsets: list[int], encoding: str = "utf-8") -> list[int]:
-    """Convert character offsets to byte offsets under the given encoding."""
+    """Convert character offsets to byte offsets in ``text`` encoded whole, so
+    a byte-order mark (UTF-16, UTF-8-sig) is counted once, at the start."""
+    encoder = codecs.getincrementalencoder(encoding)()
     out = []
     prev_char, prev_byte = 0, 0
     for off in char_offsets:
-        prev_byte += len(text[prev_char:off].encode(encoding))
+        prev_byte += len(encoder.encode(text[prev_char:off]))
         prev_char = off
         out.append(prev_byte)
     return out

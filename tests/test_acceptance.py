@@ -18,8 +18,8 @@ from sentbound.features import (
     PredicateRegistry,
     default_lexicons,
     extract_best,
+    Templates,
     extract_portable,
-    make_extractor,
 )
 from sentbound.maxent import (
     TrainingEvent,
@@ -108,7 +108,7 @@ def test_criterion_2_baseline_identities(eval_labeled):
 
 
 def test_criterion_3_gis_correctness(trained):
-    toy_registry = PredicateRegistry(keys=["P0", "P1"], counts=[1, 1])
+    toy_registry = PredicateRegistry(Templates("portable"), keys=["P0", "P1"], counts=[1, 1])
     toy_corpora = [
         [TrainingEvent((0,), NO, 9), TrainingEvent((0,), YES, 1)],
         [
@@ -132,8 +132,7 @@ def test_criterion_3_gis_correctness(trained):
             max_iters=MAX_ITERS,
             tolerance=1e-3,
         )
-        extractor = make_extractor(template_set, model.lexicons, model.abbreviations)
-        events = events_from_labeled(labeled, model.registry, extractor)
+        events = events_from_labeled(labeled, model.registry)
         runs.append((model, events, template_set))
     elapsed = time.perf_counter() - t0
     ok = True
@@ -170,6 +169,7 @@ def test_criterion_4_oracle_equivalence():
     for i, spec in enumerate(corpora):
         n_preds = max((p for a, _, _ in spec for p in a), default=-1) + 1
         reg = PredicateRegistry(
+            Templates("portable"),
             keys=[f"P{j}" for j in range(max(n_preds, 1))],
             counts=[1] * max(n_preds, 1),
         )
@@ -247,12 +247,11 @@ def test_criterion_7_determinism_and_persistence(trained, train_corpus, tmp_path
     identical = p1.read_bytes() == p2.read_bytes()
 
     loaded = load_model(p1)
-    extractor = make_extractor("portable", abbreviations=model.abbreviations)
     from sentbound.features import encode
 
     agree = all(
-        classify(loaded, encode(cand, loaded.registry, extractor))
-        == classify(model, encode(cand, model.registry, extractor))
+        classify(loaded, encode(cand, loaded.registry))
+        == classify(model, encode(cand, model.registry))
         for cand, _ in eval_labeled.candidates
     )
     report(

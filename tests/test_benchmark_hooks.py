@@ -6,7 +6,7 @@ from pathlib import Path
 
 from sentbound import maxent
 from sentbound.corpus import label_candidates
-from sentbound.features import build_registry, make_extractor
+from sentbound.features import Templates, build_registry
 from sentbound.pipeline import events_from_labeled
 from sentbound.synthetic import make_corpus
 
@@ -30,9 +30,8 @@ def test_gis_summary_fields():
     # perfbench/run.py times a second train_gis(events, registry, max_iters=0)
     # call as the GIS build, then reads these fields off the trained model.
     labeled = label_candidates(make_corpus(60, seed=2))
-    extractor = make_extractor("portable", None, frozenset())
-    registry = build_registry(labeled, extractor)
-    events = events_from_labeled(labeled, registry, extractor)
+    registry = build_registry(labeled, Templates("portable"))
+    events = events_from_labeled(labeled, registry)
     model = maxent.train_gis(events, registry, max_iters=5)
     build = maxent.train_gis(events, registry, max_iters=0)
     assert (build.iterations, len(build.history)) == (0, 1)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sentbound.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, main
-from sentbound.maxent import load_model, save_model
+from sentbound.maxent import load_model
 from sentbound.synthetic import make_corpus, write_corpus
 
 
@@ -208,7 +208,7 @@ def test_best_model_carries_its_lexicons(tmp_path, corpus_file):
         ]
     )
     assert rc == EXIT_OK
-    assert load_model(model).lexicons.honorifics == {"Dr.", "Gen."}
+    assert load_model(model).registry.templates.lexicons.honorifics == {"Dr.", "Gen."}
     raw = tmp_path / "raw.txt"
     raw.write_text("Mr. Smith met Dr. Chen of Acme Corp. today. Did Gen. Davis stay? No!\n")
 
@@ -231,10 +231,8 @@ def test_segment_rejects_training_flags(tmp_path, model_file, flag):
 
 
 def test_segment_model_with_unknown_template_set(tmp_path, model_file, capsys):
-    model = load_model(model_file)
-    model.template_set = "bogus"
     bogus = tmp_path / "bogus.txt"
-    save_model(model, bogus)
+    bogus.write_text(model_file.read_text().replace("template_set portable", "template_set bogus"))
     inp = tmp_path / "raw.txt"
     inp.write_text("Some text.")
     assert main(["segment", "--model", str(bogus), "--input", str(inp)]) == EXIT_FORMAT

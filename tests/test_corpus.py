@@ -50,6 +50,17 @@ def test_load_annotated_only_blank_lines(tmp_path):
         load_annotated(p)
 
 
+def test_load_annotated_splits_lines_at_line_feeds_only(tmp_path):
+    # cp1252's ellipsis byte read as latin-1 is U+0085, which str.splitlines
+    # would treat as a line break.
+    p = tmp_path / "c.txt"
+    p.write_bytes(b"Wait.\x85Then go.\r\nNext one.\rLast.\n")
+    corp = load_annotated(p, encoding="latin-1")
+    assert corp.sentences == ("Wait.\x85Then go.", "Next one.", "Last.")
+    labels = [(c.token, label) for c, label in label_candidates(corp).candidates]
+    assert labels[:2] == [("Wait.", NO), ("go.", YES)]
+
+
 def test_load_annotated_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_annotated(tmp_path / "nope.txt")

@@ -7,8 +7,8 @@ from sentbound.features import (
     encode,
     extract_best,
     extract_portable,
+    Templates,
     load_lexicon_file,
-    make_extractor,
 )
 
 
@@ -86,8 +86,7 @@ def test_portable_final_token():
 
 def test_portable_never_consults_lexicons():
     # Portable extraction must work with no lexicon resources at all.
-    extractor = make_extractor("portable")
-    assert extractor(CORP)
+    assert Templates("portable").extract(CORP)
 
 
 def test_literal_null_token_does_not_collide():
@@ -98,41 +97,37 @@ def test_literal_null_token_does_not_collide():
 
 
 def test_build_registry_portable_example1(example1_labeled):
-    extractor = make_extractor(
-        "portable", abbreviations=frozenset({"Corp.", "Dr."})
-    )
-    reg = build_registry(example1_labeled, extractor, cutoff=1)
+    templates = Templates("portable", abbreviations=frozenset({"Corp.", "Dr."}))
+    reg = build_registry(example1_labeled, templates, cutoff=1)
     assert {"Prefix=Corp", "Prefix=Dr", "Prefix=resigned"} <= set(reg.keys)
     assert sorted(reg.index.values()) == list(range(len(reg)))
 
 
 def test_build_registry_cutoff_too_high(example1_labeled):
-    extractor = make_extractor("portable")
     with pytest.raises(EmptyRegistryError):
-        build_registry(example1_labeled, extractor, cutoff=99)
+        build_registry(example1_labeled, Templates("portable"), cutoff=99)
 
 
 def test_registry_counts_scale_linearly(example1_labeled):
     from sentbound.corpus import LabeledCandidateSet
 
     doubled = LabeledCandidateSet(candidates=example1_labeled.candidates * 2)
-    extractor = make_extractor("portable")
-    reg1 = build_registry(example1_labeled, extractor)
-    reg2 = build_registry(doubled, extractor)
+    templates = Templates("portable")
+    reg1 = build_registry(example1_labeled, templates)
+    reg2 = build_registry(doubled, templates)
     assert reg1.keys == reg2.keys
     assert [2 * c for c in reg1.counts] == reg2.counts
 
 
 def test_encode_idempotent_and_drops_unseen(example1_labeled):
-    extractor = make_extractor("portable")
-    reg = build_registry(example1_labeled, extractor)
+    reg = build_registry(example1_labeled, Templates("portable"))
     cand = example1_labeled.candidates[0][0]
-    idx = encode(cand, reg, extractor)
-    assert idx == encode(cand, reg, extractor)
+    idx = encode(cand, reg)
+    assert idx == encode(cand, reg)
     assert idx == tuple(sorted(idx))
     unseen = make_candidate("zzzz.", 4, prev="qqqq", nxt="wwww")
     assert all(reg.keys[i] in extract_portable(unseen, frozenset())
-               for i in encode(unseen, reg, extractor))
+               for i in encode(unseen, reg))
 
 
 def test_load_lexicon_file(tmp_path):

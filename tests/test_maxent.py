@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracle import grid_conditional_single_predicate, ml_conditionals
 from sentbound.corpus import NO, YES, label_candidates
-from sentbound.features import TEMPLATE_SETS, PredicateRegistry, default_lexicons
+from sentbound.features import TEMPLATE_SETS, PredicateRegistry, Templates, default_lexicons
 from sentbound.maxent import (
     Model,
     ModelFormatError,
@@ -27,7 +27,7 @@ from sentbound.synthetic import make_corpus
 
 
 def registry(n):
-    return PredicateRegistry(keys=[f"P{i}" for i in range(n)], counts=[1] * n)
+    return PredicateRegistry(Templates("portable"), keys=[f"P{i}" for i in range(n)], counts=[1] * n)
 
 
 def events_of(*specs):
@@ -37,7 +37,6 @@ def events_of(*specs):
 
 def zero_feature_model():
     return Model(
-        template_set="portable",
         registry=registry(0),
         log_alpha=[],
         corrections=(0.0, 0.0),
@@ -47,7 +46,6 @@ def zero_feature_model():
 
 def single_feature_model(alpha_no=9.0):
     return Model(
-        template_set="portable",
         registry=registry(1),
         log_alpha=[(None, math.log(alpha_no))],
         corrections=(0.0, 0.0),
@@ -291,9 +289,9 @@ def test_load_detects_registry_tampering(tmp_path):
 
 def test_load_rejects_unknown_template_set(tmp_path):
     m, _ = trained_toy_model()
-    m.template_set = "bogus"
     path = tmp_path / "model.txt"
     save_model(m, path)
+    path.write_text(path.read_text().replace("template_set portable", "template_set bogus"))
     with pytest.raises(ModelFormatError, match="bogus"):
         load_model(path)
 

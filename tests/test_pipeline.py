@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sentbound.corpus import YES, label_candidates
 from sentbound.evaluation import evaluate
-from sentbound.features import FeatureError, make_extractor
+from sentbound.features import FeatureError
 from sentbound.maxent import check_constraints, conditional_yes
 from sentbound.pipeline import (
     byte_offsets,
@@ -86,6 +88,54 @@ def test_byte_offsets_multibyte():
     assert byte_offsets(text, [4]) == [5]
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
+def test_byte_offsets_count_a_byte_order_mark_once(encoding):
+    text = "Dr. Smith resigned. Who leads Acme Corp. now? He left!"
+    marks = [i for i, ch in enumerate(text) if ch in ".?!"]
+    data = text.encode(encoding)
+    bom = "".encode(encoding)
+    offsets = byte_offsets(text, marks, encoding)
+    assert offsets == [len(text[:i].encode(encoding)) for i in marks]
+    for i, off in zip(marks, offsets):
+        mark = text[i].encode(encoding)[len(bom):]
+        assert data[off : off + len(mark)] == mark
+
+
+WORDS = ["Dr", "Smith", "Who", "Acme", "Corp", "now", "yesterday", "percent", "dollars",
+         "Zoë", "café", "Åsa", "Жук", "中文"]
+# Words with marks, openers and closers, between spaces, tabs, line feeds
+# and U+0085.
+RAW_TEXT = st.lists(
+    st.tuples(
+        st.sampled_from(["", "", '"', "("]),
+        st.sampled_from(WORDS),
+        st.sampled_from(["", "", ".", ".", "?", "!", "...", '."', ".)", "!'", "]"]),
+        st.sampled_from([" ", " ", "  ", "\t", "\n", "\x85"]),
+    ).map("".join),
+    max_size=16,
+).map("".join)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "utf-16", "utf-8-sig"])
+@settings(deadline=None)
+@given(text=RAW_TEXT)
+# Two boundaries (see test_segment_two_sentences), so a second BOM would show.
+@example(text="Acme Corp. chairman Dr. Smith resigned yesterday. Who leads Acme Corp. now?")
+def test_segmentation_offsets_locate_marks_and_keep_text(portable_model, encoding, text):
+    # Keep what the encoding can write: latin-1 has no Ж or 中.
+    text = text.encode(encoding, "ignore").decode(encoding)
+    seg = segment_text(portable_model, text)
+    offsets = seg.boundary_offsets
+    assert all(a < b for a, b in zip(offsets, offsets[1:]))
+    assert all(text[off] in ".?!" for off in offsets)
+    assert "".join("".join(s.split()) for s in seg.sentences) == "".join(text.split())
+    data_bytes = text.encode(encoding)
+    bom = "".encode(encoding)
+    for off, byte_off in zip(offsets, byte_offsets(text, offsets, encoding)):
+        mark = text[off].encode(encoding)[len(bom):]
+        assert data_bytes[byte_off : byte_off + len(mark)] == mark
+
+
 def test_best_and_portable_models_learn_training_data(portable_model, best_model):
     labeled = label_candidates(make_corpus(300, seed=1))
     for model in (portable_model, best_model):
@@ -125,8 +175,7 @@ def test_scorer_matches_training_path(template_set, synthetic_train, lexicons):
     # GIS scores contexts with its own matrices; the decision scorer must
     # reproduce its final log-likelihood and constraint violation.
     model, labeled = train_model(synthetic_train, template_set, lexicons=lexicons, max_iters=2000)
-    extractor = make_extractor(template_set, model.lexicons, model.abbreviations)
-    events = events_from_labeled(labeled, model.registry, extractor)
+    events = events_from_labeled(labeled, model.registry)
     assert len({ev.active_predicates for ev in events}) > 10
     ll = 0.0
     for ev in events:
