@@ -65,8 +65,10 @@ def load_annotated(path: str | Path, encoding: str = "utf-8") -> AnnotatedCorpus
 
 
 def load_raw(path: str | Path, encoding: str = "utf-8") -> str:
-    """Read raw inference text verbatim. Decoding errors propagate."""
-    return Path(path).read_text(encoding=encoding)
+    """Read raw inference text verbatim, line endings included, so that
+    offsets into it count the file's characters. Decoding errors propagate."""
+    with open(path, encoding=encoding, newline="") as f:
+        return f.read()
 
 
 def corpus_from_sentences(sentences: Iterable[str]) -> AnnotatedCorpus:

@@ -2,6 +2,7 @@ import pytest
 
 from sentbound.corpus import corpus_from_sentences, label_candidates
 from sentbound.features import default_lexicons
+from sentbound.maxent import _digest
 from sentbound.synthetic import make_corpus
 
 EXAMPLE1 = "ANLP Corp. chairman Dr. Smith resigned."
@@ -41,3 +42,18 @@ def synthetic_train():
 @pytest.fixture(scope="session")
 def synthetic_eval():
     return make_corpus(200, seed=977)
+
+
+@pytest.fixture
+def retag_template_set():
+    """Rewrite a saved model file's template_set line and its fingerprint, so
+    that only the template-set check can refuse the file."""
+
+    def retag(path, name):
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[4].startswith("template_set ")
+        lines[4] = f"template_set {name}"
+        lines[1] = f"fingerprint {_digest(lines[4:-2])}"
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+    return retag

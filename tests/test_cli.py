@@ -230,13 +230,16 @@ def test_segment_rejects_training_flags(tmp_path, model_file, flag):
     assert exc.value.code == 2
 
 
-def test_segment_model_with_unknown_template_set(tmp_path, model_file, capsys):
-    bogus = tmp_path / "bogus.txt"
-    bogus.write_text(model_file.read_text().replace("template_set portable", "template_set bogus"))
+def test_segment_model_with_unknown_template_set(
+    tmp_path, model_file, capsys, retag_template_set
+):
+    model = tmp_path / "model.txt"
+    model.write_bytes(model_file.read_bytes())
+    retag_template_set(model, "bogus")
     inp = tmp_path / "raw.txt"
     inp.write_text("Some text.")
-    assert main(["segment", "--model", str(bogus), "--input", str(inp)]) == EXIT_FORMAT
-    assert "bogus" in capsys.readouterr().err
+    assert main(["segment", "--model", str(model), "--input", str(inp)]) == EXIT_FORMAT
+    assert "unknown template set 'bogus'" in capsys.readouterr().err
 
 
 def test_segment_v1_model_asks_for_retraining(tmp_path, capsys):
@@ -288,6 +291,17 @@ def test_segment_offsets_latin1_bytes(tmp_path, model_file, capsys):
     assert main(argv + ["--encoding", "latin1"]) == EXIT_OK
     offsets = [int(line) for line in capsys.readouterr().out.split()]
     assert offsets == [text.index("yesterday.") + 9, len(text) - 1]
+
+
+def test_segment_offsets_count_carriage_returns(tmp_path, model_file, capsys):
+    # The offsets are into the file's bytes, so each CR LF counts two bytes.
+    data = b"Dr. Smith resigned yesterday.\r\nWho leads Acme Corp. now?\r\n"
+    inp = tmp_path / "raw.txt"
+    inp.write_bytes(data)
+    argv = ["segment", "--model", str(model_file), "--input", str(inp), "--offsets"]
+    assert main(argv) == EXIT_OK
+    offsets = [int(line) for line in capsys.readouterr().out.split()]
+    assert offsets == [data.index(b"yesterday.") + 9, data.index(b"now?") + 3]
 
 
 def test_output_onto_a_directory_leaves_no_tmp(tmp_path, corpus_file):

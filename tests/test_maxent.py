@@ -287,12 +287,12 @@ def test_load_detects_registry_tampering(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_unknown_template_set(tmp_path):
+def test_load_rejects_unknown_template_set(tmp_path, retag_template_set):
     m, _ = trained_toy_model()
     path = tmp_path / "model.txt"
     save_model(m, path)
-    path.write_text(path.read_text().replace("template_set portable", "template_set bogus"))
-    with pytest.raises(ModelFormatError, match="bogus"):
+    retag_template_set(path, "bogus")
+    with pytest.raises(ModelFormatError, match="unknown template set 'bogus'"):
         load_model(path)
 
 

@@ -88,19 +88,6 @@ def test_byte_offsets_multibyte():
     assert byte_offsets(text, [4]) == [5]
 
 
-@pytest.mark.parametrize("encoding", ["utf-16", "utf-8-sig"])
-def test_byte_offsets_count_a_byte_order_mark_once(encoding):
-    text = "Dr. Smith resigned. Who leads Acme Corp. now? He left!"
-    marks = [i for i, ch in enumerate(text) if ch in ".?!"]
-    data = text.encode(encoding)
-    bom = "".encode(encoding)
-    offsets = byte_offsets(text, marks, encoding)
-    assert offsets == [len(text[:i].encode(encoding)) for i in marks]
-    for i, off in zip(marks, offsets):
-        mark = text[i].encode(encoding)[len(bom):]
-        assert data[off : off + len(mark)] == mark
-
-
 WORDS = ["Dr", "Smith", "Who", "Acme", "Corp", "now", "yesterday", "percent", "dollars",
          "Zoë", "café", "Åsa", "Жук", "中文"]
 # Words with marks, openers and closers, between spaces, tabs, line feeds
