@@ -1,10 +1,15 @@
-"""Candidate extraction: one record per occurrence of '.', '?' or '!' in a token stream."""
+"""Candidate extraction: one record per occurrence of '.', '?' or '!' in a text.
+
+``scan`` is the one candidate enumeration, for labeling and segmentation
+alike. It finds the marks with one regular-expression pass over the text and
+places each in its token by bisecting the token start positions.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from bisect import bisect_right
+from typing import NamedTuple, Optional, Sequence
 
 BOUNDARY_MARKS = frozenset(".?!")
 
@@ -12,11 +17,10 @@ BOUNDARY_MARKS = frozenset(".?!")
 # token, which is always a non-empty string.
 NO_WORD: Optional[str] = None
 
-_TOKEN_RE = re.compile(r"\S+")
+_MARK_RE = re.compile(r"[.?!]")
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One occurrence of a potential sentence-boundary mark inside a token.
 
     prefix/suffix are the parts of the token before/after this occurrence;
@@ -38,41 +42,53 @@ class Candidate:
         return self.offset_in_token == len(self.token) - 1
 
 
-def scan(tokens: Sequence[str], positions: Sequence[int]) -> list[Candidate]:
-    """Emit one Candidate per occurrence of '.', '?' or '!', left to right.
+def scan(text: str, tokens: Sequence[str], positions: Sequence[int]) -> list[Candidate]:
+    """Emit one Candidate per occurrence of '.', '?' or '!' in ``text``, left
+    to right.
 
-    The context window is exactly one token on each side, NO_WORD beyond the
-    stream edges. ``positions`` gives the character offset of each token in
-    the text, as ``tokenize_with_positions`` returns it.
+    ``tokens`` and ``positions`` are the text's tokens and their character
+    offsets, as ``tokenize_with_positions(text)`` returns them. The context
+    window is exactly one token on each side, NO_WORD beyond the stream edges.
     """
-    out: list[Candidate] = []
+    out = []
+    append = out.append
+    # What Candidate(...) does, without its Python-level __new__.
+    new = tuple.__new__
     last = len(tokens) - 1
-    for i, tok in enumerate(tokens):
-        if not tok:
-            raise ValueError("empty token in stream")
-        prev_word = tokens[i - 1] if i > 0 else NO_WORD
-        next_word = tokens[i + 1] if i < last else NO_WORD
-        for j, ch in enumerate(tok):
-            if ch in BOUNDARY_MARKS:
-                out.append(
-                    Candidate(
-                        mark=ch,
-                        token=tok,
-                        offset_in_token=j,
-                        prefix=tok[:j],
-                        suffix=tok[j + 1 :],
-                        prev_word=prev_word,
-                        next_word=next_word,
-                        stream_position=positions[i] + j,
-                    )
-                )
+    for m in _MARK_RE.finditer(text):
+        pos = m.start()
+        # A mark is never whitespace, so it lies inside the last token
+        # starting at or before it.
+        i = bisect_right(positions, pos) - 1
+        tok = tokens[i]
+        j = pos - positions[i]
+        append(new(Candidate, (
+            tok[j],
+            tok,
+            j,
+            tok[:j],
+            tok[j + 1 :],
+            tokens[i - 1] if i else NO_WORD,
+            tokens[i + 1] if i < last else NO_WORD,
+            pos,
+        )))
     return out
 
 
 def tokenize_with_positions(text: str) -> tuple[list[str], list[int]]:
-    """Split raw text into whitespace-delimited tokens with character offsets."""
-    tokens, positions = [], []
-    for m in _TOKEN_RE.finditer(text):
-        tokens.append(m.group())
-        positions.append(m.start())
+    """Split raw text into whitespace-delimited tokens with character offsets.
+
+    ``str.split`` and the regular expression ``\\S+`` agree on what is
+    whitespace. Only whitespace lies between one token's end and the next
+    token's start, so the next token's first occurrence from there is where
+    it starts."""
+    tokens = text.split()
+    positions = []
+    append = positions.append
+    find = text.find
+    pos = 0
+    for tok in tokens:
+        pos = find(tok, pos)
+        append(pos)
+        pos += len(tok)
     return tokens, positions

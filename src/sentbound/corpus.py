@@ -104,7 +104,7 @@ def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
         end += 1  # the joining space
     labeled = [
         (cand, YES if cand.stream_position in ends else NO)
-        for cand in scan(*tokenize_with_positions(text))
+        for cand in scan(text, *tokenize_with_positions(text))
     ]
     return LabeledCandidateSet(candidates=labeled, warnings=warnings)
 

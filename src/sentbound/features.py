@@ -5,6 +5,14 @@ corporate-designator lexicons plus character-class tests; "portable" uses only
 token identities and the abbreviation list induced from training data. A
 ``Templates`` value is one template set with its resources; the registry
 carries it, so ``encode(candidate, registry)`` needs nothing else.
+
+Each template set is three slot functions: the token slot reads the token and
+the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), the
+two word slots read the previous and the following word. ``extract_best`` and
+``extract_portable`` are the union of the three. The registry keeps one cache
+per slot, from the slot's key to its registered predicate indices, so
+``encode`` is three lookups and a sort; a cache is emptied when it holds
+``CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -36,28 +44,35 @@ class ResourceLexicons:
 
 def _word_key(word: Optional[str]) -> str:
     """Render a token for use in a predicate key. None and the empty affix
-    render as NULL; a literal token "NULL" is escaped so keys stay injective."""
+    render as NULL; a literal token "NULL", and any token starting with a
+    backslash, gets a backslash in front, so keys stay injective."""
     if word is None or word == "":
         return "NULL"
-    if word == "NULL":
-        return "\\NULL"
+    if word == "NULL" or word.startswith("\\"):
+        return "\\" + word
     return word
 
 
-def extract_best(c: Candidate, lex: ResourceLexicons) -> set[str]:
-    """Predicates for the high-performance template set."""
+# Every predicate of both template systems reads exactly one slot: the token
+# around the mark (at its offset), the previous word or the following word.
+# The word slots name their side in their keys, so the three slots' key sets
+# never overlap and a candidate's predicates are their union.
+PREVIOUS = "PreviousWord"
+FOLLOWING = "FollowingWord"
+
+
+def _best_token_keys(token: str, offset: int, lex: ResourceLexicons) -> set[str]:
+    prefix, suffix = token[:offset], token[offset + 1 :]
     preds = {
-        f"Prefix={_word_key(c.prefix)}",
-        f"Suffix={_word_key(c.suffix)}",
+        f"Prefix={_word_key(prefix)}",
+        f"Suffix={_word_key(suffix)}",
     }
-    preds.update(_char_class_preds("Prefix", c.prefix))
-    preds.update(_char_class_preds("Suffix", c.suffix))
-    if c.token in lex.honorifics:
+    preds.update(_char_class_preds("Prefix", prefix))
+    preds.update(_char_class_preds("Suffix", suffix))
+    if token in lex.honorifics:
         preds.add("PrefixFeature=Honorific")
-    if c.token in lex.corporate_designators:
+    if token in lex.corporate_designators:
         preds.add("PrefixFeature=CorporateDesignator")
-    preds.update(_word_shape_preds("PreviousWord", c.prev_word, lex))
-    preds.update(_word_shape_preds("FollowingWord", c.next_word, lex))
     return preds
 
 
@@ -78,7 +93,7 @@ def _char_class_preds(side: str, affix: str) -> set[str]:
     return preds
 
 
-def _word_shape_preds(side: str, word: Optional[str], lex: ResourceLexicons) -> set[str]:
+def _best_word_keys(side: str, word: Optional[str], lex: ResourceLexicons) -> set[str]:
     if word is None:
         return {f"{side}=NULL"}
     preds = set()
@@ -95,23 +110,41 @@ def _word_shape_preds(side: str, word: Optional[str], lex: ResourceLexicons) -> 
     return preds
 
 
+def extract_best(c: Candidate, lex: ResourceLexicons) -> set[str]:
+    """Predicates for the high-performance template set."""
+    preds = _best_token_keys(c.token, c.offset_in_token, lex)
+    preds |= _best_word_keys(PREVIOUS, c.prev_word, lex)
+    preds |= _best_word_keys(FOLLOWING, c.next_word, lex)
+    return preds
+
+
+def _portable_token_keys(token: str, offset: int, abbrevs: frozenset[str]) -> set[str]:
+    prefix, suffix = token[:offset], token[offset + 1 :]
+    preds = {
+        f"Prefix={_word_key(prefix)}",
+        f"Suffix={_word_key(suffix)}",
+    }
+    # The prefix with its mark, as an induced abbreviation is spelled.
+    if prefix and token[: offset + 1] in abbrevs:
+        preds.add("PrefixFeature=InducedAbbreviation")
+    if suffix and suffix in abbrevs:
+        preds.add("SuffixFeature=InducedAbbreviation")
+    return preds
+
+
+def _portable_word_keys(side: str, word: Optional[str], abbrevs: frozenset[str]) -> set[str]:
+    preds = {f"{side}={_word_key(word)}"}
+    if word is not None and word in abbrevs:
+        preds.add(f"{side}Feature=InducedAbbreviation")
+    return preds
+
+
 def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
     """Predicates for the portable template set: identities plus membership in
     the induced abbreviation list. No external lexicons."""
-    preds = {
-        f"Prefix={_word_key(c.prefix)}",
-        f"Suffix={_word_key(c.suffix)}",
-        f"PreviousWord={_word_key(c.prev_word)}",
-        f"FollowingWord={_word_key(c.next_word)}",
-    }
-    if c.prefix and (c.prefix + c.mark) in abbrevs:
-        preds.add("PrefixFeature=InducedAbbreviation")
-    if c.suffix and c.suffix in abbrevs:
-        preds.add("SuffixFeature=InducedAbbreviation")
-    if c.prev_word is not None and c.prev_word in abbrevs:
-        preds.add("PreviousWordFeature=InducedAbbreviation")
-    if c.next_word is not None and c.next_word in abbrevs:
-        preds.add("FollowingWordFeature=InducedAbbreviation")
+    preds = _portable_token_keys(c.token, c.offset_in_token, abbrevs)
+    preds |= _portable_word_keys(PREVIOUS, c.prev_word, abbrevs)
+    preds |= _portable_word_keys(FOLLOWING, c.next_word, abbrevs)
     return preds
 
 
@@ -130,29 +163,72 @@ class Templates:
         if self.name == "best" and self.lexicons is None:
             raise FeatureError("best template set requires resource lexicons")
 
+    def token_keys(self, token: str, offset: int) -> set[str]:
+        """Predicates of the token slot: the mark at ``offset`` in ``token``."""
+        if self.name == "best":
+            return _best_token_keys(token, offset, self.lexicons)
+        return _portable_token_keys(token, offset, self.abbreviations)
+
+    def word_keys(self, side: str, word: Optional[str]) -> set[str]:
+        """Predicates of a word slot; ``side`` is PREVIOUS or FOLLOWING."""
+        if self.name == "best":
+            return _best_word_keys(side, word, self.lexicons)
+        return _portable_word_keys(side, word, self.abbreviations)
+
     def extract(self, c: Candidate) -> set[str]:
-        """The one template dispatch."""
+        """All predicates of a candidate: the union of its three slots'."""
         if self.name == "best":
             return extract_best(c, self.lexicons)
         return extract_portable(c, self.abbreviations)
 
 
+# Entries a cache may hold before it is emptied: each slot cache of a
+# registry, and the decision memo of a model. Enough for the frequent words of
+# a Zipfian vocabulary; an entry costs about 200 bytes, and most entries of a
+# much larger cache would hold words seen once.
+CACHE_ENTRIES = 1_024
+
+
+def remember(cache: dict, key, value):
+    """Store and return ``value`` under ``key``, first emptying ``cache`` if it
+    is full."""
+    if len(cache) >= CACHE_ENTRIES:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 @dataclass
 class PredicateRegistry:
-    """Dense-indexed predicate set with training-time occurrence counts, and
-    the templates that extract its predicates."""
+    """Dense-indexed predicate set with training-time occurrence counts, the
+    templates that extract its predicates, and one cache per slot from the
+    slot's key to the indices of its registered predicates."""
 
     templates: Templates
     keys: list[str]
     counts: list[int]
     cutoff: int = 1
     index: dict[str, int] = field(init=False)
+    token_slot: dict[tuple[str, int], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    previous_slot: dict[Optional[str], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    following_slot: dict[Optional[str], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.index = {k: i for i, k in enumerate(self.keys)}
+        self.token_slot, self.previous_slot, self.following_slot = {}, {}, {}
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    def _cache(self, slot: dict, key, preds: set[str]) -> tuple[int, ...]:
+        idx = self.index
+        return remember(slot, key, tuple([idx[k] for k in preds if k in idx]))
 
 
 def build_registry(
@@ -179,10 +255,22 @@ def build_registry(
 
 
 def encode(c: Candidate, registry: PredicateRegistry) -> tuple[int, ...]:
-    """Sorted indices of registered predicates active on the candidate.
-    Predicates unseen at training time are silently dropped."""
-    idx = registry.index
-    return tuple(sorted(idx[k] for k in registry.templates.extract(c) if k in idx))
+    """Sorted indices of registered predicates active on the candidate: the
+    union of its three slots' indices, each read from the registry's cache
+    for that slot. Predicates unseen at training time are silently dropped."""
+    r = registry
+    key = (c.token, c.offset_in_token)
+    token = r.token_slot.get(key)
+    if token is None:
+        token = r._cache(r.token_slot, key, r.templates.token_keys(*key))
+    prev = r.previous_slot.get(c.prev_word)
+    if prev is None:
+        prev = r._cache(r.previous_slot, c.prev_word, r.templates.word_keys(PREVIOUS, c.prev_word))
+    nxt = r.following_slot.get(c.next_word)
+    if nxt is None:
+        nxt = r._cache(r.following_slot, c.next_word, r.templates.word_keys(FOLLOWING, c.next_word))
+    # The slots' indices never overlap, so the union is the concatenation.
+    return tuple(sorted(token + prev + nxt))
 
 
 def _lexicon_entries(text: str) -> frozenset[str]:

@@ -72,6 +72,12 @@ class Model:
     converged: bool = False
     iterations: int = 0
     history: list[tuple[float, float]] = field(default_factory=list)
+    # Active-predicate tuple -> classify(model, tuple), filled by
+    # pipeline.make_classifier; not part of the file or the fingerprint.
+    # Valid as long as the weights are not edited after the first decision.
+    decisions: dict[tuple[int, ...], bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.log_alpha) != len(self.registry):

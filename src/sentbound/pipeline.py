@@ -1,7 +1,13 @@
 """End-to-end glue: corpus -> trained model, and model -> segmented text.
 
 ``train_model`` picks the template set's resources once; from there the
-model's registry carries them to every ``encode`` call.
+model's registry carries them to every ``encode`` call. Training events,
+``evaluate`` and ``segment_text`` all encode through the registry's per-slot
+caches, and ``evaluate`` and ``segment_text`` decide through
+``make_classifier``, which keeps a memo of decisions per active-predicate
+tuple on the model. The caches live as long as the loaded model, so repeated
+calls with it reuse them; each is emptied when it reaches
+``features.CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -59,9 +65,19 @@ def train_model(
 
 
 def make_classifier(model: Model) -> Callable[[Candidate], bool]:
-    """Candidate -> is-boundary decision function for a trained model."""
+    """Candidate -> is-boundary decision function for a trained model.
+
+    ``classify`` is deterministic, so each active-predicate tuple is scored
+    once and its decision kept in the model's memo."""
+    registry, decisions = model.registry, model.decisions
+    encode, classify = features.encode, maxent.classify
+
     def classify_candidate(cand: Candidate) -> bool:
-        return maxent.classify(model, features.encode(cand, model.registry))
+        active = encode(cand, registry)
+        decision = decisions.get(active)
+        if decision is None:
+            decision = features.remember(decisions, active, classify(model, active))
+        return decision
 
     return classify_candidate
 
@@ -77,7 +93,7 @@ def segment_text(model: Model, text: str) -> Segmentation:
     classify_candidate = make_classifier(model)
     offsets = [
         c.stream_position
-        for c in scan(*tokenize_with_positions(text))
+        for c in scan(text, *tokenize_with_positions(text))
         if classify_candidate(c)
     ]
     sentences = []

@@ -192,7 +192,7 @@ def test_criterion_5_worked_example_fidelity(lexicons):
     from sentbound.candidates import scan, tokenize_with_positions
 
     text = "ANLP Corp. chairman Dr. Smith resigned."
-    corp_cand = scan(*tokenize_with_positions(text))[0]
+    corp_cand = scan(text, *tokenize_with_positions(text))[0]
     assert corp_cand.token == "Corp."
     best = extract_best(corp_cand, lexicons)
     portable = extract_portable(corp_cand, frozenset({"Corp.", "Dr."}))

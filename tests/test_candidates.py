@@ -1,13 +1,14 @@
+import re
 import string
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sentbound.candidates import NO_WORD, scan, tokenize_with_positions
+from sentbound.candidates import NO_WORD, Candidate, scan, tokenize_with_positions
 
 
 def scan_text(text):
-    return scan(*tokenize_with_positions(text))
+    return scan(text, *tokenize_with_positions(text))
 
 
 tokens_strategy = st.lists(
@@ -80,3 +81,39 @@ def test_tokenize_with_positions_roundtrip(text):
     assert tokens == text.split()
     for tok, pos in zip(tokens, positions):
         assert text[pos : pos + len(tok)] == tok
+
+
+# Marks, closers and digits between ASCII and Unicode whitespace (U+0085,
+# U+2028, U+3000, U+001C all count as whitespace).
+UNICODE_TEXT = st.text(alphabet="ab.?!\"')3 \t\n\x85\u2028\u3000\x1c", max_size=40)
+
+
+@given(UNICODE_TEXT)
+def test_tokenize_agrees_with_the_token_regex(text):
+    tokens, positions = tokenize_with_positions(text)
+    assert list(zip(tokens, positions)) == [
+        (m.group(), m.start()) for m in re.finditer(r"\S+", text)
+    ]
+
+
+def reference_scan(text):
+    """One candidate per mark character, found token by token."""
+    tokens, positions = tokenize_with_positions(text)
+    out = []
+    for i, tok in enumerate(tokens):
+        for j, ch in enumerate(tok):
+            if ch in ".?!":
+                out.append((
+                    ch, tok, j, tok[:j], tok[j + 1 :],
+                    tokens[i - 1] if i > 0 else NO_WORD,
+                    tokens[i + 1] if i < len(tokens) - 1 else NO_WORD,
+                    positions[i] + j,
+                ))
+    return out
+
+
+@given(UNICODE_TEXT)
+def test_scan_matches_a_per_token_enumeration(text):
+    cands = scan_text(text)
+    assert all(type(c) is Candidate for c in cands)
+    assert [tuple(c) for c in cands] == reference_scan(text)

@@ -173,7 +173,7 @@ def test_labels_come_from_the_inference_scan(sentences):
     corp = corpus_from_sentences(sentences)
     lab = label_candidates(corp)
     text = " ".join(corp.sentences)
-    assert [cand for cand, _ in lab.candidates] == scan(*tokenize_with_positions(text))
+    assert [cand for cand, _ in lab.candidates] == scan(text, *tokenize_with_positions(text))
     start, unmarked = 0, 0
     for sent in corp.sentences:
         end = start + len(sent) - 1

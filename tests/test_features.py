@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from sentbound.candidates import Candidate
+from sentbound.candidates import Candidate, scan, tokenize_with_positions
 from sentbound.features import (
+    FOLLOWING,
+    PREVIOUS,
+    TEMPLATE_SETS,
     EmptyRegistryError,
+    _word_key,
     build_registry,
+    default_lexicons,
     encode,
     extract_best,
     extract_portable,
@@ -94,6 +101,62 @@ def test_literal_null_token_does_not_collide():
     preds = extract_portable(cand, frozenset())
     assert "PreviousWord=\\NULL" in preds
     assert "FollowingWord=NULL" in preds
+
+
+WORD = st.text(alphabet="\\NUL.", min_size=1, max_size=6)
+
+
+@example("NULL", "\\NULL")
+@example("\\NULL", "\\\\NULL")
+@given(WORD, WORD)
+def test_word_keys_are_injective(a, b):
+    assert _word_key(a) != _word_key(None)
+    assert (_word_key(a) == _word_key(b)) == (a == b)
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+@pytest.mark.parametrize("text", ["x NULL. y", "NULL x. y", "x y. NULL"])
+def test_escaped_null_and_backslash_tokens_get_different_predicates(template_set, text, lexicons):
+    templates = Templates(template_set, lexicons=lexicons if template_set == "best" else None)
+
+    def predicates(text):
+        return [templates.extract(c) for c in scan(text, *tokenize_with_positions(text))]
+
+    assert predicates(text) != predicates(text.replace("NULL", "\\NULL"))
+
+
+SLOT_TEXT = st.text(alphabet="aZ3.,?!\"'\\NUL", min_size=1, max_size=6)
+DEFAULT_LEXICONS = default_lexicons()
+
+
+@st.composite
+def slot_cases(draw):
+    """(templates, token, offset, previous word, following word)."""
+    token = draw(st.sampled_from(["Dr.", "Corp.", "U.S.", "Inc."]) | SLOT_TEXT)
+    offset = draw(st.integers(0, len(token) - 1))
+    prev, nxt = (draw(st.none() | st.sampled_from(["Mr.", "Ltd."]) | SLOT_TEXT) for _ in range(2))
+    pool = [token[: offset + 1], token[offset + 1 :], prev, nxt, "Dr.", "x"]
+    abbrevs = frozenset(w for w in draw(st.lists(st.sampled_from(pool))) if w)
+    name = draw(st.sampled_from(TEMPLATE_SETS))
+    lexicons = DEFAULT_LEXICONS if name == "best" else None
+    return Templates(name, abbrevs, lexicons), token, offset, prev, nxt
+
+
+@given(slot_cases())
+def test_the_three_slots_partition_the_predicates(case):
+    templates, token, offset, prev, nxt = case
+    slots = [
+        templates.token_keys(token, offset),
+        templates.word_keys(PREVIOUS, prev),
+        templates.word_keys(FOLLOWING, nxt),
+    ]
+    assert all(not a & b for i, a in enumerate(slots) for b in slots[i + 1 :])
+    cand = make_candidate(token, offset, prev, nxt)
+    if templates.name == "best":
+        extracted = extract_best(cand, templates.lexicons)
+    else:
+        extracted = extract_portable(cand, templates.abbreviations)
+    assert set().union(*slots) == extracted == templates.extract(cand)
 
 
 def test_build_registry_portable_example1(example1_labeled):

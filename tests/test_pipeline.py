@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sentbound import features
+from sentbound.candidates import scan, tokenize_with_positions
 from sentbound.corpus import YES, label_candidates
 from sentbound.evaluation import evaluate
-from sentbound.features import FeatureError
-from sentbound.maxent import check_constraints, conditional_yes
+from sentbound.features import TEMPLATE_SETS, FeatureError, default_lexicons, encode
+from sentbound.maxent import check_constraints, classify, conditional_yes
 from sentbound.pipeline import (
     byte_offsets,
     events_from_labeled,
@@ -131,14 +133,12 @@ def test_best_and_portable_models_learn_training_data(portable_model, best_model
 
 
 def test_classifier_consistent_with_segmentation(portable_model):
-    from sentbound.candidates import scan, tokenize_with_positions
-
     text = "Gen. Miller said profits rose 4.75 percent. Analysts agreed."
     classify_candidate = make_classifier(portable_model)
     tokens, positions = tokenize_with_positions(text)
     decisions = [
         c.stream_position
-        for c in scan(tokens, positions=positions)
+        for c in scan(text, tokens, positions=positions)
         if classify_candidate(c)
     ]
     assert decisions == segment_text(portable_model, text).boundary_offsets
@@ -171,3 +171,62 @@ def test_scorer_matches_training_path(template_set, synthetic_train, lexicons):
     final_ll, final_violation = model.history[-1]
     assert ll == pytest.approx(final_ll, rel=1e-12)
     assert check_constraints(model, events) == pytest.approx(final_violation, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def cache_models():
+    """template set -> a model used only by the cache tests."""
+    return {
+        name: train_model(
+            make_corpus(200, seed=3),
+            name,
+            lexicons=default_lexicons() if name == "best" else None,
+            max_iters=100,
+        )[0]
+        for name in TEMPLATE_SETS
+    }
+
+
+def caches(model):
+    registry = model.registry
+    return [registry.token_slot, registry.previous_slot, registry.following_slot, model.decisions]
+
+
+def uncached_encoding(model, cand):
+    idx = model.registry.index
+    return tuple(sorted(idx[k] for k in model.registry.templates.extract(cand) if k in idx))
+
+
+# Repeated tokens with marks, closers and digits, and some made-up ones.
+CACHE_TEXT = st.lists(
+    st.sampled_from(["Dr.", "Mr.", "Corp.", "Inc.", "U.S.", "3.5", "4.75", "Smith", "said",
+                     "He", "percent", "it.", "now?", "off!", '"stop."', "(yes.)", "...",
+                     "NULL", "\\NULL.", "a.b"])
+    | st.text(alphabet="aB3.?!\"')", min_size=1, max_size=5),
+    max_size=30,
+).map(" ".join)
+MANY_KEYS = " ".join(f"w{i}. W{i} {i}.5 x{i}! Dr. Corp." for i in range(20))
+
+
+@pytest.mark.parametrize("bound", [None, 3])
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+@settings(deadline=None, max_examples=60)
+@given(text=CACHE_TEXT)
+@example(text=MANY_KEYS)
+def test_cached_decisions_equal_uncached_ones(cache_models, template_set, bound, text):
+    model = cache_models[template_set]
+    with pytest.MonkeyPatch.context() as mp:
+        if bound is not None:
+            # A small bound, so full caches get emptied while segmenting.
+            mp.setattr(features, "CACHE_ENTRIES", bound)
+            for cache in caches(model):
+                cache.clear()
+        cands = scan(text, *tokenize_with_positions(text))
+        decide = make_classifier(model)
+        want = [classify(model, uncached_encoding(model, c)) for c in cands]
+        assert [encode(c, model.registry) for c in cands] == [uncached_encoding(model, c) for c in cands]
+        assert [decide(c) for c in cands] == want
+        offsets = [c.stream_position for c, yes in zip(cands, want) if yes]
+        assert segment_text(model, text).boundary_offsets == offsets
+        if bound is not None:
+            assert all(len(cache) <= bound for cache in caches(model))
