@@ -131,12 +131,11 @@ def _load_model_checked(args) -> maxent.Model:
 def cmd_segment(args) -> int:
     model = _load_model_checked(args)
     text = corpus_mod.load_raw(args.input, encoding=args.encoding)
-    seg = pipeline.segment_text(model, text)
     if args.offsets:
-        offsets = pipeline.byte_offsets(text, seg.boundary_offsets, args.encoding)
-        out = "".join(f"{off}\n" for off in offsets)
+        offsets = pipeline.boundary_offsets(model, text)
+        out = "".join(f"{off}\n" for off in pipeline.byte_offsets(text, offsets, args.encoding))
     else:
-        out = "".join(line + "\n" for line in seg.sentences)
+        out = "".join(line + "\n" for line in pipeline.segment_text(model, text).sentences)
     _write_output(out, args.output)
     return EXIT_OK
 

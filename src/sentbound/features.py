@@ -9,10 +9,11 @@ carries it, so ``encode(candidate, registry)`` needs nothing else.
 Each template set is three slot functions: the token slot reads the token and
 the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), the
 two word slots read the previous and the following word. ``extract_best`` and
-``extract_portable`` are the union of the three. The registry keeps one cache
-per slot, from the slot's key to its registered predicate indices, so
-``encode`` is three lookups and a sort; a cache is emptied when it holds
-``CACHE_ENTRIES`` entries.
+``extract_portable`` are the union of the three. ``build_registry`` calls the
+slot functions once per distinct slot value of its candidates. The registry
+keeps one cache per slot, from the slot's key to its registered predicate
+indices, so ``encode`` is three lookups and a sort; a cache is emptied when it
+holds ``CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -237,18 +238,35 @@ def build_registry(
     cutoff: int = 1,
 ) -> PredicateRegistry:
     """Count predicate occurrences over the training candidates, drop those
-    below the cutoff, and assign dense indices in first-occurrence order."""
+    below the cutoff, and assign dense indices in first-occurrence order.
+
+    Each slot's keys are computed once per distinct slot value of the call."""
     if not labeled.candidates:
         raise FeatureError("no training candidates")
-    order: list[str] = []
+    token_keys: dict[tuple[str, int], tuple[str, ...]] = {}
+    previous_keys: dict[Optional[str], tuple[str, ...]] = {}
+    following_keys: dict[Optional[str], tuple[str, ...]] = {}
+    # Insertion order is first-occurrence order.
     counts: dict[str, int] = {}
     for cand, _label in labeled.candidates:
-        for key in sorted(templates.extract(cand)):
-            if key not in counts:
-                counts[key] = 0
-                order.append(key)
-            counts[key] += 1
-    keys = [k for k in order if counts[k] >= cutoff]
+        slot = (cand.token, cand.offset_in_token)
+        token = token_keys.get(slot)
+        if token is None:
+            token = token_keys[slot] = tuple(templates.token_keys(*slot))
+        prev = previous_keys.get(cand.prev_word)
+        if prev is None:
+            prev = previous_keys[cand.prev_word] = tuple(
+                templates.word_keys(PREVIOUS, cand.prev_word)
+            )
+        nxt = following_keys.get(cand.next_word)
+        if nxt is None:
+            nxt = following_keys[cand.next_word] = tuple(
+                templates.word_keys(FOLLOWING, cand.next_word)
+            )
+        # The slots' keys never overlap, so the concatenation is the union.
+        for key in sorted(token + prev + nxt):
+            counts[key] = counts.get(key, 0) + 1
+    keys = [k for k, n in counts.items() if n >= cutoff]
     if not keys:
         raise EmptyRegistryError(f"no predicate reached the cutoff of {cutoff}")
     return PredicateRegistry(templates, keys, [counts[k] for k in keys], cutoff)

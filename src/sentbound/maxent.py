@@ -137,11 +137,20 @@ class _GisProblem:
     """Vectorized training state, indexed as the model is.
 
     Columns are the registry predicates, then the yes- and no-correction
-    columns. A context is a row of flat ``(rows, cols, vals)`` entries: 1 per
-    active predicate, then both corrections (C minus the fitted features it
-    activates for that outcome), so no row is empty. Sums over contexts are
-    ``np.bincount`` calls, in entry order. ``theta`` has one row of log-weights
-    per outcome; it stays 0 off the ``active`` (positive empirical count) entries.
+    columns. A context is a row of flat ``(rows, cols)`` entries: one of value
+    1 per active predicate, then, after every context's predicate entries,
+    both corrections (value C minus the fitted features it activates for that
+    outcome), so no row is empty. ``active`` marks the fitted (outcome,
+    column) features, those with a positive empirical count; ``theta``, the
+    empirical counts, the violation scale and the expected counts hold one
+    value per fitted feature, in ``active``'s row-major order.
+
+    Each iteration writes into buffers made here: ``predict`` fills
+    ``p[0]`` with p(yes|c) per context, ``expectations`` the expected counts
+    and the log-likelihood, ``update`` the GIS step. Sums over contexts are
+    ``np.bincount`` calls in entry order (the two arrays an iteration makes),
+    so each sum adds the same terms in the same order as a sum over the full
+    (outcome, column) grid.
     """
 
     def __init__(self, events: Sequence[TrainingEvent], registry: PredicateRegistry):
@@ -152,6 +161,8 @@ class _GisProblem:
         for ev in events:
             if ev.multiplicity < 1:
                 raise TrainingError("event multiplicity must be >= 1")
+            if ev.outcome not in OUTCOMES:
+                raise TrainingError(f"event outcome {ev.outcome!r} is not one of {OUTCOMES}")
             active = ev.active_predicates
             # -1 < first < ... < last < n_preds, as features.encode produces them.
             if any(a >= b for a, b in zip((-1, *active), (*active, n_preds))):
@@ -163,58 +174,125 @@ class _GisProblem:
         self.contexts = sorted(contexts)
         self.m = np.array([contexts[c] for c in self.contexts], float).T  # (yes, no) x contexts
         self.m_tot = self.m.sum(axis=0)
+        # Build temporaries are dropped once used: the build sets GIS's peak memory.
+        del contexts
 
         n_ctx, n_cols = len(self.contexts), n_preds + 2
+        self.n_cols = n_cols
         rows = np.repeat(np.arange(n_ctx), [len(c) for c in self.contexts])
         cols = np.fromiter(chain.from_iterable(self.contexts), np.intp)
         seen = np.array([np.bincount(cols, m[rows], n_preds) > 0.0 for m in self.m])
         fitted = np.array([np.bincount(rows, s[cols], n_ctx) for s in seen])  # (yes, no) x contexts
         self.C = max(int(fitted.max()), 1)
+        n_pred_entries = len(cols)
         self.rows = np.concatenate([rows, np.tile(np.arange(n_ctx), 2)])
         self.cols = np.concatenate([cols, np.full(n_ctx, n_preds), np.full(n_ctx, n_preds + 1)])
-        self.vals = np.concatenate([np.ones(len(cols)), (self.C - fitted).ravel()])
-        self.both_cols = np.concatenate([self.cols, self.cols + n_cols])
-        self.empirical = self.column_sums(self.m)
-        corrections = np.eye(2, dtype=bool) & (self.empirical[:, n_preds:] > 0.0)
+        del rows, cols
+        self.correction_vals = (self.C - fitted).ravel()
+        vals = np.concatenate([np.ones(n_pred_entries), self.correction_vals])
+        empirical = np.array([np.bincount(self.cols, m[self.rows] * vals, n_cols) for m in self.m])
+        del vals
+        corrections = np.eye(2, dtype=bool) & (empirical[:, n_preds:] > 0.0)
         self.active = np.hstack([seen, corrections])
-        self.theta = np.zeros((2, n_cols))
+
         # Never empty: a context fits a feature or a correction for each outcome it has.
-        self.empirical_active = self.empirical[self.active]
-        self.violation_scale = np.maximum(self.empirical_active, VIOLATION_FLOOR)
+        self.active_idx = np.flatnonzero(self.active)
+        n_active = len(self.active_idx)
+        # Position of each (outcome, column) in the fitted vectors; unfitted
+        # ones point at theta_ext's last element, which stays 0.
+        self.position = np.full((2, n_cols), n_active)
+        self.position.flat[self.active_idx] = np.arange(n_active)
+        self.theta_ext = np.zeros(n_active + 1)
+        self.theta = self.theta_ext[:-1]
+        self.empirical = empirical.ravel()[self.active_idx]
+        self.violation_scale = np.maximum(self.empirical, VIOLATION_FLOOR)
 
-    def column_sums(self, per_context: np.ndarray) -> np.ndarray:
-        """Per outcome o, the column sums of per_context[o, row] * val; one
-        bincount covers both outcomes, with (o, col) at bin o * columns + col."""
-        weights = (per_context.take(self.rows, 1) * self.vals).ravel()
-        return np.bincount(self.both_cols, weights).reshape(2, -1)
+        # x * 1.0 == x, so only the correction entries, which come last, are
+        # multiplied by their values. expectations sums over the (entry,
+        # outcome) pairs of fitted features in entry order, each bin's order,
+        # so their correction pairs come last too.
+        entry, outcome = np.nonzero(self.active[:, self.cols].T)
+        n_fit_preds = int(np.searchsorted(entry, n_pred_entries))
+        self.fit_correction_vals = self.correction_vals[entry[n_fit_preds:] - n_pred_entries]
+        self.fit_bins = self.position[outcome, self.cols[entry]]
+        self.fit_rows = self.rows[entry]
+        self.fit_rows += np.multiply(outcome, n_ctx, out=outcome)
+        del entry, outcome
+        self.fit_weights = np.empty(len(self.fit_rows))
+        self.fit_correction_weights = self.fit_weights[n_fit_preds:]
+        self.column_theta = np.empty((2, n_cols))
+        self.column_yes, self.column_no = self.column_theta
+        self.column_diff = np.empty(n_cols)
+        self.entry_diff = np.empty(len(self.rows))
+        self.correction_diff = self.entry_diff[n_pred_entries:]
+        self.p = np.empty((2, n_ctx))
+        self.p_yes, self.p_no = self.p
+        self.work = np.empty((2, n_ctx))
+        self.work_flat = self.work.reshape(-1)
+        self.expected = np.zeros(n_active)
+        self.gap = np.empty(n_active)
+        self.step = np.empty(n_active)
 
-    def p_yes(self) -> np.ndarray:
-        """p(yes|c) per context under the current weights."""
-        d = np.bincount(self.rows, (self.theta[1] - self.theta[0])[self.cols] * self.vals)
-        return 1.0 / (1.0 + np.exp(d.clip(-700.0, 700.0)))
+    def predict(self) -> None:
+        """Fill ``p_yes`` with p(yes|c) per context under the current weights."""
+        self.theta_ext.take(self.position, out=self.column_theta, mode="clip")
+        np.subtract(self.column_no, self.column_yes, out=self.column_diff)
+        d = self.column_diff.take(self.cols, out=self.entry_diff, mode="clip")
+        np.multiply(self.correction_diff, self.correction_vals, out=self.correction_diff)
+        d = np.bincount(self.rows, d, len(self.p_yes))
+        np.maximum(d, -700.0, out=d)
+        np.minimum(d, 700.0, out=d)
+        np.exp(d, out=d)
+        np.add(d, 1.0, out=d)
+        np.divide(1.0, d, out=self.p_yes)
 
-    def expectations(self, p_yes: np.ndarray) -> tuple[np.ndarray, float]:
-        """(expected counts, total conditional log-likelihood) given p(yes|c)
-        per context."""
-        p = np.array([p_yes, 1.0 - p_yes])
-        expected = self.column_sums(self.m_tot * p)
-        ll = float((self.m * np.log(np.maximum(p, 1e-300))).sum())
-        return expected, ll
+    def expectations(self) -> float:
+        """Fill ``expected`` from ``p_yes``; return the total conditional
+        log-likelihood."""
+        p = self.p
+        np.subtract(1.0, self.p_yes, out=self.p_no)
+        np.multiply(p, self.m_tot, out=self.work)
+        w = self.work_flat.take(self.fit_rows, out=self.fit_weights, mode="clip")
+        tail = self.fit_correction_weights
+        np.multiply(tail, self.fit_correction_vals, out=tail)
+        self.expected = np.bincount(self.fit_bins, w, len(self.expected))
+        log_p = np.maximum(p, 1e-300, out=self.work)
+        np.log(log_p, out=log_p)
+        np.multiply(self.m, log_p, out=log_p)
+        return float(np.add.reduce(log_p, axis=None))
 
-    def violation(self, expected: np.ndarray) -> float:
-        gap = np.abs(expected[self.active] - self.empirical_active)
-        return float(np.max(gap / self.violation_scale))
+    def violation(self) -> float:
+        gap = np.subtract(self.expected, self.empirical, out=self.gap)
+        np.absolute(gap, out=gap)
+        np.divide(gap, self.violation_scale, out=gap)
+        return float(np.maximum.reduce(gap))
 
-    def update(self, expected: np.ndarray) -> None:
-        act = self.active & (expected > 0.0)
-        step = np.zeros_like(self.theta)
-        step[act] = np.log(self.empirical[act] / expected[act]) / self.C
-        # Positive empirical count but zero expectation: push toward -clamp.
-        step[self.active & ~act] = -2.0 * DEFAULT_CLAMP
-        self.theta = (self.theta + step).clip(-DEFAULT_CLAMP, DEFAULT_CLAMP)
-        if not np.isfinite(self.theta).all():
-            bad = np.argwhere(~np.isfinite(self.theta))[0].tolist()
-            raise TrainingError(f"non-finite parameter at (outcome, column) {bad}")
+    def update(self) -> None:
+        """One GIS step, under ``np.errstate(divide="ignore")``: a zero
+        expectation divides by zero before its step is replaced."""
+        expected, step, theta = self.expected, self.step, self.theta
+        np.divide(self.empirical, expected, out=step)
+        np.log(step, out=step)
+        np.divide(step, self.C, out=step)
+        # A finite step is below 1,500 in magnitude, so the sum is finite
+        # exactly when every step is.
+        finite = math.isfinite(np.add.reduce(step))
+        if not finite:
+            # Positive empirical count but zero expectation: push toward -clamp.
+            step[~(expected > 0.0)] = -2.0 * DEFAULT_CLAMP
+        np.add(theta, step, out=theta)
+        np.maximum(theta, -DEFAULT_CLAMP, out=theta)
+        np.minimum(theta, DEFAULT_CLAMP, out=theta)
+        # The clamp leaves NaN as the only non-finite value.
+        if not finite and np.isnan(theta).any():
+            bad = self.active_idx[np.flatnonzero(np.isnan(theta))[0]]
+            raise TrainingError(
+                f"non-finite parameter at (outcome, column) {list(divmod(int(bad), self.n_cols))}"
+            )
+
+    def weights(self) -> np.ndarray:
+        """(yes, no) x columns log-weights, 0 off the fitted features."""
+        return self.theta_ext.take(self.position)
 
 
 def train_gis(
@@ -234,19 +312,23 @@ def train_gis(
     history: list[tuple[float, float]] = []
     converged = False
     iterations = 0
-    while True:
-        expected, ll = prob.expectations(prob.p_yes())
-        viol = prob.violation(expected)
-        history.append((ll, viol))
-        if viol <= tolerance:
-            converged = True
-            break
-        if iterations >= max_iters:
-            break
-        prob.update(expected)
-        iterations += 1
+    with np.errstate(divide="ignore"):
+        while True:
+            prob.predict()
+            ll = prob.expectations()
+            viol = prob.violation()
+            history.append((ll, viol))
+            if viol <= tolerance:
+                converged = True
+                break
+            if iterations >= max_iters:
+                break
+            prob.update()
+            iterations += 1
 
-    theta, active = prob.theta.tolist(), prob.active.tolist()
+    theta, active, C = prob.weights().tolist(), prob.active.tolist(), prob.C
+    # The buffers would otherwise add to the peak memory of building the model.
+    del prob
     return Model(
         registry=registry,
         log_alpha=[
@@ -255,7 +337,7 @@ def train_gis(
         ],
         # An inactive correction column stays at 0.0, so it adds nothing.
         corrections=(theta[0][-2], theta[1][-1]),
-        C=prob.C,
+        C=C,
         converged=converged,
         iterations=iterations,
         history=history,
@@ -273,9 +355,9 @@ def check_constraints(model: Model, events: Sequence[TrainingEvent]) -> float:
         raise TrainingError(
             f"event set implies C={prob.C} but model has C={model.C}"
         )
-    p_yes = np.array([conditional_yes(model, ctx) for ctx in prob.contexts])
-    expected, _ = prob.expectations(p_yes)
-    return prob.violation(expected)
+    prob.p_yes[:] = [conditional_yes(model, ctx) for ctx in prob.contexts]
+    prob.expectations()
+    return prob.violation()
 
 
 # ----------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 ``train_model`` picks the template set's resources once; from there the
 model's registry carries them to every ``encode`` call. Training events,
-``evaluate`` and ``segment_text`` all encode through the registry's per-slot
-caches, and ``evaluate`` and ``segment_text`` decide through
-``make_classifier``, which keeps a memo of decisions per active-predicate
-tuple on the model. The caches live as long as the loaded model, so repeated
-calls with it reuse them; each is emptied when it reaches
-``features.CACHE_ENTRIES`` entries.
+``evaluate`` and ``boundary_offsets`` (which ``segment_text`` calls before it
+joins sentences) all encode through the registry's per-slot caches, and
+``evaluate`` and ``boundary_offsets`` decide through ``make_classifier``,
+which keeps a memo of decisions per active-predicate tuple on the model. The
+caches live as long as the loaded model, so repeated calls with it reuse
+them; each is emptied when it reaches ``features.CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -88,14 +88,20 @@ class Segmentation:
     boundary_offsets: list[int]  # character offsets of boundary marks
 
 
-def segment_text(model: Model, text: str) -> Segmentation:
-    """Classify every candidate in raw text; a yes splits after the mark."""
+def boundary_offsets(model: Model, text: str) -> list[int]:
+    """Character offsets of the marks in raw text that the model calls
+    boundaries, in text order."""
     classify_candidate = make_classifier(model)
-    offsets = [
+    return [
         c.stream_position
         for c in scan(text, *tokenize_with_positions(text))
         if classify_candidate(c)
     ]
+
+
+def segment_text(model: Model, text: str) -> Segmentation:
+    """Classify every candidate in raw text; a yes splits after the mark."""
+    offsets = boundary_offsets(model, text)
     sentences = []
     start = 0
     for off in offsets:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sentbound import pipeline
 from sentbound.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, main
 from sentbound.maxent import load_model
 from sentbound.synthetic import make_corpus, write_corpus
@@ -134,6 +135,23 @@ def test_segment_offsets_mode_round_trip(tmp_path, model_file, capsys):
         start = off + 1
     pieces.append(data[start:])
     assert b"".join(pieces) == data
+
+
+def test_segment_offsets_builds_no_sentences(tmp_path, model_file, capsys, monkeypatch):
+    text = "Shares of Globex Inc. fell 2.25 percent. Dr. Chen denied it! Ask him."
+    inp = tmp_path / "raw.txt"
+    inp.write_text(text)
+    marks = pipeline.segment_text(load_model(model_file), text).boundary_offsets
+    assert marks
+
+    def no_sentences(model, text):
+        raise AssertionError("segment --offsets joined sentences")
+
+    monkeypatch.setattr(pipeline, "segment_text", no_sentences)
+    rc = main(["segment", "--model", str(model_file), "--input", str(inp), "--offsets"])
+    assert rc == EXIT_OK
+    # ASCII text: byte offsets are character offsets.
+    assert [int(x) for x in capsys.readouterr().out.split()] == marks
 
 
 def test_segment_template_mismatch(model_file, tmp_path):

@@ -159,6 +159,55 @@ def test_the_three_slots_partition_the_predicates(case):
     assert set().union(*slots) == extracted == templates.extract(cand)
 
 
+def reference_registry(candidates, templates, cutoff):
+    """(keys, counts) of the plain per-candidate count over extracted predicates."""
+    order, counts = [], {}
+    for cand in candidates:
+        for key in sorted(templates.extract(cand)):
+            if key not in counts:
+                counts[key] = 0
+                order.append(key)
+            counts[key] += 1
+    keys = [k for k in order if counts[k] >= cutoff]
+    return keys, [counts[k] for k in keys]
+
+
+REGISTRY_WORDS = st.sampled_from(["Dr.", "Corp.", "U.S.", "Inc.", "Smith", "he", "NULL"]) | SLOT_TEXT
+
+
+@st.composite
+def registry_cases(draw):
+    """(templates, candidates, cutoff): candidates drawn from a few slot values,
+    so tokens and neighbours repeat across them."""
+    words = draw(st.lists(REGISTRY_WORDS, min_size=1, max_size=6))
+    candidates = []
+    for _ in range(draw(st.integers(1, 25))):
+        token = draw(st.sampled_from(words))
+        offset = draw(st.integers(0, len(token) - 1))
+        prev, nxt = (draw(st.none() | st.sampled_from(words)) for _ in range(2))
+        candidates.append(make_candidate(token, offset, prev, nxt))
+    abbrevs = frozenset(draw(st.lists(st.sampled_from(words + ["x."]))))
+    name = draw(st.sampled_from(TEMPLATE_SETS))
+    lexicons = DEFAULT_LEXICONS if name == "best" else None
+    return Templates(name, abbrevs, lexicons), candidates, draw(st.integers(1, 3))
+
+
+@given(registry_cases())
+def test_build_registry_equals_the_per_candidate_count(case):
+    from sentbound.corpus import LabeledCandidateSet
+
+    templates, candidates, cutoff = case
+    keys, counts = reference_registry(candidates, templates, cutoff)
+    labeled = LabeledCandidateSet(candidates=[(c, "no") for c in candidates])
+    if not keys:
+        with pytest.raises(EmptyRegistryError):
+            build_registry(labeled, templates, cutoff)
+        return
+    reg = build_registry(labeled, templates, cutoff)
+    assert reg.keys == keys
+    assert reg.counts == counts
+
+
 def test_build_registry_portable_example1(example1_labeled):
     templates = Templates("portable", abbreviations=frozenset({"Corp.", "Dr."}))
     reg = build_registry(example1_labeled, templates, cutoff=1)

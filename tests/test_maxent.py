@@ -1,14 +1,23 @@
+import importlib.util
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gis_reference import reference_train
 from oracle import grid_conditional_single_predicate, ml_conditionals
-from sentbound.corpus import NO, YES, label_candidates
-from sentbound.features import TEMPLATE_SETS, PredicateRegistry, Templates, default_lexicons
+from sentbound.corpus import NO, YES, corpus_from_sentences, induce_abbreviations, label_candidates
+from sentbound.features import (
+    TEMPLATE_SETS,
+    PredicateRegistry,
+    Templates,
+    build_registry,
+    default_lexicons,
+)
 from sentbound.maxent import (
     Model,
     ModelFormatError,
@@ -22,7 +31,7 @@ from sentbound.maxent import (
     save_model,
     train_gis,
 )
-from sentbound.pipeline import make_classifier, train_model
+from sentbound.pipeline import events_from_labeled, make_classifier, train_model
 from sentbound.synthetic import make_corpus
 
 
@@ -147,6 +156,15 @@ def test_malformed_event_predicates_are_refused(active):
         check_constraints(trained_toy_model()[0], ev)
 
 
+@pytest.mark.parametrize("outcome", ["maybe", "YES", ""])
+def test_unknown_outcome_is_refused(outcome):
+    ev = events_of(((0,), YES, 3), ((0,), outcome, 1))
+    with pytest.raises(TrainingError, match="outcome"):
+        train_gis(ev, registry(1), max_iters=10)
+    with pytest.raises(TrainingError, match="outcome"):
+        check_constraints(trained_toy_model()[0], ev)
+
+
 def test_weights_follow_the_model_layout():
     # Predicate 0 is seen with both outcomes, predicate 1 with yes only and
     # predicate 2 in no event.
@@ -216,6 +234,53 @@ def test_gis_matches_ml_oracle(spec):
     oracle = ml_conditionals(spec)
     for ctx, p_star in oracle.items():
         assert conditional_yes(model, ctx) == pytest.approx(p_star, abs=1e-3)
+
+
+def assert_gis_matches_reference(events, reg, max_iters, tolerance):
+    """train_gis must give the reference's numbers bit for bit; returns the
+    reference state."""
+    expected, ref = reference_train(events, len(reg), max_iters, tolerance)
+    model = train_gis(events, reg, max_iters=max_iters, tolerance=tolerance)
+    assert model.iterations == expected["iterations"]
+    assert model.C == expected["C"]
+    assert model.corrections == expected["corrections"]
+    assert model.log_alpha == expected["log_alpha"]
+    assert model.history == expected["history"]
+    assert model.converged == expected["converged"]
+    return ref
+
+
+@pytest.mark.parametrize("spec", ORACLE_CORPORA)
+def test_gis_equals_reference_on_oracle_corpora(spec):
+    n_preds = max((p for a, _, _ in spec for p in a), default=-1) + 1
+    assert_gis_matches_reference(events_of(*spec), registry(max(n_preds, 1)), 20000, 1e-7)
+
+
+def test_gis_equals_reference_on_a_best_corpus(lexicons):
+    labeled = label_candidates(make_corpus(150, seed=21))
+    reg = build_registry(labeled, Templates("best", lexicons=lexicons))
+    ref = assert_gis_matches_reference(events_from_labeled(labeled, reg), reg, 400, 1e-3)
+    assert len(ref.contexts) > 10
+
+
+def test_gis_equals_reference_on_a_zipfian_portable_corpus():
+    zipf_path = Path(__file__).resolve().parent.parent / "perfbench" / "zipf_corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_zipf_corpus", zipf_path)
+    zipf_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(zipf_corpus)
+    sentences = zipf_corpus.ZipfCorpus(3000, 5).sentences(150, "5:train")
+    labeled = label_candidates(corpus_from_sentences(sentences))
+    reg = build_registry(labeled, Templates("portable", induce_abbreviations(labeled)))
+    ref = assert_gis_matches_reference(events_from_labeled(labeled, reg), reg, 100, 1e-3)
+    assert len(ref.contexts) > 100
+
+
+def test_gis_equals_reference_where_an_expectation_reaches_zero():
+    # Separable, but the heavy yes contexts drive p(no|(0, 1)) to exactly 0.0
+    # while both no features have positive empirical counts.
+    ev = events_of(((0,), YES, 10**17), ((0, 1), NO, 10), ((1,), YES, 10**17))
+    ref = assert_gis_matches_reference(ev, registry(2), 100, 1e-3)
+    assert ref.zero_expectation_steps > 0
 
 
 def test_grid_oracle_agrees_on_nine_one():
