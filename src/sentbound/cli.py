@@ -237,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("honorifics", "designators"):
+        if getattr(args, flag, None) is not None and args.templates != "best":
+            parser.error(f"--{flag} applies to --templates best only")
     try:
         return args.func(args)
     except (OSError, UnicodeError) as exc:

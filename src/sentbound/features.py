@@ -11,9 +11,9 @@ the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), the
 two word slots read the previous and the following word. ``extract_best`` and
 ``extract_portable`` are the union of the three. ``build_registry`` calls the
 slot functions once per distinct slot value of its candidates. The registry
-keeps one cache per slot, from the slot's key to its registered predicate
-indices, so ``encode`` is three lookups and a sort; a cache is emptied when it
-holds ``CACHE_ENTRIES`` entries.
+keeps one ``Memo`` per slot, from the slot's value to its registered predicate
+indices, so ``encode`` is three lookups and a sort. Every memo of the package
+is a ``Memo``, emptied when it holds ``CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .candidates import Candidate
 from .corpus import LabeledCandidateSet
@@ -183,53 +183,64 @@ class Templates:
         return extract_portable(c, self.abbreviations)
 
 
-# Entries a cache may hold before it is emptied: each slot cache of a
-# registry, and the decision memo of a model. Enough for the frequent words of
-# a Zipfian vocabulary; an entry costs about 200 bytes, and most entries of a
-# much larger cache would hold words seen once.
+# Entries a memo may hold before it is emptied: each slot memo, and the
+# decision memo of a model. Enough for the frequent words of a Zipfian
+# vocabulary; an entry costs about 200 bytes, and most entries of a much
+# larger memo would hold words seen once.
 CACHE_ENTRIES = 1_024
 
 
-def remember(cache: dict, key, value):
-    """Store and return ``value`` under ``key``, first emptying ``cache`` if it
-    is full."""
-    if len(cache) >= CACHE_ENTRIES:
-        cache.clear()
-    cache[key] = value
-    return value
+class Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``, first emptying
+    itself if it holds ``CACHE_ENTRIES`` entries."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self.compute(key)
+        if len(self) >= CACHE_ENTRIES:
+            self.clear()
+        self[key] = value
+        return value
+
+
+def slot_memos(templates: Templates, convert: Callable) -> tuple[Memo, Memo, Memo]:
+    """Memos of ``convert`` applied to each slot's keys: the token slot keyed
+    by (token, offset), the previous- and following-word slots by the word."""
+    return (
+        Memo(lambda slot: convert(templates.token_keys(*slot))),
+        Memo(lambda word: convert(templates.word_keys(PREVIOUS, word))),
+        Memo(lambda word: convert(templates.word_keys(FOLLOWING, word))),
+    )
 
 
 @dataclass
 class PredicateRegistry:
     """Dense-indexed predicate set with training-time occurrence counts, the
-    templates that extract its predicates, and one cache per slot from the
-    slot's key to the indices of its registered predicates."""
+    templates that extract its predicates, and one memo per slot from the
+    slot's value to the indices of its registered predicates."""
 
     templates: Templates
     keys: list[str]
     counts: list[int]
     cutoff: int = 1
     index: dict[str, int] = field(init=False)
-    token_slot: dict[tuple[str, int], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    previous_slot: dict[Optional[str], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    following_slot: dict[Optional[str], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    token_slot: Memo = field(init=False, repr=False, compare=False)
+    previous_slot: Memo = field(init=False, repr=False, compare=False)
+    following_slot: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.index = {k: i for i, k in enumerate(self.keys)}
-        self.token_slot, self.previous_slot, self.following_slot = {}, {}, {}
+        index = self.index = {k: i for i, k in enumerate(self.keys)}
+        self.token_slot, self.previous_slot, self.following_slot = slot_memos(
+            self.templates, lambda preds: tuple([index[k] for k in preds if k in index])
+        )
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def _cache(self, slot: dict, key, preds: set[str]) -> tuple[int, ...]:
-        idx = self.index
-        return remember(slot, key, tuple([idx[k] for k in preds if k in idx]))
 
 
 def build_registry(
@@ -240,31 +251,19 @@ def build_registry(
     """Count predicate occurrences over the training candidates, drop those
     below the cutoff, and assign dense indices in first-occurrence order.
 
-    Each slot's keys are computed once per distinct slot value of the call."""
+    Each slot's keys are read from a slot memo made for the call."""
     if not labeled.candidates:
         raise FeatureError("no training candidates")
-    token_keys: dict[tuple[str, int], tuple[str, ...]] = {}
-    previous_keys: dict[Optional[str], tuple[str, ...]] = {}
-    following_keys: dict[Optional[str], tuple[str, ...]] = {}
+    token_keys, previous_keys, following_keys = slot_memos(templates, tuple)
     # Insertion order is first-occurrence order.
     counts: dict[str, int] = {}
     for cand, _label in labeled.candidates:
-        slot = (cand.token, cand.offset_in_token)
-        token = token_keys.get(slot)
-        if token is None:
-            token = token_keys[slot] = tuple(templates.token_keys(*slot))
-        prev = previous_keys.get(cand.prev_word)
-        if prev is None:
-            prev = previous_keys[cand.prev_word] = tuple(
-                templates.word_keys(PREVIOUS, cand.prev_word)
-            )
-        nxt = following_keys.get(cand.next_word)
-        if nxt is None:
-            nxt = following_keys[cand.next_word] = tuple(
-                templates.word_keys(FOLLOWING, cand.next_word)
-            )
         # The slots' keys never overlap, so the concatenation is the union.
-        for key in sorted(token + prev + nxt):
+        for key in sorted(
+            token_keys[cand.token, cand.offset_in_token]
+            + previous_keys[cand.prev_word]
+            + following_keys[cand.next_word]
+        ):
             counts[key] = counts.get(key, 0) + 1
     keys = [k for k, n in counts.items() if n >= cutoff]
     if not keys:
@@ -274,21 +273,15 @@ def build_registry(
 
 def encode(c: Candidate, registry: PredicateRegistry) -> tuple[int, ...]:
     """Sorted indices of registered predicates active on the candidate: the
-    union of its three slots' indices, each read from the registry's cache
+    union of its three slots' indices, each read from the registry's memo
     for that slot. Predicates unseen at training time are silently dropped."""
     r = registry
-    key = (c.token, c.offset_in_token)
-    token = r.token_slot.get(key)
-    if token is None:
-        token = r._cache(r.token_slot, key, r.templates.token_keys(*key))
-    prev = r.previous_slot.get(c.prev_word)
-    if prev is None:
-        prev = r._cache(r.previous_slot, c.prev_word, r.templates.word_keys(PREVIOUS, c.prev_word))
-    nxt = r.following_slot.get(c.next_word)
-    if nxt is None:
-        nxt = r._cache(r.following_slot, c.next_word, r.templates.word_keys(FOLLOWING, c.next_word))
     # The slots' indices never overlap, so the union is the concatenation.
-    return tuple(sorted(token + prev + nxt))
+    return tuple(sorted(
+        r.token_slot[c.token, c.offset_in_token]
+        + r.previous_slot[c.prev_word]
+        + r.following_slot[c.next_word]
+    ))
 
 
 def _lexicon_entries(text: str) -> frozenset[str]:
@@ -301,22 +294,22 @@ def load_lexicon_file(path: str | Path) -> frozenset[str]:
     return _lexicon_entries(Path(path).read_text(encoding="utf-8"))
 
 
+def _shipped_lexicon(name: str) -> frozenset[str]:
+    data = resources.files("sentbound").joinpath("data")
+    return _lexicon_entries(data.joinpath(name).read_text("utf-8"))
+
+
 def default_lexicons() -> ResourceLexicons:
     """The lexicons shipped in the package's data directory."""
-    data = resources.files("sentbound").joinpath("data")
-    return ResourceLexicons(
-        honorifics=_lexicon_entries(data.joinpath("honorifics.txt").read_text("utf-8")),
-        corporate_designators=_lexicon_entries(
-            data.joinpath("designators.txt").read_text("utf-8")
-        ),
-    )
+    return load_lexicons()
 
 
 def load_lexicons(
     honorifics_path: Optional[str | Path] = None,
     designators_path: Optional[str | Path] = None,
 ) -> ResourceLexicons:
-    defaults = default_lexicons()
-    hon = load_lexicon_file(honorifics_path) if honorifics_path else defaults.honorifics
-    des = load_lexicon_file(designators_path) if designators_path else defaults.corporate_designators
+    """The lexicon files at the given paths; a shipped file stands in for a
+    path not given, and is read only then."""
+    hon = load_lexicon_file(honorifics_path) if honorifics_path else _shipped_lexicon("honorifics.txt")
+    des = load_lexicon_file(designators_path) if designators_path else _shipped_lexicon("designators.txt")
     return ResourceLexicons(honorifics=hon, corporate_designators=des)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import NO, YES
-from .features import FeatureError, PredicateRegistry, ResourceLexicons, Templates
+from .features import FeatureError, Memo, PredicateRegistry, ResourceLexicons, Templates
 
 OUTCOMES = (YES, NO)
 
@@ -72,18 +73,19 @@ class Model:
     converged: bool = False
     iterations: int = 0
     history: list[tuple[float, float]] = field(default_factory=list)
-    # Active-predicate tuple -> classify(model, tuple), filled by
+    # Memo of active-predicate tuple -> classify(model, tuple), filled by
     # pipeline.make_classifier; not part of the file or the fingerprint.
     # Valid as long as the weights are not edited after the first decision.
-    decisions: dict[tuple[int, ...], bool] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    decisions: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.log_alpha) != len(self.registry):
             raise ValueError(
                 f"{len(self.log_alpha)} weight pairs for {len(self.registry)} predicates"
             )
+        # A proxy, so the memo does not keep its model alive in a cycle.
+        model = weakref.proxy(self)
+        self.decisions = Memo(lambda active: classify(model, active))
 
     @property
     def fingerprint(self) -> str:

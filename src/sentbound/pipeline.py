@@ -3,11 +3,11 @@
 ``train_model`` picks the template set's resources once; from there the
 model's registry carries them to every ``encode`` call. Training events,
 ``evaluate`` and ``boundary_offsets`` (which ``segment_text`` calls before it
-joins sentences) all encode through the registry's per-slot caches, and
-``evaluate`` and ``boundary_offsets`` decide through ``make_classifier``,
-which keeps a memo of decisions per active-predicate tuple on the model. The
-caches live as long as the loaded model, so repeated calls with it reuse
-them; each is emptied when it reaches ``features.CACHE_ENTRIES`` entries.
+joins sentences) all encode through the registry's per-slot memos, and
+``evaluate`` and ``boundary_offsets`` decide through the model's decision
+memo, filled by ``make_classifier``. The memos live as long as the loaded
+model, so repeated calls with it reuse them; each is a ``features.Memo``,
+emptied when it reaches ``features.CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -68,18 +68,9 @@ def make_classifier(model: Model) -> Callable[[Candidate], bool]:
     """Candidate -> is-boundary decision function for a trained model.
 
     ``classify`` is deterministic, so each active-predicate tuple is scored
-    once and its decision kept in the model's memo."""
-    registry, decisions = model.registry, model.decisions
-    encode, classify = features.encode, maxent.classify
-
-    def classify_candidate(cand: Candidate) -> bool:
-        active = encode(cand, registry)
-        decision = decisions.get(active)
-        if decision is None:
-            decision = features.remember(decisions, active, classify(model, active))
-        return decision
-
-    return classify_candidate
+    once, on a miss of the model's decision memo."""
+    registry, decisions, encode = model.registry, model.decisions, features.encode
+    return lambda cand: decisions[encode(cand, registry)]
 
 
 @dataclass

@@ -347,6 +347,15 @@ def test_undecodable_utf16_input_exits_2(tmp_path, model_file, command, capsys):
     assert "BOM" in capsys.readouterr().err
 
 
+def training_argv(command, corpus_file, model):
+    if command == "train":
+        return ["train", "--corpus", str(corpus_file), "--model", str(model)]
+    return [
+        "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
+        "--sizes", "30",
+    ]
+
+
 @pytest.mark.parametrize("command", ["train", "learning-curve"])
 @pytest.mark.parametrize(
     "flag",
@@ -362,16 +371,22 @@ def test_undecodable_utf16_input_exits_2(tmp_path, model_file, command, capsys):
     ids="=".join,
 )
 def test_numeric_training_flags_are_checked(tmp_path, corpus_file, command, flag):
-    if command == "train":
-        argv = ["train", "--corpus", str(corpus_file), "--model", str(tmp_path / "m.txt")]
-    else:
-        argv = [
-            "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
-            "--sizes", "30",
-        ]
+    argv = training_argv(command, corpus_file, tmp_path / "m.txt")
     with pytest.raises(SystemExit) as exc:
         main([*argv, *flag])
     assert exc.value.code == 2
+    assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "learning-curve"])
+@pytest.mark.parametrize("templates", [[], ["--templates", "portable"]], ids=["default", "portable"])
+@pytest.mark.parametrize("flag", ["--honorifics", "--designators"])
+def test_lexicon_flags_need_best_templates(tmp_path, corpus_file, command, templates, flag, capsys):
+    argv = training_argv(command, corpus_file, tmp_path / "m.txt")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *templates, flag, str(tmp_path / "missing.txt")])
+    assert exc.value.code == 2
+    assert f"{flag} applies to --templates best only" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
 
 

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sentbound import features
 from sentbound.candidates import Candidate, scan, tokenize_with_positions
 from sentbound.features import (
     FOLLOWING,
     PREVIOUS,
     TEMPLATE_SETS,
     EmptyRegistryError,
+    Memo,
     _word_key,
     build_registry,
     default_lexicons,
@@ -16,6 +18,7 @@ from sentbound.features import (
     extract_portable,
     Templates,
     load_lexicon_file,
+    load_lexicons,
 )
 
 
@@ -199,13 +202,19 @@ def test_build_registry_equals_the_per_candidate_count(case):
     templates, candidates, cutoff = case
     keys, counts = reference_registry(candidates, templates, cutoff)
     labeled = LabeledCandidateSet(candidates=[(c, "no") for c in candidates])
-    if not keys:
-        with pytest.raises(EmptyRegistryError):
-            build_registry(labeled, templates, cutoff)
-        return
-    reg = build_registry(labeled, templates, cutoff)
-    assert reg.keys == keys
-    assert reg.counts == counts
+    # The default bound, and a bound of 2, so the build's slot memos get
+    # emptied in the middle of it.
+    for bound in (None, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            if bound is not None:
+                mp.setattr(features, "CACHE_ENTRIES", bound)
+            if not keys:
+                with pytest.raises(EmptyRegistryError):
+                    build_registry(labeled, templates, cutoff)
+                continue
+            reg = build_registry(labeled, templates, cutoff)
+            assert reg.keys == keys
+            assert reg.counts == counts
 
 
 def test_build_registry_portable_example1(example1_labeled):
@@ -246,6 +255,53 @@ def test_load_lexicon_file(tmp_path):
     p = tmp_path / "lex.txt"
     p.write_text("# comment\nDr.\nMs.  # trailing\n\nGen.\n")
     assert load_lexicon_file(p) == {"Dr.", "Ms.", "Gen."}
+
+
+def test_load_lexicons_reads_no_shipped_file_for_a_given_path(tmp_path, monkeypatch):
+    honorifics, designators = tmp_path / "hon.txt", tmp_path / "des.txt"
+    honorifics.write_text("Dr.\n")
+    designators.write_text("Corp.\n")
+    shipped = default_lexicons()
+
+    def boom():
+        raise AssertionError("read the shipped lexicons")
+
+    monkeypatch.setattr(features, "default_lexicons", boom)
+    both = load_lexicons(honorifics, designators)
+    assert (both.honorifics, both.corporate_designators) == ({"Dr."}, {"Corp."})
+    one = load_lexicons(designators_path=designators)
+    assert (one.honorifics, one.corporate_designators) == (shipped.honorifics, {"Corp."})
+
+
+def test_memo_computes_each_key_once():
+    calls = []
+    memo = Memo(lambda key: calls.append(key) or key * 2)
+    assert [memo[k] for k in (1, 2, 1, 2, 3)] == [2, 4, 2, 4, 6]
+    assert calls == [1, 2, 3]
+
+
+def test_full_memo_is_emptied_before_a_new_key_is_stored(monkeypatch):
+    monkeypatch.setattr(features, "CACHE_ENTRIES", 2)
+    memo = Memo(str)
+    memo[1], memo[2]
+    assert memo == {1: "1", 2: "2"}
+    assert memo[3] == "3"
+    assert memo == {3: "3"}
+
+
+def test_memo_stores_nothing_when_compute_raises():
+    calls = []
+
+    def compute(key):
+        calls.append(key)
+        raise ValueError(key)
+
+    memo = Memo(compute)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            memo["k"]
+    assert calls == ["k", "k"]
+    assert memo == {}
 
 
 def test_default_lexicons_seeded(lexicons):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -155,6 +157,22 @@ def test_portable_training_without_any_lexicons(monkeypatch):
     monkeypatch.setattr(features, "load_lexicons", boom)
     model, _ = train_model(make_corpus(50, seed=9), "portable", max_iters=50)
     assert segment_text(model, "Dr. Smith resigned. He left.").sentences
+
+
+def test_a_dropped_model_is_freed_without_the_collector():
+    # No reference cycle runs through the model's memos: with the collector
+    # off, the model and its registry go as soon as the last reference does.
+    gc.disable()
+    try:
+        model, labeled = train_model(make_corpus(40, seed=4), "portable", max_iters=20)
+        decide = make_classifier(model)
+        assert any(decide(c) for c, _label in labeled.candidates)
+        assert model.decisions and model.registry.token_slot
+        refs = weakref.ref(model), weakref.ref(model.registry)
+        del model, decide
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("template_set", ["portable", "best"])
