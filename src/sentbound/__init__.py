@@ -1,6 +1,6 @@
 """Trainable maximum-entropy sentence boundary detector."""
 
-from .candidates import Candidate, scan
+from .candidates import Candidate, Candidates, scan
 from .corpus import (
     AnnotatedCorpus,
     LabeledCandidateSet,
@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotatedCorpus",
     "Candidate",
+    "Candidates",
     "EvaluationReport",
     "LabeledCandidateSet",
     "Model",

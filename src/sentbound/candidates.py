@@ -1,15 +1,22 @@
 """Candidate extraction: one record per occurrence of '.', '?' or '!' in a text.
 
 ``scan`` is the one candidate enumeration, for labeling and segmentation
-alike. It finds the marks with one regular-expression pass over the text and
-places each in its token by bisecting the token start positions.
+alike. It returns the candidates of a whole text as ``Candidates``: parallel
+columns of tokens, offsets in token, previous and next words and text
+positions, which callers consume with ``map`` and ``zip``. It builds them
+without a Python loop over tokens or marks: ``str.split`` and ``" ".join``
+normalise the whitespace, one regular-expression pass finds the marks, and
+``str.count``/``str.rfind`` between consecutive marks place each in its
+token. A ``Candidate`` is one row of the columns, read as a named tuple.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import sub
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 BOUNDARY_MARKS = frozenset(".?!")
 
@@ -18,61 +25,90 @@ BOUNDARY_MARKS = frozenset(".?!")
 NO_WORD: Optional[str] = None
 
 _MARK_RE = re.compile(r"[.?!]")
+_start = re.Match.start
 
 
 class Candidate(NamedTuple):
     """One occurrence of a potential sentence-boundary mark inside a token.
 
-    prefix/suffix are the parts of the token before/after this occurrence;
     prev_word/next_word are the adjacent tokens (None at stream edges);
     stream_position is the global character offset of the mark.
     """
 
-    mark: str
     token: str
     offset_in_token: int
-    prefix: str
-    suffix: str
     prev_word: Optional[str]
     next_word: Optional[str]
     stream_position: int
+
+    @property
+    def mark(self) -> str:
+        return self.token[self.offset_in_token]
+
+    @property
+    def prefix(self) -> str:
+        """The part of the token before this occurrence."""
+        return self.token[: self.offset_in_token]
+
+    @property
+    def suffix(self) -> str:
+        """The part of the token after this occurrence."""
+        return self.token[self.offset_in_token + 1 :]
 
     @property
     def token_final(self) -> bool:
         return self.offset_in_token == len(self.token) - 1
 
 
-def scan(text: str, tokens: Sequence[str], positions: Sequence[int]) -> list[Candidate]:
-    """Emit one Candidate per occurrence of '.', '?' or '!' in ``text``, left
-    to right.
+@dataclass(slots=True)
+class Candidates:
+    """The candidates of a text as columns, one entry per mark in text order;
+    entry i of each column is field i of the i-th ``Candidate``."""
 
-    ``tokens`` and ``positions`` are the text's tokens and their character
-    offsets, as ``tokenize_with_positions(text)`` returns them. The context
-    window is exactly one token on each side, NO_WORD beyond the stream edges.
-    """
-    out = []
-    append = out.append
-    # What Candidate(...) does, without its Python-level __new__.
-    new = tuple.__new__
-    last = len(tokens) - 1
-    for m in _MARK_RE.finditer(text):
-        pos = m.start()
-        # A mark is never whitespace, so it lies inside the last token
-        # starting at or before it.
-        i = bisect_right(positions, pos) - 1
-        tok = tokens[i]
-        j = pos - positions[i]
-        append(new(Candidate, (
-            tok[j],
-            tok,
-            j,
-            tok[:j],
-            tok[j + 1 :],
-            tokens[i - 1] if i else NO_WORD,
-            tokens[i + 1] if i < last else NO_WORD,
-            pos,
-        )))
-    return out
+    tokens: list[str]
+    offsets: list[int]
+    prev_words: list[Optional[str]]
+    next_words: list[Optional[str]]
+    positions: list[int]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Candidate]) -> Candidates:
+        columns = list(zip(*rows)) or [()] * len(Candidate._fields)
+        return cls(*map(list, columns))
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return map(
+            Candidate, self.tokens, self.offsets, self.prev_words, self.next_words, self.positions
+        )
+
+
+def scan(text: str) -> Candidates:
+    """The candidates of every occurrence of '.', '?' or '!' in ``text``, left
+    to right. The context window is exactly one token on each side, NO_WORD
+    beyond the stream edges; tokens are what ``str.split`` gives."""
+    tokens = text.split()
+    # The tokens with one space between them: a mark's token index is the
+    # number of spaces before it, and its token starts after the last one.
+    norm = " ".join(tokens)
+    at = list(map(_start, _MARK_RE.finditer(norm)))
+    index = list(accumulate(map(norm.count, repeat(" "), chain((0,), at), at)))
+    # The last space between the previous mark and this one, or else the
+    # previous mark's: a running max, so no search runs back past a mark.
+    space = accumulate(map(norm.rfind, repeat(" "), chain((0,), at), at), max)
+    padded = [NO_WORD, *tokens, NO_WORD]
+    return Candidates(
+        tokens=list(map(tokens.__getitem__, index)),
+        offsets=list(map(sub, at, map((1).__add__, space))),
+        prev_words=list(map(padded.__getitem__, index)),
+        next_words=list(map(padded.__getitem__, map((2).__add__, index))),
+        # Marks are never whitespace, so ``text`` holds the same marks in the
+        # same order; at equal lengths every gap is one character, and the
+        # positions agree.
+        positions=at if len(norm) == len(text) else list(map(_start, _MARK_RE.finditer(text))),
+    )
 
 
 def tokenize_with_positions(text: str) -> tuple[list[str], list[int]]:
@@ -81,7 +117,10 @@ def tokenize_with_positions(text: str) -> tuple[list[str], list[int]]:
     ``str.split`` and the regular expression ``\\S+`` agree on what is
     whitespace. Only whitespace lies between one token's end and the next
     token's start, so the next token's first occurrence from there is where
-    it starts."""
+    it starts.
+
+    ``scan`` does not call it. perfbench's tracer patches the name
+    ``pipeline.tokenize_with_positions``, so the function stays."""
     tokens = text.split()
     positions = []
     append = positions.append

@@ -68,6 +68,13 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
+def _file_path(text: str) -> str:
+    """argparse type: a non-empty path (an empty one would name no file)."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def _write_atomic(path: str, write: Callable[[Path], None]) -> None:
     """Let ``write`` fill a sibling .tmp file, then move it onto ``path``."""
     tmp = Path(path).with_suffix(Path(path).suffix + ".tmp")
@@ -203,8 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cutoff", type=_at_least(int, 1), default=1)
         p.add_argument("--max-iters", type=_at_least(int, 0), default=maxent.DEFAULT_MAX_ITERS)
         p.add_argument("--tolerance", type=_at_least(float, 0), default=maxent.DEFAULT_TOLERANCE)
-        p.add_argument("--honorifics", default=None, help="honorific lexicon file (best)")
-        p.add_argument("--designators", default=None, help="corporate designator lexicon file (best)")
+        p.add_argument("--honorifics", type=_file_path, default=None,
+                       help="honorific lexicon file (best)")
+        p.add_argument("--designators", type=_file_path, default=None,
+                       help="corporate designator lexicon file (best)")
 
     def template_check(p):
         p.add_argument(

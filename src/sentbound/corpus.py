@@ -1,16 +1,19 @@
 """Corpus IO, candidate labeling and abbreviation induction.
 
 Training format: one sentence per line, tokens whitespace-separated. The line
-break is the boundary annotation.
+break is the boundary annotation. A labeled candidate set is the ``scan``
+columns of the joined corpus plus a column of labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, count
+from operator import add
 from pathlib import Path
 from typing import Iterable
 
-from .candidates import BOUNDARY_MARKS, Candidate, scan, tokenize_with_positions
+from .candidates import BOUNDARY_MARKS, Candidate, Candidates, scan
 
 YES = "yes"
 NO = "no"
@@ -34,21 +37,28 @@ class AnnotatedCorpus:
 
 @dataclass
 class LabeledCandidateSet:
-    """Candidates from an annotated corpus, labeled yes iff the mark ends a sentence."""
+    """Candidates from an annotated corpus, labeled yes iff the mark ends a
+    sentence: ``labels[i]`` is the label of the i-th candidate of ``columns``."""
 
-    candidates: list[tuple[Candidate, str]]
+    columns: Candidates
+    labels: list[str]
     warnings: list[str] = field(default_factory=list)
 
     @property
+    def candidates(self) -> list[tuple[Candidate, str]]:
+        """(candidate, label) rows."""
+        return list(zip(self.columns, self.labels))
+
+    @property
     def n_yes(self) -> int:
-        return sum(1 for _, lab in self.candidates if lab == YES)
+        return self.labels.count(YES)
 
     @property
     def n_no(self) -> int:
-        return sum(1 for _, lab in self.candidates if lab == NO)
+        return self.labels.count(NO)
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.labels)
 
 
 def load_annotated(path: str | Path, encoding: str = "utf-8") -> AnnotatedCorpus:
@@ -86,33 +96,29 @@ def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
     sentence. Sentences that end in anything else get no yes label and are
     recorded as warnings, not errors.
     """
-    if not corpus.sentences:
+    sentences = corpus.sentences
+    if not sentences:
         raise EmptyCorpusError("corpus has no sentences")
-    text = " ".join(corpus.sentences)
-    ends: set[int] = set()
-    warnings: list[str] = []
-    end = -1
-    for s_i, sent in enumerate(corpus.sentences):
-        end += len(sent)  # the sentence's last character in ``text``
-        if sent[-1] in BOUNDARY_MARKS:
-            ends.add(end)
-        else:
-            warnings.append(
-                f"sentence {s_i + 1} ends in token {sent.split()[-1]!r}, whose last "
-                "character is not a boundary mark, so it gets no boundary label"
-            )
-        end += 1  # the joining space
-    labeled = [
-        (cand, YES if cand.stream_position in ends else NO)
-        for cand in scan(text, *tokenize_with_positions(text))
+    cands = scan(" ".join(sentences))
+    # Sentence k's last character in the joined text: its length and those
+    # before it, plus the k joining spaces, minus one.
+    ends = set(map(add, accumulate(map(len, sentences)), count(-1)))
+    # A bool indexes the pair: False -> NO, True -> YES.
+    labels = list(map((NO, YES).__getitem__, map(ends.__contains__, cands.positions)))
+    warnings = [
+        f"sentence {s_i} ends in token {sent.split()[-1]!r}, whose last "
+        "character is not a boundary mark, so it gets no boundary label"
+        for s_i, sent in enumerate(sentences, 1)
+        if sent[-1] not in BOUNDARY_MARKS
     ]
-    return LabeledCandidateSet(candidates=labeled, warnings=warnings)
+    return LabeledCandidateSet(cands, labels, warnings)
 
 
 def induce_abbreviations(labeled: LabeledCandidateSet) -> frozenset[str]:
     """Training tokens containing at least one '.' occurrence labeled no."""
+    c = labeled.columns
     return frozenset(
-        cand.token
-        for cand, label in labeled.candidates
-        if cand.mark == "." and label == NO
+        token
+        for token, offset, label in zip(c.tokens, c.offsets, labeled.labels)
+        if label == NO and token[offset] == "."
     )

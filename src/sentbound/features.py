@@ -12,18 +12,24 @@ two word slots read the previous and the following word. ``extract_best`` and
 ``extract_portable`` are the union of the three. ``build_registry`` calls the
 slot functions once per distinct slot value of its candidates. The registry
 keeps one ``Memo`` per slot, from the slot's value to its registered predicate
-indices, so ``encode`` is three lookups and a sort. Every memo of the package
+indices. ``active_predicates`` encodes the ``scan`` columns of many
+candidates at once: three memo lookups, a concatenation and a sort per
+candidate, all through ``map``, so Python runs only on a memo miss;
+``encode`` is the same formula for one candidate. Every memo of the package
 is a ``Memo``, emptied when it holds ``CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
+from operator import add
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .candidates import Candidate
+from .candidates import Candidate, Candidates
 from .corpus import LabeledCandidateSet
 
 TEMPLATE_SETS = ("best", "portable")
@@ -218,6 +224,21 @@ def slot_memos(templates: Templates, convert: Callable) -> tuple[Memo, Memo, Mem
     )
 
 
+def _sorted_slot_union(
+    token_slot: Memo, previous_slot: Memo, following_slot: Memo, c: Candidates
+) -> Iterator[list]:
+    """Each candidate's three slot values, read from the slot memos and sorted.
+
+    The slots' keys (and so their indices) never overlap, so the
+    concatenation is the union."""
+    return map(sorted, map(
+        add,
+        map(add, map(token_slot.__getitem__, zip(c.tokens, c.offsets)),
+            map(previous_slot.__getitem__, c.prev_words)),
+        map(following_slot.__getitem__, c.next_words),
+    ))
+
+
 @dataclass
 class PredicateRegistry:
     """Dense-indexed predicate set with training-time occurrence counts, the
@@ -252,36 +273,31 @@ def build_registry(
     below the cutoff, and assign dense indices in first-occurrence order.
 
     Each slot's keys are read from a slot memo made for the call."""
-    if not labeled.candidates:
+    if not labeled.labels:
         raise FeatureError("no training candidates")
-    token_keys, previous_keys, following_keys = slot_memos(templates, tuple)
-    # Insertion order is first-occurrence order.
-    counts: dict[str, int] = {}
-    for cand, _label in labeled.candidates:
-        # The slots' keys never overlap, so the concatenation is the union.
-        for key in sorted(
-            token_keys[cand.token, cand.offset_in_token]
-            + previous_keys[cand.prev_word]
-            + following_keys[cand.next_word]
-        ):
-            counts[key] = counts.get(key, 0) + 1
+    # Counter keeps first-occurrence order.
+    counts = Counter(chain.from_iterable(
+        _sorted_slot_union(*slot_memos(templates, tuple), labeled.columns)
+    ))
     keys = [k for k, n in counts.items() if n >= cutoff]
     if not keys:
         raise EmptyRegistryError(f"no predicate reached the cutoff of {cutoff}")
     return PredicateRegistry(templates, keys, [counts[k] for k in keys], cutoff)
 
 
-def encode(c: Candidate, registry: PredicateRegistry) -> tuple[int, ...]:
-    """Sorted indices of registered predicates active on the candidate: the
-    union of its three slots' indices, each read from the registry's memo
-    for that slot. Predicates unseen at training time are silently dropped."""
+def active_predicates(registry: PredicateRegistry, c: Candidates) -> Iterator[tuple[int, ...]]:
+    """For each candidate, the sorted indices of the registered predicates
+    active on it: the union of its three slots' indices, each read from the
+    registry's memo for that slot. Predicates unseen at training time are
+    silently dropped."""
     r = registry
-    # The slots' indices never overlap, so the union is the concatenation.
-    return tuple(sorted(
-        r.token_slot[c.token, c.offset_in_token]
-        + r.previous_slot[c.prev_word]
-        + r.following_slot[c.next_word]
-    ))
+    return map(tuple, _sorted_slot_union(r.token_slot, r.previous_slot, r.following_slot, c))
+
+
+def encode(c: Candidate, registry: PredicateRegistry) -> tuple[int, ...]:
+    """``active_predicates`` of one candidate."""
+    (active,) = active_predicates(registry, Candidates.from_rows([c]))
+    return active
 
 
 def _lexicon_entries(text: str) -> frozenset[str]:
@@ -310,6 +326,8 @@ def load_lexicons(
 ) -> ResourceLexicons:
     """The lexicon files at the given paths; a shipped file stands in for a
     path not given, and is read only then."""
-    hon = load_lexicon_file(honorifics_path) if honorifics_path else _shipped_lexicon("honorifics.txt")
-    des = load_lexicon_file(designators_path) if designators_path else _shipped_lexicon("designators.txt")
+    hon = (_shipped_lexicon("honorifics.txt") if honorifics_path is None
+           else load_lexicon_file(honorifics_path))
+    des = (_shipped_lexicon("designators.txt") if designators_path is None
+           else load_lexicon_file(designators_path))
     return ResourceLexicons(honorifics=hon, corporate_designators=des)

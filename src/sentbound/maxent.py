@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -74,7 +75,8 @@ class Model:
     iterations: int = 0
     history: list[tuple[float, float]] = field(default_factory=list)
     # Memo of active-predicate tuple -> classify(model, tuple), filled by
-    # pipeline.make_classifier; not part of the file or the fingerprint.
+    # pipeline.decide and pipeline.make_classifier; not part of the file or
+    # the fingerprint.
     # Valid as long as the weights are not edited after the first decision.
     decisions: Memo = field(init=False, repr=False, compare=False)
 
@@ -96,9 +98,7 @@ class Model:
 
 def merge_events(raw: Iterable[tuple[tuple[int, ...], str]]) -> list[TrainingEvent]:
     """Merge identical (context, outcome) events into multiplicities."""
-    counts: dict[tuple[tuple[int, ...], str], int] = {}
-    for active, outcome in raw:
-        counts[(active, outcome)] = counts.get((active, outcome), 0) + 1
+    counts = Counter(raw)
     return [
         TrainingEvent(active, outcome, mult)
         for (active, outcome), mult in sorted(counts.items())

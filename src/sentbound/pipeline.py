@@ -1,23 +1,28 @@
 """End-to-end glue: corpus -> trained model, and model -> segmented text.
 
 ``train_model`` picks the template set's resources once; from there the
-model's registry carries them to every ``encode`` call. Training events,
-``evaluate`` and ``boundary_offsets`` (which ``segment_text`` calls before it
-joins sentences) all encode through the registry's per-slot memos, and
-``evaluate`` and ``boundary_offsets`` decide through the model's decision
-memo, filled by ``make_classifier``. The memos live as long as the loaded
-model, so repeated calls with it reuse them; each is a ``features.Memo``,
-emptied when it reaches ``features.CACHE_ENTRIES`` entries.
+model's registry carries them to every encoding. Training events, ``evaluate``
+and ``boundary_offsets`` (which ``segment_text`` calls before it joins
+sentences) take the ``scan`` columns of a whole text and encode them with
+``features.active_predicates``, through the registry's per-slot memos;
+``decide`` then reads each decision from the model's decision memo, all in
+one chain of ``map`` calls. ``make_classifier`` decides one candidate by the
+same memos. The memos live as long as the loaded model, so repeated calls
+with it reuse them; each is a ``features.Memo``, emptied when it reaches
+``features.CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
 
 import codecs
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Optional
 
 from . import features, maxent
-from .candidates import Candidate, scan, tokenize_with_positions
+# perfbench's tracer patches ``pipeline.tokenize_with_positions``; nothing
+# here calls it.
+from .candidates import Candidate, Candidates, scan, tokenize_with_positions  # noqa: F401
 from .corpus import (
     AnnotatedCorpus,
     LabeledCandidateSet,
@@ -32,11 +37,8 @@ def events_from_labeled(
     labeled: LabeledCandidateSet,
     registry: features.PredicateRegistry,
 ) -> list[maxent.TrainingEvent]:
-    raw = [
-        (features.encode(cand, registry), label)
-        for cand, label in labeled.candidates
-    ]
-    return maxent.merge_events(raw)
+    actives = features.active_predicates(registry, labeled.columns)
+    return maxent.merge_events(list(zip(actives, labeled.labels)))
 
 
 def train_model(
@@ -64,13 +66,17 @@ def train_model(
     return model, labeled
 
 
-def make_classifier(model: Model) -> Callable[[Candidate], bool]:
-    """Candidate -> is-boundary decision function for a trained model.
+def decide(model: Model, c: Candidates) -> list[bool]:
+    """The model's decision on each candidate, read from its decision memo;
+    ``classify`` scores an active-predicate tuple on a miss only."""
+    return list(map(model.decisions.__getitem__, features.active_predicates(model.registry, c)))
 
-    ``classify`` is deterministic, so each active-predicate tuple is scored
-    once, on a miss of the model's decision memo."""
-    registry, decisions, encode = model.registry, model.decisions, features.encode
-    return lambda cand: decisions[encode(cand, registry)]
+
+def make_classifier(model: Model) -> Callable[[Candidate], bool]:
+    """Candidate -> is-boundary decision function for a trained model: what
+    ``decide`` gives for the candidate. The function keeps the model alive;
+    the decision memo refers to it only weakly."""
+    return lambda cand: model.decisions[features.encode(cand, model.registry)]
 
 
 @dataclass
@@ -82,12 +88,8 @@ class Segmentation:
 def boundary_offsets(model: Model, text: str) -> list[int]:
     """Character offsets of the marks in raw text that the model calls
     boundaries, in text order."""
-    classify_candidate = make_classifier(model)
-    return [
-        c.stream_position
-        for c in scan(text, *tokenize_with_positions(text))
-        if classify_candidate(c)
-    ]
+    cands = scan(text)
+    return list(compress(cands.positions, decide(model, cands)))
 
 
 def segment_text(model: Model, text: str) -> Segmentation:

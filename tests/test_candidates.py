@@ -1,14 +1,21 @@
 import re
 import string
 
-from hypothesis import given
+import scan_reference
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentbound.candidates import NO_WORD, Candidate, scan, tokenize_with_positions
 
 
 def scan_text(text):
-    return scan(text, *tokenize_with_positions(text))
+    return list(scan(text))
+
+
+def row(c):
+    """A candidate's fields as the reference scan's rows hold them."""
+    return (c.mark, c.token, c.offset_in_token, c.prefix, c.suffix,
+            c.prev_word, c.next_word, c.stream_position)
 
 
 tokens_strategy = st.lists(
@@ -116,4 +123,33 @@ def reference_scan(text):
 def test_scan_matches_a_per_token_enumeration(text):
     cands = scan_text(text)
     assert all(type(c) is Candidate for c in cands)
-    assert [tuple(c) for c in cands] == reference_scan(text)
+    assert [row(c) for c in cands] == reference_scan(text)
+
+
+WHITESPACE = [" ", "\t", "\n", "\r", "\x85", "\u3000", "\u2028"]
+ORACLE_TOKEN = st.text(alphabet=string.ascii_letters[:6] + ".?!\"')]", min_size=1, max_size=6)
+ORACLE_GAP = st.text(alphabet=WHITESPACE, min_size=1, max_size=3)
+
+
+@st.composite
+def oracle_texts(draw):
+    """Tokens between whitespace gaps of one to three characters, with
+    optional leading and trailing whitespace, or free text."""
+    tokens = draw(st.lists(ORACLE_TOKEN, max_size=10))
+    gaps = [draw(ORACLE_GAP) for _ in tokens[1:]]
+    edges = [draw(st.just("") | ORACLE_GAP) for _ in "ab"]
+    joined = "".join(tok + gap for tok, gap in zip(tokens, gaps + [""]))
+    free = st.text(alphabet=string.ascii_letters[:6] + ".?!\"')]" + "".join(WHITESPACE), max_size=40)
+    return draw(st.just(edges[0] + joined + edges[1]) | free)
+
+
+@given(oracle_texts())
+# One-character gaps, so the normalised text is as long as the text ...
+@example("Dr. Smith\tleft.\u3000He\x85said \"stop.\"")
+# ... and not: multi-character gaps, edge whitespace, mark-only tokens.
+@example("  ... a.\r\n\n! (b.) ?\u2028\u2028")
+@example("\x85")
+@example("!")
+def test_scan_rows_equal_the_reference_scan(text):
+    want = scan_reference.scan(text, *scan_reference.tokenize_with_positions(text))
+    assert [row(c) for c in scan(text)] == [tuple(c) for c in want]

@@ -390,6 +390,17 @@ def test_lexicon_flags_need_best_templates(tmp_path, corpus_file, command, templ
     assert not (tmp_path / "m.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "learning-curve"])
+@pytest.mark.parametrize("flag", ["--honorifics", "--designators"])
+def test_empty_lexicon_path_is_refused(tmp_path, corpus_file, command, flag, capsys):
+    argv = training_argv(command, corpus_file, tmp_path / "m.txt")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--templates", "best", flag, ""])
+    assert exc.value.code == 2
+    assert f"{flag}: expected a file path" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
 @pytest.mark.parametrize("sizes", [",", "", "2,2", "30,120,30"])
 def test_learning_curve_sizes_empty_or_repeated(corpus_file, sizes, capsys):
     with pytest.raises(SystemExit) as exc:

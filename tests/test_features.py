@@ -3,7 +3,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sentbound import features
-from sentbound.candidates import Candidate, scan, tokenize_with_positions
+from sentbound.candidates import Candidate, Candidates, scan
 from sentbound.features import (
     FOLLOWING,
     PREVIOUS,
@@ -24,11 +24,8 @@ from sentbound.features import (
 
 def make_candidate(token, offset, prev=None, nxt=None):
     return Candidate(
-        mark=token[offset],
         token=token,
         offset_in_token=offset,
-        prefix=token[:offset],
-        suffix=token[offset + 1 :],
         prev_word=prev,
         next_word=nxt,
         stream_position=0,
@@ -123,7 +120,7 @@ def test_escaped_null_and_backslash_tokens_get_different_predicates(template_set
     templates = Templates(template_set, lexicons=lexicons if template_set == "best" else None)
 
     def predicates(text):
-        return [templates.extract(c) for c in scan(text, *tokenize_with_positions(text))]
+        return [templates.extract(c) for c in scan(text)]
 
     assert predicates(text) != predicates(text.replace("NULL", "\\NULL"))
 
@@ -201,7 +198,7 @@ def test_build_registry_equals_the_per_candidate_count(case):
 
     templates, candidates, cutoff = case
     keys, counts = reference_registry(candidates, templates, cutoff)
-    labeled = LabeledCandidateSet(candidates=[(c, "no") for c in candidates])
+    labeled = LabeledCandidateSet(Candidates.from_rows(candidates), ["no"] * len(candidates))
     # The default bound, and a bound of 2, so the build's slot memos get
     # emptied in the middle of it.
     for bound in (None, 2):
@@ -232,7 +229,9 @@ def test_build_registry_cutoff_too_high(example1_labeled):
 def test_registry_counts_scale_linearly(example1_labeled):
     from sentbound.corpus import LabeledCandidateSet
 
-    doubled = LabeledCandidateSet(candidates=example1_labeled.candidates * 2)
+    doubled = LabeledCandidateSet(
+        Candidates.from_rows(list(example1_labeled.columns) * 2), example1_labeled.labels * 2
+    )
     templates = Templates("portable")
     reg1 = build_registry(example1_labeled, templates)
     reg2 = build_registry(doubled, templates)
@@ -271,6 +270,9 @@ def test_load_lexicons_reads_no_shipped_file_for_a_given_path(tmp_path, monkeypa
     assert (both.honorifics, both.corporate_designators) == ({"Dr."}, {"Corp."})
     one = load_lexicons(designators_path=designators)
     assert (one.honorifics, one.corporate_designators) == (shipped.honorifics, {"Corp."})
+    # An empty path is a path given: reading it fails, no shipped file stands in.
+    with pytest.raises(OSError):
+        load_lexicons(honorifics_path="")
 
 
 def test_memo_computes_each_key_once():

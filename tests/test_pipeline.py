@@ -7,13 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentbound import features
-from sentbound.candidates import scan, tokenize_with_positions
+from sentbound.candidates import scan
 from sentbound.corpus import YES, label_candidates
 from sentbound.evaluation import evaluate
 from sentbound.features import TEMPLATE_SETS, FeatureError, default_lexicons, encode
-from sentbound.maxent import check_constraints, classify, conditional_yes
+from sentbound.maxent import (
+    check_constraints,
+    classify,
+    conditional_yes,
+    load_model,
+    save_model,
+)
 from sentbound.pipeline import (
     byte_offsets,
+    decide,
     events_from_labeled,
     make_classifier,
     segment_text,
@@ -137,12 +144,7 @@ def test_best_and_portable_models_learn_training_data(portable_model, best_model
 def test_classifier_consistent_with_segmentation(portable_model):
     text = "Gen. Miller said profits rose 4.75 percent. Analysts agreed."
     classify_candidate = make_classifier(portable_model)
-    tokens, positions = tokenize_with_positions(text)
-    decisions = [
-        c.stream_position
-        for c in scan(text, tokens, positions=positions)
-        if classify_candidate(c)
-    ]
+    decisions = [c.stream_position for c in scan(text) if classify_candidate(c)]
     assert decisions == segment_text(portable_model, text).boundary_offsets
 
 
@@ -239,7 +241,7 @@ def test_cached_decisions_equal_uncached_ones(cache_models, template_set, bound,
             mp.setattr(features, "CACHE_ENTRIES", bound)
             for cache in caches(model):
                 cache.clear()
-        cands = scan(text, *tokenize_with_positions(text))
+        cands = scan(text)
         decide = make_classifier(model)
         want = [classify(model, uncached_encoding(model, c)) for c in cands]
         assert [encode(c, model.registry) for c in cands] == [uncached_encoding(model, c) for c in cands]
@@ -248,3 +250,21 @@ def test_cached_decisions_equal_uncached_ones(cache_models, template_set, bound,
         assert segment_text(model, text).boundary_offsets == offsets
         if bound is not None:
             assert all(len(cache) <= bound for cache in caches(model))
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+def test_batch_decisions_equal_the_classifier_row_by_row(
+    cache_models, template_set, tmp_path, monkeypatch
+):
+    path = tmp_path / "model.txt"
+    save_model(cache_models[template_set], path)
+    text = MANY_KEYS + " " + " ".join(make_corpus(60, seed=8).sentences)
+    cands = scan(text)
+    # A bound far below the distinct slot values and contexts, so every memo
+    # is emptied again and again in the middle of decide's map chain.
+    monkeypatch.setattr(features, "CACHE_ENTRIES", 3)
+    assert len(set(cands.next_words)) > 10 * features.CACHE_ENTRIES
+    batch = decide(load_model(path), cands)
+    classify_candidate = make_classifier(load_model(path))
+    assert batch == [classify_candidate(c) for c in cands]
+    assert len(batch) == len(cands) and any(batch) and not all(batch)
