@@ -2,14 +2,14 @@
 
 Two template sets exist: "best" consults hand-maintained honorific and
 corporate-designator lexicons plus character-class tests; "portable" uses only
-token identities and the abbreviation list induced from training data. A
-``Templates`` value is one template set with its resources; the registry
-carries it, so ``encode(candidate, registry)`` needs nothing else.
-
-Each template set is three slot functions: the token slot reads the token and
-the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), the
-two word slots read the previous and the following word. ``extract_best`` and
-``extract_portable`` are the union of the three. ``build_registry`` calls the
+token identities and the abbreviation list induced from training data. Each is
+one row of ``TEMPLATE_TABLE``: a token-slot function that reads the token and
+the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), a
+word-slot function for the previous and the following word, and the resource
+both read. A ``Templates`` value is one set with the resources a model file
+stores, and it owns them: it refuses lexicons to a set that reads none. The
+registry carries it, so ``encode(candidate, registry)`` needs nothing else.
+``Templates.extract`` is the union of the slots. ``build_registry`` calls the
 slot functions once per distinct slot value of its candidates. The registry
 keeps one ``Memo`` per slot, from the slot's value to its registered predicate
 indices. ``active_predicates`` encodes the ``scan`` columns of many
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from itertools import chain
 from operator import add
@@ -31,9 +32,6 @@ from typing import Callable, Iterator, Optional
 
 from .candidates import Candidate, Candidates
 from .corpus import LabeledCandidateSet
-
-TEMPLATE_SETS = ("best", "portable")
-
 
 class FeatureError(Exception):
     pass
@@ -45,8 +43,8 @@ class EmptyRegistryError(FeatureError):
 
 @dataclass(frozen=True)
 class ResourceLexicons:
-    honorifics: frozenset[str]
-    corporate_designators: frozenset[str]
+    honorifics: frozenset[str] = frozenset()
+    corporate_designators: frozenset[str] = frozenset()
 
 
 def _word_key(word: Optional[str]) -> str:
@@ -68,7 +66,7 @@ PREVIOUS = "PreviousWord"
 FOLLOWING = "FollowingWord"
 
 
-def _best_token_keys(token: str, offset: int, lex: ResourceLexicons) -> set[str]:
+def _best_token_keys(lex: ResourceLexicons, token: str, offset: int) -> set[str]:
     prefix, suffix = token[:offset], token[offset + 1 :]
     preds = {
         f"Prefix={_word_key(prefix)}",
@@ -100,7 +98,7 @@ def _char_class_preds(side: str, affix: str) -> set[str]:
     return preds
 
 
-def _best_word_keys(side: str, word: Optional[str], lex: ResourceLexicons) -> set[str]:
+def _best_word_keys(lex: ResourceLexicons, side: str, word: Optional[str]) -> set[str]:
     if word is None:
         return {f"{side}=NULL"}
     preds = set()
@@ -117,15 +115,7 @@ def _best_word_keys(side: str, word: Optional[str], lex: ResourceLexicons) -> se
     return preds
 
 
-def extract_best(c: Candidate, lex: ResourceLexicons) -> set[str]:
-    """Predicates for the high-performance template set."""
-    preds = _best_token_keys(c.token, c.offset_in_token, lex)
-    preds |= _best_word_keys(PREVIOUS, c.prev_word, lex)
-    preds |= _best_word_keys(FOLLOWING, c.next_word, lex)
-    return preds
-
-
-def _portable_token_keys(token: str, offset: int, abbrevs: frozenset[str]) -> set[str]:
+def _portable_token_keys(abbrevs: frozenset[str], token: str, offset: int) -> set[str]:
     prefix, suffix = token[:offset], token[offset + 1 :]
     preds = {
         f"Prefix={_word_key(prefix)}",
@@ -139,54 +129,73 @@ def _portable_token_keys(token: str, offset: int, abbrevs: frozenset[str]) -> se
     return preds
 
 
-def _portable_word_keys(side: str, word: Optional[str], abbrevs: frozenset[str]) -> set[str]:
+def _portable_word_keys(abbrevs: frozenset[str], side: str, word: Optional[str]) -> set[str]:
     preds = {f"{side}={_word_key(word)}"}
     if word is not None and word in abbrevs:
         preds.add(f"{side}Feature=InducedAbbreviation")
     return preds
 
 
-def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
-    """Predicates for the portable template set: identities plus membership in
-    the induced abbreviation list. No external lexicons."""
-    preds = _portable_token_keys(c.token, c.offset_in_token, abbrevs)
-    preds |= _portable_word_keys(PREVIOUS, c.prev_word, abbrevs)
-    preds |= _portable_word_keys(FOLLOWING, c.next_word, abbrevs)
-    return preds
+# The template sets: name -> (token-slot function, word-slot function, the
+# ``Templates`` field both read, which they take first).
+TEMPLATE_TABLE = {
+    "best": (_best_token_keys, _best_word_keys, "lexicons"),
+    "portable": (_portable_token_keys, _portable_word_keys, "abbreviations"),
+}
+TEMPLATE_SETS = tuple(TEMPLATE_TABLE)
 
 
 @dataclass(frozen=True)
 class Templates:
-    """A template set and its resources: best reads the lexicons, portable
-    the induced abbreviation list."""
+    """A template set and the resources a model file stores for it. A set
+    whose slots read no lexicons holds empty ones, and is refused others."""
 
     name: str
     abbreviations: frozenset[str] = frozenset()
     lexicons: Optional[ResourceLexicons] = None
+    # The set's slot functions, bound to its resource: ``token_keys(token, offset)``,
+    # and ``word_keys(side, word)`` with ``side`` PREVIOUS or FOLLOWING.
+    token_keys: Callable[..., set[str]] = field(init=False, repr=False, compare=False)
+    word_keys: Callable[..., set[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in TEMPLATE_SETS:
+        if self.name not in TEMPLATE_TABLE:
             raise FeatureError(f"unknown template set {self.name!r}")
-        if self.name == "best" and self.lexicons is None:
-            raise FeatureError("best template set requires resource lexicons")
+        token_keys, word_keys, resource = TEMPLATE_TABLE[self.name]
+        if resource == "lexicons" and self.lexicons is None:
+            raise FeatureError(f"{self.name} template set requires resource lexicons")
+        if resource != "lexicons" and self.lexicons not in (None, ResourceLexicons()):
+            raise FeatureError(f"{self.name} template set reads no lexicons")
+        object.__setattr__(self, "lexicons", self.lexicons or ResourceLexicons())
+        object.__setattr__(self, "token_keys", partial(token_keys, getattr(self, resource)))
+        object.__setattr__(self, "word_keys", partial(word_keys, getattr(self, resource)))
 
-    def token_keys(self, token: str, offset: int) -> set[str]:
-        """Predicates of the token slot: the mark at ``offset`` in ``token``."""
-        if self.name == "best":
-            return _best_token_keys(token, offset, self.lexicons)
-        return _portable_token_keys(token, offset, self.abbreviations)
+    @classmethod
+    def from_resources(cls, name: str, abbreviations, honorifics, designators) -> Templates:
+        """The template set ``name`` holding the given resources."""
+        return cls(name, abbreviations, ResourceLexicons(honorifics, designators))
 
-    def word_keys(self, side: str, word: Optional[str]) -> set[str]:
-        """Predicates of a word slot; ``side`` is PREVIOUS or FOLLOWING."""
-        if self.name == "best":
-            return _best_word_keys(side, word, self.lexicons)
-        return _portable_word_keys(side, word, self.abbreviations)
+    @property
+    def resources(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+        """The abbreviations, honorifics and designators, as ``from_resources`` takes them."""
+        return self.abbreviations, self.lexicons.honorifics, self.lexicons.corporate_designators
 
     def extract(self, c: Candidate) -> set[str]:
         """All predicates of a candidate: the union of its three slots'."""
-        if self.name == "best":
-            return extract_best(c, self.lexicons)
-        return extract_portable(c, self.abbreviations)
+        return (self.token_keys(c.token, c.offset_in_token)
+                | self.word_keys(PREVIOUS, c.prev_word)
+                | self.word_keys(FOLLOWING, c.next_word))
+
+
+def extract_best(c: Candidate, lex: ResourceLexicons) -> set[str]:
+    """Predicates for the high-performance template set."""
+    return Templates("best", lexicons=lex).extract(c)
+
+
+def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
+    """Predicates for the portable template set: identities plus membership in
+    the induced abbreviation list. No external lexicons."""
+    return Templates("portable", abbrevs).extract(c)
 
 
 # Entries a memo may hold before it is emptied: each slot memo, and the

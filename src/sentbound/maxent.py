@@ -8,8 +8,8 @@ context, so the joint model's normaliser cancels and is not stored. A
 per-outcome correction (slack) feature absorbs C minus the active-feature
 count, as GIS's constant-sum condition requires. GIS sums sparse context
 entries with ``np.bincount``, not BLAS, so training is machine-independent.
-The model's registry carries the template set and its resources, so a model
-file holds everything that turns a candidate into a decision.
+A model file holds everything that turns a candidate into a decision: the
+registry's ``features.Templates`` value owns the resource sections it stores.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .corpus import NO, YES
-from .features import FeatureError, Memo, PredicateRegistry, ResourceLexicons, Templates
+from .features import FeatureError, Memo, PredicateRegistry, Templates
 
 OUTCOMES = (YES, NO)
 
@@ -40,7 +40,8 @@ VIOLATION_FLOOR = 1.0
 
 MODEL_FORMAT_VERSION = 2
 _HEADER = f"sentbound-model v{MODEL_FORMAT_VERSION}"
-_NO_LEXICONS = ResourceLexicons(frozenset(), frozenset())
+# The sections of Templates.resources, in its order.
+_RESOURCE_SECTIONS = ("[abbreviations]", "[honorifics]", "[designators]")
 
 Weight = Optional[float]
 
@@ -388,7 +389,6 @@ def _weight_text(w: Weight) -> str:
 def _body(model: Model) -> list[str]:
     registry = model.registry
     templates = registry.templates
-    lexicons = templates.lexicons or _NO_LEXICONS
     lines = [
         f"template_set {templates.name}",
         f"C {model.C}",
@@ -399,11 +399,7 @@ def _body(model: Model) -> list[str]:
         zip(registry.keys, registry.counts, model.log_alpha)
     ):
         lines.append(f"{i}\t{count}\t{key}\t{_weight_text(w_yes)}\t{_weight_text(w_no)}")
-    for tag, entries in (
-        ("[abbreviations]", templates.abbreviations),
-        ("[honorifics]", lexicons.honorifics),
-        ("[designators]", lexicons.corporate_designators),
-    ):
+    for tag, entries in zip(_RESOURCE_SECTIONS, templates.resources):
         lines.append(f"{tag} {len(entries)}")
         lines.extend(sorted(entries))
     lines.append("[corrections]")
@@ -485,9 +481,7 @@ def load_model(path: str | Path) -> Model:
             counts.append(int(parts[1]))
             keys.append(parts[2])
             log_alpha.append((weight(parts[3]), weight(parts[4])))
-        abbreviations = frozenset(section("[abbreviations]"))
-        honorifics = frozenset(section("[honorifics]"))
-        designators = frozenset(section("[designators]"))
+        resources = [frozenset(section(tag)) for tag in _RESOURCE_SECTIONS]
         if next_line() != "[corrections]":
             raise ModelFormatError(f"{path}: missing corrections section")
         corrections = []
@@ -498,11 +492,7 @@ def load_model(path: str | Path) -> Model:
             corrections.append(float.fromhex(value))
         if next_line() != "[end]":
             raise ModelFormatError(f"{path}: missing end marker")
-        templates = Templates(
-            template_set,
-            abbreviations,
-            ResourceLexicons(honorifics, designators) if template_set == "best" else None,
-        )
+        templates = Templates.from_resources(template_set, *resources)
     except (ValueError, OverflowError, FeatureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
     model = Model(

@@ -9,7 +9,9 @@ from sentbound.features import (
     PREVIOUS,
     TEMPLATE_SETS,
     EmptyRegistryError,
+    FeatureError,
     Memo,
+    ResourceLexicons,
     _word_key,
     build_registry,
     default_lexicons,
@@ -91,9 +93,24 @@ def test_portable_final_token():
     }
 
 
-def test_portable_never_consults_lexicons():
-    # Portable extraction must work with no lexicon resources at all.
-    assert Templates("portable").extract(CORP)
+def test_portable_never_consults_lexicons(monkeypatch):
+    # No portable slot function may read a lexicon, wherever it finds one.
+    templates = Templates("portable", frozenset({"Corp.", "Dr."}))
+
+    def boom(lexicons, name):
+        raise AssertionError(f"portable templates read the lexicons' {name}")
+
+    monkeypatch.setattr(ResourceLexicons, "__getattribute__", boom)
+    assert templates.extract(CORP)
+    assert templates.extract(make_candidate("Dr.", 2, prev="Mr.", nxt="Corp."))
+
+
+def test_portable_templates_refuse_lexicons():
+    # A model file would store them, and no decision would read them.
+    with pytest.raises(FeatureError, match="portable template set reads no lexicons"):
+        Templates("portable", lexicons=load_lexicons())
+    no_lexicons = ResourceLexicons(frozenset(), frozenset())
+    assert Templates("portable", lexicons=no_lexicons) == Templates("portable")
 
 
 def test_literal_null_token_does_not_collide():
@@ -261,15 +278,17 @@ def test_load_lexicons_reads_no_shipped_file_for_a_given_path(tmp_path, monkeypa
     honorifics.write_text("Dr.\n")
     designators.write_text("Corp.\n")
     shipped = default_lexicons()
-
-    def boom():
-        raise AssertionError("read the shipped lexicons")
-
-    monkeypatch.setattr(features, "default_lexicons", boom)
+    read = []
+    shipped_lexicon = features._shipped_lexicon
+    monkeypatch.setattr(
+        features, "_shipped_lexicon", lambda name: read.append(name) or shipped_lexicon(name)
+    )
     both = load_lexicons(honorifics, designators)
     assert (both.honorifics, both.corporate_designators) == ({"Dr."}, {"Corp."})
+    assert read == []
     one = load_lexicons(designators_path=designators)
     assert (one.honorifics, one.corporate_designators) == (shipped.honorifics, {"Corp."})
+    assert read == ["honorifics.txt"]
     # An empty path is a path given: reading it fails, no shipped file stands in.
     with pytest.raises(OSError):
         load_lexicons(honorifics_path="")

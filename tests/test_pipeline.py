@@ -268,3 +268,11 @@ def test_batch_decisions_equal_the_classifier_row_by_row(
     classify_candidate = make_classifier(load_model(path))
     assert batch == [classify_candidate(c) for c in cands]
     assert len(batch) == len(cands) and any(batch) and not all(batch)
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+def test_a_saved_model_loads_with_its_templates(cache_models, template_set, tmp_path):
+    model = cache_models[template_set]
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert load_model(path).registry.templates == model.registry.templates
