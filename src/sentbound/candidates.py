@@ -7,7 +7,10 @@ positions, which callers consume with ``map`` and ``zip``. It builds them
 without a Python loop over tokens or marks: ``str.split`` and ``" ".join``
 normalise the whitespace, one regular-expression pass finds the marks, and
 ``str.count``/``str.rfind`` between consecutive marks place each in its
-token. A ``Candidate`` is one row of the columns, read as a named tuple.
+token. While it runs it holds one string per token of its text; raw text
+reaches it from ``pipeline.boundary_offsets`` one slice at a time, so
+segmentation holds the tokens of one slice only. A ``Candidate`` is one row
+of the columns, read as a named tuple.
 """
 
 from __future__ import annotations

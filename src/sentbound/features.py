@@ -324,11 +324,6 @@ def _shipped_lexicon(name: str) -> frozenset[str]:
     return _lexicon_entries(data.joinpath(name).read_text("utf-8"))
 
 
-def default_lexicons() -> ResourceLexicons:
-    """The lexicons shipped in the package's data directory."""
-    return load_lexicons()
-
-
 def load_lexicons(
     honorifics_path: Optional[str | Path] = None,
     designators_path: Optional[str | Path] = None,

@@ -1,7 +1,7 @@
 import pytest
 
 from sentbound.corpus import corpus_from_sentences, label_candidates
-from sentbound.features import default_lexicons
+from sentbound.features import load_lexicons
 from sentbound.maxent import _digest
 from sentbound.synthetic import make_corpus
 
@@ -31,7 +31,7 @@ def two_sentence_corpus():
 
 @pytest.fixture(scope="session")
 def lexicons():
-    return default_lexicons()
+    return load_lexicons()
 
 
 @pytest.fixture(scope="session")

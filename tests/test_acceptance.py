@@ -16,7 +16,7 @@ from sentbound.corpus import NO, YES, label_candidates, load_annotated
 from sentbound.evaluation import evaluate, evaluate_classifier
 from sentbound.features import (
     PredicateRegistry,
-    default_lexicons,
+    load_lexicons,
     extract_best,
     Templates,
     extract_portable,
@@ -45,7 +45,7 @@ def report(criterion, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def lexicons():
-    return default_lexicons()
+    return load_lexicons()
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ from sentbound.evaluation import (
     format_report,
     learning_curve,
 )
+from sentbound.features import FeatureError, load_lexicons
 from sentbound.pipeline import train_model
 from sentbound.synthetic import make_corpus
 
@@ -91,6 +92,13 @@ def test_learning_curve_size_exceeds_corpus():
     eval_lab = label_candidates(make_corpus(5, seed=6))
     with pytest.raises(CorpusError):
         learning_curve(corp, eval_lab, [11], "portable", seed=0)
+
+
+def test_portable_learning_curve_refuses_lexicons():
+    corp = make_corpus(20, seed=5)
+    eval_lab = label_candidates(make_corpus(5, seed=6))
+    with pytest.raises(FeatureError):
+        learning_curve(corp, eval_lab, [10], "portable", seed=0, lexicons=load_lexicons())
 
 
 def test_format_report_contains_kv_lines(example1_labeled):

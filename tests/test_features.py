@@ -14,7 +14,6 @@ from sentbound.features import (
     ResourceLexicons,
     _word_key,
     build_registry,
-    default_lexicons,
     encode,
     extract_best,
     extract_portable,
@@ -143,7 +142,7 @@ def test_escaped_null_and_backslash_tokens_get_different_predicates(template_set
 
 
 SLOT_TEXT = st.text(alphabet="aZ3.,?!\"'\\NUL", min_size=1, max_size=6)
-DEFAULT_LEXICONS = default_lexicons()
+DEFAULT_LEXICONS = load_lexicons()
 
 
 @st.composite
@@ -277,7 +276,7 @@ def test_load_lexicons_reads_no_shipped_file_for_a_given_path(tmp_path, monkeypa
     honorifics, designators = tmp_path / "hon.txt", tmp_path / "des.txt"
     honorifics.write_text("Dr.\n")
     designators.write_text("Corp.\n")
-    shipped = default_lexicons()
+    shipped = load_lexicons()
     read = []
     shipped_lexicon = features._shipped_lexicon
     monkeypatch.setattr(

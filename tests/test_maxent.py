@@ -16,7 +16,7 @@ from sentbound.features import (
     PredicateRegistry,
     Templates,
     build_registry,
-    default_lexicons,
+    load_lexicons,
 )
 from sentbound.maxent import (
     Model,
@@ -384,7 +384,7 @@ def saved_models(tmp_path_factory):
     candidates = [c for c, _ in label_candidates(corpus).candidates]
     out = {}
     for template_set in TEMPLATE_SETS:
-        lexicons = default_lexicons() if template_set == "best" else None
+        lexicons = load_lexicons() if template_set == "best" else None
         model, _ = train_model(corpus, template_set, lexicons=lexicons, max_iters=30)
         path = tmp_path_factory.mktemp("saved") / "model.txt"
         save_model(model, path)

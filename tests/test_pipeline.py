@@ -1,16 +1,20 @@
 import gc
 import math
+import sys
+import tracemalloc
 import weakref
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sentbound import features
+import pipeline_reference
+from sentbound import features, pipeline
 from sentbound.candidates import scan
 from sentbound.corpus import YES, label_candidates
 from sentbound.evaluation import evaluate
-from sentbound.features import TEMPLATE_SETS, FeatureError, default_lexicons, encode
+from sentbound.features import TEMPLATE_SETS, FeatureError, encode, load_lexicons
 from sentbound.maxent import (
     check_constraints,
     classify,
@@ -45,9 +49,7 @@ def best_model(lexicons_session):
 
 @pytest.fixture(scope="module")
 def lexicons_session():
-    from sentbound.features import default_lexicons
-
-    return default_lexicons()
+    return load_lexicons()
 
 
 def test_train_best_requires_lexicons():
@@ -155,8 +157,8 @@ def test_portable_training_without_any_lexicons(monkeypatch):
     def boom(*a, **k):
         raise AssertionError("portable training consulted resource lexicons")
 
-    monkeypatch.setattr(features, "default_lexicons", boom)
     monkeypatch.setattr(features, "load_lexicons", boom)
+    monkeypatch.setattr(features, "_shipped_lexicon", boom)
     model, _ = train_model(make_corpus(50, seed=9), "portable", max_iters=50)
     assert segment_text(model, "Dr. Smith resigned. He left.").sentences
 
@@ -181,7 +183,12 @@ def test_a_dropped_model_is_freed_without_the_collector():
 def test_scorer_matches_training_path(template_set, synthetic_train, lexicons):
     # GIS scores contexts with its own matrices; the decision scorer must
     # reproduce its final log-likelihood and constraint violation.
-    model, labeled = train_model(synthetic_train, template_set, lexicons=lexicons, max_iters=2000)
+    model, labeled = train_model(
+        synthetic_train,
+        template_set,
+        lexicons=lexicons if template_set == "best" else None,
+        max_iters=2000,
+    )
     events = events_from_labeled(labeled, model.registry)
     assert len({ev.active_predicates for ev in events}) > 10
     ll = 0.0
@@ -200,7 +207,7 @@ def cache_models():
         name: train_model(
             make_corpus(200, seed=3),
             name,
-            lexicons=default_lexicons() if name == "best" else None,
+            lexicons=load_lexicons() if name == "best" else None,
             max_iters=100,
         )[0]
         for name in TEMPLATE_SETS
@@ -276,3 +283,82 @@ def test_a_saved_model_loads_with_its_templates(cache_models, template_set, tmp_
     path = tmp_path / "model.txt"
     save_model(model, path)
     assert load_model(path).registry.templates == model.registry.templates
+
+
+def test_portable_training_refuses_lexicons():
+    with pytest.raises(FeatureError):
+        train_model(make_corpus(20, seed=1), "portable", lexicons=load_lexicons(), max_iters=5)
+
+
+# The whitespace of test_scan_rows_equal_the_reference_scan, in runs up to 12
+# characters, longer than any slice below, so some slices hold whitespace only.
+SLICE_GAP = st.text(alphabet=[" ", "\t", "\n", "\r", "\x85", "\u3000", "\u2028"],
+                    min_size=1, max_size=12)
+SLICE_TOKEN = st.sampled_from(["Dr.", "Corp.", "U.S.", "4.75", "Smith", "it.", "now?", "off!",
+                               '"stop."', "..."]) | st.text(alphabet="aB3.?!\"')", min_size=1, max_size=12)
+
+
+@st.composite
+def sliced_texts(draw):
+    """Tokens, some longer than a slice, between whitespace runs, with
+    optional runs before the first and after the last."""
+    tokens = draw(st.lists(SLICE_TOKEN, max_size=12))
+    gaps = [draw(SLICE_GAP) for _ in tokens[1:]] + [""]
+    lead, trail = (draw(st.just("") | SLICE_GAP) for _ in "ab")
+    return lead + "".join(map(add, tokens, gaps)) + trail
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+@settings(deadline=None, max_examples=150)
+@given(text=sliced_texts(), slice_chars=st.integers(1, 8))
+# Slices "Mr. ", "Smith. ", "He": a candidate closes the first slice, and
+# one opens the second.
+@example(text="Mr. Smith. He", slice_chars=4)
+# Slices of whitespace only between "it." and its next word.
+@example(text="it.\t\u3000\u2028  \r\nNow.", slice_chars=2)
+def test_sliced_offsets_equal_the_whole_text_reference(cache_models, template_set, text, slice_chars):
+    model = cache_models[template_set]
+    want = pipeline_reference.boundary_offsets(model, text)
+    decided = []
+
+    def recording_decide(model, cands):
+        decided.extend(cands)
+        return decide(model, cands)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "SLICE_CHARS", slice_chars)
+        mp.setattr(pipeline, "decide", recording_decide)
+        assert pipeline.boundary_offsets(model, text) == want
+    # Each candidate was decided once, with the words and position that the
+    # whole text gives it.
+    assert decided == list(scan(text))
+
+
+def test_a_text_of_one_slice_is_scanned_whole(portable_model, monkeypatch):
+    scanned = []
+    monkeypatch.setattr(pipeline, "scan", lambda text: scanned.append(text) or scan(text))
+    text = "Acme Corp. chairman Dr. Smith resigned yesterday. Who leads Acme Corp. now?"
+    offsets = pipeline.boundary_offsets(portable_model, text)
+    assert len(scanned) == 1 and scanned[0] is text
+    assert offsets == pipeline_reference.boundary_offsets(portable_model, text) != []
+
+
+def test_slices_end_where_str_split_splits():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    cuts = [m.start() for m in pipeline._SPACE_RE.finditer(every)]
+    assert cuts == [i for i, ch in enumerate(every) if ch.isspace()]
+
+
+def test_segmentation_memory_follows_the_slice_not_the_text(portable_model):
+    # 10,000 synthetic sentences: 498,220 characters and 89,063 tokens. The
+    # tracemalloc peak of this call measured 9.60 MiB when the whole text was
+    # scanned at once, and 1.85 MiB in slices of 64 Ki characters.
+    text = " ".join(make_corpus(10_000, seed=2).sentences)
+    tracemalloc.start()
+    try:
+        offsets = pipeline.boundary_offsets(portable_model, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(offsets) > 5_000
+    assert peak < 4 * 2**20
