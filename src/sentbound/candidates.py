@@ -8,9 +8,11 @@ without a Python loop over tokens or marks: ``str.split`` and ``" ".join``
 normalise the whitespace, one regular-expression pass finds the marks, and
 ``str.count``/``str.rfind`` between consecutive marks place each in its
 token. While it runs it holds one string per token of its text; raw text
-reaches it from ``pipeline.boundary_offsets`` one slice at a time, so
-segmentation holds the tokens of one slice only. A ``Candidate`` is one row
-of the columns, read as a named tuple.
+reaches it from ``pipeline.boundary_offsets`` one slice at a time, with the
+words on either side of the slice as its edge words, so segmentation holds
+the tokens of one slice only and its columns come out whole. A ``Candidate``
+is one row of the columns, read as a named tuple, for code that decides one
+candidate at a time.
 """
 
 from __future__ import annotations
@@ -44,24 +46,6 @@ class Candidate(NamedTuple):
     next_word: Optional[str]
     stream_position: int
 
-    @property
-    def mark(self) -> str:
-        return self.token[self.offset_in_token]
-
-    @property
-    def prefix(self) -> str:
-        """The part of the token before this occurrence."""
-        return self.token[: self.offset_in_token]
-
-    @property
-    def suffix(self) -> str:
-        """The part of the token after this occurrence."""
-        return self.token[self.offset_in_token + 1 :]
-
-    @property
-    def token_final(self) -> bool:
-        return self.offset_in_token == len(self.token) - 1
-
 
 @dataclass(slots=True)
 class Candidates:
@@ -88,10 +72,14 @@ class Candidates:
         )
 
 
-def scan(text: str) -> Candidates:
+def scan(
+    text: str, prev_word: Optional[str] = NO_WORD, next_word: Optional[str] = NO_WORD
+) -> Candidates:
     """The candidates of every occurrence of '.', '?' or '!' in ``text``, left
-    to right. The context window is exactly one token on each side, NO_WORD
-    beyond the stream edges; tokens are what ``str.split`` gives."""
+    to right. The context window is exactly one token on each side; tokens
+    are what ``str.split`` gives. Beyond the text's first and last tokens lie
+    ``prev_word`` and ``next_word``: NO_WORD at the edges of a stream, the
+    neighbouring words when ``text`` is a slice of a longer one."""
     tokens = text.split()
     # The tokens with one space between them: a mark's token index is the
     # number of spaces before it, and its token starts after the last one.
@@ -101,7 +89,7 @@ def scan(text: str) -> Candidates:
     # The last space between the previous mark and this one, or else the
     # previous mark's: a running max, so no search runs back past a mark.
     space = accumulate(map(norm.rfind, repeat(" "), chain((0,), at), at), max)
-    padded = [NO_WORD, *tokens, NO_WORD]
+    padded = [prev_word, *tokens, next_word]
     return Candidates(
         tokens=list(map(tokens.__getitem__, index)),
         offsets=list(map(sub, at, map((1).__add__, space))),

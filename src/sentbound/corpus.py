@@ -2,7 +2,8 @@
 
 Training format: one sentence per line, tokens whitespace-separated. The line
 break is the boundary annotation. A labeled candidate set is the ``scan``
-columns of the joined corpus plus a column of labels.
+columns of the joined corpus plus a column of labels, which training,
+abbreviation induction and scoring read as columns.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable
 
-from .candidates import BOUNDARY_MARKS, Candidate, Candidates, scan
+from .candidates import BOUNDARY_MARKS, Candidates, scan
 
 YES = "yes"
 NO = "no"
@@ -43,19 +44,6 @@ class LabeledCandidateSet:
     columns: Candidates
     labels: list[str]
     warnings: list[str] = field(default_factory=list)
-
-    @property
-    def candidates(self) -> list[tuple[Candidate, str]]:
-        """(candidate, label) rows."""
-        return list(zip(self.columns, self.labels))
-
-    @property
-    def n_yes(self) -> int:
-        return self.labels.count(YES)
-
-    @property
-    def n_no(self) -> int:
-        return self.labels.count(NO)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -9,9 +9,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import eq, gt, lt
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .candidates import Candidate
 from .corpus import (
     YES,
     AnnotatedCorpus,
@@ -42,7 +41,7 @@ def baseline_all_yes(labeled: LabeledCandidateSet) -> float:
     """Accuracy of guessing a boundary at every candidate site."""
     if not labeled.labels:
         raise CorpusError("no candidates to evaluate")
-    return labeled.n_yes / len(labeled)
+    return labeled.labels.count(YES) / len(labeled)
 
 
 def baseline_token_final(labeled: LabeledCandidateSet) -> float:
@@ -54,13 +53,17 @@ def baseline_token_final(labeled: LabeledCandidateSet) -> float:
     return sum(map(eq, token_final, map(YES.__eq__, labeled.labels))) / len(labeled)
 
 
-def _report(predicted: list[bool], labeled: LabeledCandidateSet, sentences: int) -> EvaluationReport:
+def score(
+    decisions: Sequence[bool], labeled: LabeledCandidateSet, sentences: int = 0
+) -> EvaluationReport:
     """Score one decision per candidate of ``labeled``, in its order."""
     if not labeled.labels:
         raise CorpusError("no candidates to evaluate")
+    if len(decisions) != len(labeled):
+        raise CorpusError(f"{len(decisions)} decisions for {len(labeled)} candidates")
     yes = list(map(YES.__eq__, labeled.labels))
-    fp = sum(map(gt, predicted, yes))
-    fn = sum(map(lt, predicted, yes))
+    fp = sum(map(gt, decisions, yes))
+    fn = sum(map(lt, decisions, yes))
     n = len(labeled)
     return EvaluationReport(
         sentences=sentences,
@@ -75,19 +78,10 @@ def _report(predicted: list[bool], labeled: LabeledCandidateSet, sentences: int)
     )
 
 
-def evaluate_classifier(
-    classify_candidate: Callable[[Candidate], bool],
-    labeled: LabeledCandidateSet,
-    sentences: int = 0,
-) -> EvaluationReport:
-    predicted = list(map(bool, map(classify_candidate, labeled.columns)))
-    return _report(predicted, labeled, sentences)
-
-
 def evaluate(
     model: Model, labeled: LabeledCandidateSet, *, sentences: int = 0
 ) -> EvaluationReport:
-    return _report(decide(model, labeled.columns), labeled, sentences)
+    return score(decide(model, labeled.columns), labeled, sentences)
 
 
 def learning_curve(

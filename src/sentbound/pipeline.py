@@ -5,7 +5,8 @@ model's registry carries them to every encoding. Training events and
 ``evaluate`` take the ``scan`` columns of a whole text; ``boundary_offsets``
 (which ``segment_text`` calls before it joins sentences) takes them one
 slice of ``SLICE_CHARS`` characters at a time, so its memory grows with the
-text and one slice, not with the text's token count. Each encodes its
+text and one slice, not with the text's token count; ``scan`` gets the
+words on either side of each slice as its edge words. Each encodes its
 columns with ``features.active_predicates``, through the registry's per-slot
 memos; ``decide`` then reads each decision from the model's decision memo,
 all in one chain of ``map`` calls. ``make_classifier`` decides one candidate
@@ -19,7 +20,7 @@ from __future__ import annotations
 import codecs
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import Callable, Optional
 
 from . import features, maxent
@@ -109,7 +110,7 @@ def boundary_offsets(model: Model, text: str) -> list[int]:
     candidates are held at once. A slice holds at least ``SLICE_CHARS``
     characters and ends just after a whitespace character, or at the end of
     the text, so no token is cut. A text of at most ``SLICE_CHARS``
-    characters is one slice, and nothing is stitched."""
+    characters is one slice, passed to ``scan`` as it is."""
     offsets: list[int] = []
     start, prev_word = 0, NO_WORD
     while True:
@@ -118,18 +119,10 @@ def boundary_offsets(model: Model, text: str) -> list[int]:
             cut = _SPACE_RE.search(text, start + SLICE_CHARS - 1)
             end = cut.end() if cut else end
         piece = text[start:end]
-        cands = scan(piece)
-        # Only the candidates of a slice's first token have no previous word,
-        # and they lead the columns; those of its last token close them.
+        word = _WORD_RE.search(text, end)
+        cands = scan(piece, prev_word, word[0] if word else NO_WORD)
         if start:
             cands.positions = list(map(start.__add__, cands.positions))
-            first = cands.prev_words.count(NO_WORD)
-            cands.prev_words[:first] = repeat(prev_word, first)
-        if end < len(text):
-            last = cands.next_words.count(NO_WORD)
-            if last:
-                word = _WORD_RE.search(text, end)
-                cands.next_words[len(cands) - last :] = repeat(word[0] if word else NO_WORD, last)
         offsets += compress(cands.positions, decide(model, cands))
         if end == len(text):
             return offsets

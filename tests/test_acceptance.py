@@ -13,7 +13,7 @@ import pytest
 
 from oracle import ml_conditionals
 from sentbound.corpus import NO, YES, label_candidates, load_annotated
-from sentbound.evaluation import evaluate, evaluate_classifier
+from sentbound.evaluation import evaluate, score
 from sentbound.features import (
     PredicateRegistry,
     load_lexicons,
@@ -96,8 +96,9 @@ def test_criterion_1_paper_corpora_optional(lexicons):
 
 def test_criterion_2_baseline_identities(eval_labeled):
     t0 = time.perf_counter()
-    all_yes = evaluate_classifier(lambda c: True, eval_labeled)
-    token_final = evaluate_classifier(lambda c: c.token_final, eval_labeled)
+    c = eval_labeled.columns
+    all_yes = score([True] * len(eval_labeled), eval_labeled)
+    token_final = score([o == len(t) - 1 for t, o in zip(c.tokens, c.offsets)], eval_labeled)
     elapsed = time.perf_counter() - t0
     ok = (
         all_yes.accuracy == all_yes.baseline_all_yes
@@ -252,7 +253,7 @@ def test_criterion_7_determinism_and_persistence(trained, train_corpus, tmp_path
     agree = all(
         classify(loaded, encode(cand, loaded.registry))
         == classify(model, encode(cand, model.registry))
-        for cand, _ in eval_labeled.candidates
+        for cand in eval_labeled.columns
     )
     report(
         7,

@@ -5,7 +5,7 @@ import scan_reference
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sentbound.candidates import NO_WORD, Candidate, scan, tokenize_with_positions
+from sentbound.candidates import BOUNDARY_MARKS, NO_WORD, Candidate, scan, tokenize_with_positions
 
 
 def scan_text(text):
@@ -13,9 +13,11 @@ def scan_text(text):
 
 
 def row(c):
-    """A candidate's fields as the reference scan's rows hold them."""
-    return (c.mark, c.token, c.offset_in_token, c.prefix, c.suffix,
-            c.prev_word, c.next_word, c.stream_position)
+    """A candidate's fields as the reference scan's rows hold them: mark,
+    token, offset in token, the token's parts before and after the mark,
+    previous and next word, position."""
+    tok, j = c.token, c.offset_in_token
+    return (tok[j], tok, j, tok[:j], tok[j + 1 :], c.prev_word, c.next_word, c.stream_position)
 
 
 tokens_strategy = st.lists(
@@ -27,15 +29,12 @@ tokens_strategy = st.lists(
 
 def test_scan_corp_token():
     (cand,) = scan_text("Corp.")
-    assert cand.mark == "."
-    assert cand.prefix == "Corp"
-    assert cand.suffix == ""
-    assert cand.token_final
+    assert row(cand) == (".", "Corp.", 4, "Corp", "", NO_WORD, NO_WORD, 4)
 
 
 def test_scan_dc_token():
     cands = scan_text("D.C.")
-    assert [(c.prefix, c.suffix) for c in cands] == [("D", "C."), ("D.C", "")]
+    assert [row(c)[3:5] for c in cands] == [("D", "C."), ("D.C", "")]
 
 
 def test_scan_no_marks():
@@ -49,7 +48,7 @@ def test_ellipsis_and_emphasis_yield_one_candidate_per_mark():
 
 def test_lone_punctuation_token_is_emitted():
     (cand,) = scan_text(".")
-    assert cand.prefix == "" and cand.suffix == ""
+    assert row(cand)[3:5] == ("", "")
 
 
 def neighbors(tokens):
@@ -75,9 +74,7 @@ def test_scan_count_matches_mark_count(tokens):
 def test_scan_reconstruction_and_order(tokens):
     cands = scan_text(" ".join(tokens))
     for c in cands:
-        assert c.token[c.offset_in_token] == c.mark
-        assert c.prefix + c.mark + c.suffix == c.token
-        assert c.mark not in c.prefix[c.offset_in_token:]
+        assert c.token[c.offset_in_token] in BOUNDARY_MARKS
     positions = [c.stream_position for c in cands]
     assert positions == sorted(positions)
 
@@ -153,3 +150,20 @@ def oracle_texts(draw):
 def test_scan_rows_equal_the_reference_scan(text):
     want = scan_reference.scan(text, *scan_reference.tokenize_with_positions(text))
     assert [row(c) for c in scan(text)] == [tuple(c) for c in want]
+
+
+@given(oracle_texts(), ORACLE_GAP, oracle_texts())
+# A candidate ends ``a`` and one starts ``b``.
+@example("Mr.", " ", "Smith. He")
+# One side of the cut has no word.
+@example("a.", "\n", "\u3000")
+@example("\t", " ", "x. y")
+def test_edge_words_stitch_a_text_cut_at_whitespace(a, gap, b):
+    whole = list(scan(a + gap + b))
+    words_a, words_b = a.split(), b.split()
+    lead = list(scan(a, NO_WORD, words_b[0] if words_b else NO_WORD))
+    trail = scan(b, words_a[-1] if words_a else NO_WORD, NO_WORD)
+    shift = len(a + gap)
+    trail = [c._replace(stream_position=c.stream_position + shift) for c in trail]
+    assert lead == whole[: len(lead)]
+    assert trail == whole[len(lead) :]

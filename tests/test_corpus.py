@@ -17,6 +17,12 @@ from sentbound.corpus import (
     load_raw,
 )
 
+
+def rows(lab):
+    """(candidate, label) pairs of a labeled set."""
+    return list(zip(lab.columns, lab.labels))
+
+
 sentence_strategy = st.lists(
     st.text(alphabet=string.ascii_letters + ".?!", min_size=1, max_size=6),
     min_size=1,
@@ -57,7 +63,7 @@ def test_load_annotated_splits_lines_at_line_feeds_only(tmp_path):
     p.write_bytes(b"Wait.\x85Then go.\r\nNext one.\rLast.\n")
     corp = load_annotated(p, encoding="latin-1")
     assert corp.sentences == ("Wait.\x85Then go.", "Next one.", "Last.")
-    labels = [(c.token, label) for c, label in label_candidates(corp).candidates]
+    labels = [(c.token, label) for c, label in rows(label_candidates(corp))]
     assert labels[:2] == [("Wait.", NO), ("go.", YES)]
 
 
@@ -88,24 +94,24 @@ def test_load_raw_bad_encoding(tmp_path):
 def test_label_single_boundary():
     lab = label_candidates(corpus_from_sentences(["Hello world ."]))
     assert len(lab) == 1
-    assert lab.candidates[0][1] == YES
+    assert lab.labels[0] == YES
 
 
 def test_label_example1(example1_labeled):
-    got = [(c.token, lab) for c, lab in example1_labeled.candidates]
+    got = [(c.token, lab) for c, lab in rows(example1_labeled)]
     assert got == [("Corp.", NO), ("Dr.", NO), ("resigned.", YES)]
 
 
 def test_label_dc(dc_corpus):
     lab = label_candidates(dc_corpus)
-    got = [(c.offset_in_token, label) for c, label in lab.candidates]
+    got = [(c.offset_in_token, label) for c, label in rows(lab)]
     assert got == [(1, NO), (3, YES)]
 
 
 def test_label_warns_on_unpunctuated_final_token():
     lab = label_candidates(corpus_from_sentences(["A headline without period"]))
     assert len(lab.warnings) == 1
-    assert lab.n_yes == 0
+    assert YES not in lab.labels
 
 
 def test_induce_example1(example1_labeled):
@@ -135,20 +141,18 @@ def test_label_deterministic_and_bounded(sentences):
     corp = corpus_from_sentences(sentences)
     lab1 = label_candidates(corp)
     lab2 = label_candidates(corp)
-    assert lab1.candidates == lab2.candidates
-    assert lab1.n_yes + lab1.n_no == len(lab1)
-    assert lab1.n_yes <= len(corp)
+    assert rows(lab1) == rows(lab2)
+    assert set(lab1.labels) <= {YES, NO}
+    assert lab1.labels.count(YES) <= len(corp)
 
 
 @given(st.lists(sentence_strategy, min_size=1, max_size=8))
 def test_token_stream_preserves_characters(sentences):
     corp = corpus_from_sentences(sentences)
     lab = label_candidates(corp)
-    marks = "".join(cand.mark for cand, _ in lab.candidates)
+    marks = "".join(map(str.__getitem__, lab.columns.tokens, lab.columns.offsets))
     original = "".join(ch for s in corp.sentences for ch in s if ch in BOUNDARY_MARKS)
     assert marks == original
-    for cand, _ in lab.candidates:
-        assert cand.token[cand.offset_in_token] == cand.mark
 
 
 @given(st.lists(sentence_strategy, min_size=1, max_size=8))
@@ -173,13 +177,13 @@ def test_labels_come_from_the_inference_scan(sentences):
     corp = corpus_from_sentences(sentences)
     lab = label_candidates(corp)
     text = " ".join(corp.sentences)
-    assert [cand for cand, _ in lab.candidates] == list(scan(text))
+    assert lab.columns == scan(text)
     start, unmarked = 0, 0
     for sent in corp.sentences:
         end = start + len(sent) - 1
         yes = [
             cand.stream_position
-            for cand, label in lab.candidates
+            for cand, label in rows(lab)
             if label == YES and start <= cand.stream_position <= end
         ]
         if sent[-1] in BOUNDARY_MARKS:
@@ -188,5 +192,5 @@ def test_labels_come_from_the_inference_scan(sentences):
             assert yes == []
             unmarked += 1
         start = end + 2
-    assert lab.n_yes == len(corp) - unmarked
+    assert lab.labels.count(YES) == len(corp) - unmarked
     assert len(lab.warnings) == unmarked

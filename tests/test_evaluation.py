@@ -5,14 +5,20 @@ from sentbound.evaluation import (
     baseline_all_yes,
     baseline_token_final,
     evaluate,
-    evaluate_classifier,
     format_learning_curve,
     format_report,
     learning_curve,
+    score,
 )
 from sentbound.features import FeatureError, load_lexicons
 from sentbound.pipeline import train_model
 from sentbound.synthetic import make_corpus
+
+
+def token_final(lab):
+    """One decision per candidate: yes iff the mark ends its token."""
+    c = lab.columns
+    return [offset == len(token) - 1 for token, offset in zip(c.tokens, c.offsets)]
 
 
 def test_baseline_all_yes_example1(example1_labeled):
@@ -41,22 +47,29 @@ def test_baselines_reject_empty():
 
 
 def test_constant_yes_classifier_reproduces_baseline(example1_labeled):
-    report = evaluate_classifier(lambda c: True, example1_labeled)
+    report = score([True] * len(example1_labeled), example1_labeled)
     assert report.accuracy == report.baseline_all_yes
     assert report.false_negatives == 0
 
 
 def test_token_final_classifier_reproduces_baseline(two_sentence_corpus):
     lab = label_candidates(two_sentence_corpus)
-    report = evaluate_classifier(lambda c: c.token_final, lab)
+    report = score(token_final(lab), lab)
     assert report.accuracy == report.baseline_token_final
 
 
 def test_accuracy_identity(two_sentence_corpus):
     lab = label_candidates(two_sentence_corpus)
-    report = evaluate_classifier(lambda c: c.token_final, lab)
+    report = score(token_final(lab), lab)
     errors = report.false_positives + report.false_negatives
     assert report.accuracy == pytest.approx(1 - errors / report.candidates)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_score_refuses_a_decision_column_of_another_length(example1_labeled, extra):
+    decisions = [True] * (len(example1_labeled) + extra)
+    with pytest.raises(CorpusError, match="decisions for 3 candidates"):
+        score(decisions, example1_labeled)
 
 
 def test_perfect_model_on_separable_corpus(synthetic_train):
@@ -102,7 +115,7 @@ def test_portable_learning_curve_refuses_lexicons():
 
 
 def test_format_report_contains_kv_lines(example1_labeled):
-    report = evaluate_classifier(lambda c: True, example1_labeled)
+    report = score([True] * len(example1_labeled), example1_labeled)
     text = format_report(report)
     assert "accuracy=" in text
     assert "baseline_token_final=" in text

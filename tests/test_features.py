@@ -257,7 +257,7 @@ def test_registry_counts_scale_linearly(example1_labeled):
 
 def test_encode_idempotent_and_drops_unseen(example1_labeled):
     reg = build_registry(example1_labeled, Templates("portable"))
-    cand = example1_labeled.candidates[0][0]
+    cand = next(iter(example1_labeled.columns))
     idx = encode(cand, reg)
     assert idx == encode(cand, reg)
     assert idx == tuple(sorted(idx))

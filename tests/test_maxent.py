@@ -381,7 +381,7 @@ def test_load_v1_file_asks_for_retraining(tmp_path):
 def saved_models(tmp_path_factory):
     """template set -> (model file text, candidates, decisions on them)."""
     corpus = make_corpus(30, seed=4)
-    candidates = [c for c, _ in label_candidates(corpus).candidates]
+    candidates = list(label_candidates(corpus).columns)
     out = {}
     for template_set in TEMPLATE_SETS:
         lexicons = load_lexicons() if template_set == "best" else None

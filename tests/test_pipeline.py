@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pipeline_reference
 from sentbound import features, pipeline
-from sentbound.candidates import scan
+from sentbound.candidates import NO_WORD, scan
 from sentbound.corpus import YES, label_candidates
 from sentbound.evaluation import evaluate
 from sentbound.features import TEMPLATE_SETS, FeatureError, encode, load_lexicons
@@ -170,7 +170,7 @@ def test_a_dropped_model_is_freed_without_the_collector():
     try:
         model, labeled = train_model(make_corpus(40, seed=4), "portable", max_iters=20)
         decide = make_classifier(model)
-        assert any(decide(c) for c, _label in labeled.candidates)
+        assert any(map(decide, labeled.columns))
         assert model.decisions and model.registry.token_slot
         refs = weakref.ref(model), weakref.ref(model.registry)
         del model, decide
@@ -336,10 +336,16 @@ def test_sliced_offsets_equal_the_whole_text_reference(cache_models, template_se
 
 def test_a_text_of_one_slice_is_scanned_whole(portable_model, monkeypatch):
     scanned = []
-    monkeypatch.setattr(pipeline, "scan", lambda text: scanned.append(text) or scan(text))
+
+    def recording_scan(text, prev_word, next_word):
+        scanned.append((text, prev_word, next_word))
+        return scan(text, prev_word, next_word)
+
+    monkeypatch.setattr(pipeline, "scan", recording_scan)
     text = "Acme Corp. chairman Dr. Smith resigned yesterday. Who leads Acme Corp. now?"
     offsets = pipeline.boundary_offsets(portable_model, text)
-    assert len(scanned) == 1 and scanned[0] is text
+    assert len(scanned) == 1 and scanned[0][0] is text
+    assert scanned[0][1:] == (NO_WORD, NO_WORD)
     assert offsets == pipeline_reference.boundary_offsets(portable_model, text) != []
 
 
