@@ -151,7 +151,7 @@ def cmd_evaluate(args) -> int:
     model = _load_model_checked(args)
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
     labeled = corpus_mod.label_candidates(corp)
-    report = evaluation.evaluate(model, labeled, sentences=len(corp))
+    report = evaluation.evaluate(model, labeled)
     _write_output(evaluation.format_report(report), args.output)
     return EXIT_OK
 

@@ -2,7 +2,8 @@
 
 Training format: one sentence per line, tokens whitespace-separated. The line
 break is the boundary annotation. A labeled candidate set is the ``scan``
-columns of the joined corpus plus a column of labels, which training,
+columns of the joined corpus plus a column of boolean labels (True where the
+mark ends a sentence) and the corpus's sentence count, which training,
 abbreviation induction and scoring read as columns.
 """
 
@@ -15,9 +16,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .candidates import BOUNDARY_MARKS, Candidates, scan
-
-YES = "yes"
-NO = "no"
 
 
 class CorpusError(Exception):
@@ -38,11 +36,12 @@ class AnnotatedCorpus:
 
 @dataclass
 class LabeledCandidateSet:
-    """Candidates from an annotated corpus, labeled yes iff the mark ends a
-    sentence: ``labels[i]`` is the label of the i-th candidate of ``columns``."""
+    """Candidates from an annotated corpus of ``sentences`` sentences:
+    ``labels[i]`` is True iff the i-th candidate of ``columns`` ends a sentence."""
 
     columns: Candidates
-    labels: list[str]
+    labels: list[bool]
+    sentences: int
     warnings: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -80,8 +79,8 @@ def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
     """Join the sentences with single spaces, scan the text as segmentation
     does, and label each candidate.
 
-    A candidate is labeled yes iff its mark is the last character of a
-    sentence. Sentences that end in anything else get no yes label and are
+    A candidate is labeled True iff its mark is the last character of a
+    sentence. Sentences that end in anything else get no True label and are
     recorded as warnings, not errors.
     """
     sentences = corpus.sentences
@@ -91,22 +90,21 @@ def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
     # Sentence k's last character in the joined text: its length and those
     # before it, plus the k joining spaces, minus one.
     ends = set(map(add, accumulate(map(len, sentences)), count(-1)))
-    # A bool indexes the pair: False -> NO, True -> YES.
-    labels = list(map((NO, YES).__getitem__, map(ends.__contains__, cands.positions)))
+    labels = list(map(ends.__contains__, cands.positions))
     warnings = [
         f"sentence {s_i} ends in token {sent.split()[-1]!r}, whose last "
         "character is not a boundary mark, so it gets no boundary label"
         for s_i, sent in enumerate(sentences, 1)
         if sent[-1] not in BOUNDARY_MARKS
     ]
-    return LabeledCandidateSet(cands, labels, warnings)
+    return LabeledCandidateSet(cands, labels, len(sentences), warnings)
 
 
 def induce_abbreviations(labeled: LabeledCandidateSet) -> frozenset[str]:
-    """Training tokens containing at least one '.' occurrence labeled no."""
+    """Training tokens containing at least one '.' that ends no sentence."""
     c = labeled.columns
     return frozenset(
         token
-        for token, offset, label in zip(c.tokens, c.offsets, labeled.labels)
-        if label == NO and token[offset] == "."
+        for token, offset, ends in zip(c.tokens, c.offsets, labeled.labels)
+        if not ends and token[offset] == "."
     )

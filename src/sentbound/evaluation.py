@@ -2,6 +2,7 @@
 reference baselines, and the training-set-size experiment.
 
 Accuracy is measured over candidate punctuation marks, not sentences.
+Decisions and labels are both booleans, True at a sentence boundary.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from operator import eq, gt, lt
 from typing import Optional, Sequence
 
 from .corpus import (
-    YES,
     AnnotatedCorpus,
     CorpusError,
     LabeledCandidateSet,
@@ -41,7 +41,7 @@ def baseline_all_yes(labeled: LabeledCandidateSet) -> float:
     """Accuracy of guessing a boundary at every candidate site."""
     if not labeled.labels:
         raise CorpusError("no candidates to evaluate")
-    return labeled.labels.count(YES) / len(labeled)
+    return sum(labeled.labels) / len(labeled)
 
 
 def baseline_token_final(labeled: LabeledCandidateSet) -> float:
@@ -50,23 +50,20 @@ def baseline_token_final(labeled: LabeledCandidateSet) -> float:
         raise CorpusError("no candidates to evaluate")
     c = labeled.columns
     token_final = map(eq, c.offsets, map((-1).__add__, map(len, c.tokens)))
-    return sum(map(eq, token_final, map(YES.__eq__, labeled.labels))) / len(labeled)
+    return sum(map(eq, token_final, labeled.labels)) / len(labeled)
 
 
-def score(
-    decisions: Sequence[bool], labeled: LabeledCandidateSet, sentences: int = 0
-) -> EvaluationReport:
+def score(decisions: Sequence[bool], labeled: LabeledCandidateSet) -> EvaluationReport:
     """Score one decision per candidate of ``labeled``, in its order."""
     if not labeled.labels:
         raise CorpusError("no candidates to evaluate")
     if len(decisions) != len(labeled):
         raise CorpusError(f"{len(decisions)} decisions for {len(labeled)} candidates")
-    yes = list(map(YES.__eq__, labeled.labels))
-    fp = sum(map(gt, decisions, yes))
-    fn = sum(map(lt, decisions, yes))
+    fp = sum(map(gt, decisions, labeled.labels))
+    fn = sum(map(lt, decisions, labeled.labels))
     n = len(labeled)
     return EvaluationReport(
-        sentences=sentences,
+        sentences=labeled.sentences,
         candidates=n,
         # (n - errors)/n rather than 1 - errors/n: keeps the identity with
         # baseline_all_yes exact for a constant-yes classifier.
@@ -78,10 +75,8 @@ def score(
     )
 
 
-def evaluate(
-    model: Model, labeled: LabeledCandidateSet, *, sentences: int = 0
-) -> EvaluationReport:
-    return score(decide(model, labeled.columns), labeled, sentences)
+def evaluate(model: Model, labeled: LabeledCandidateSet) -> EvaluationReport:
+    return score(decide(model, labeled.columns), labeled)
 
 
 def learning_curve(

@@ -7,16 +7,18 @@ one row of ``TEMPLATE_TABLE``: a token-slot function that reads the token and
 the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), a
 word-slot function for the previous and the following word, and the resource
 both read. A ``Templates`` value is one set with the resources a model file
-stores, and it owns them: it refuses lexicons to a set that reads none. The
-registry carries it, so ``encode(candidate, registry)`` needs nothing else.
-``Templates.extract`` is the union of the slots. ``build_registry`` calls the
-slot functions once per distinct slot value of its candidates. The registry
-keeps one ``Memo`` per slot, from the slot's value to its registered predicate
-indices. ``active_predicates`` encodes the ``scan`` columns of many
-candidates at once: three memo lookups, a concatenation and a sort per
-candidate, all through ``map``, so Python runs only on a memo miss;
-``encode`` is the same formula for one candidate. Every memo of the package
-is a ``Memo``, emptied when it holds ``CACHE_ENTRIES`` entries.
+stores, and it owns them: it refuses a resource to a set that does not read
+it. The registry carries it, so ``encode(candidate, registry)`` needs nothing
+else. ``Templates.extract`` is the union of the slots. ``build_registry``
+calls the slot functions through memos made for the call: once per distinct
+slot value, until a slot passes ``CACHE_ENTRIES`` values and its emptied memo
+computes recurring values again. The registry keeps one ``Memo`` per slot,
+from the slot's value to its registered predicate indices.
+``active_predicates`` encodes the ``scan`` columns of many candidates at once:
+three memo lookups, a concatenation and a sort per candidate, all through
+``map``, so Python runs only on a memo miss; ``encode`` is the same formula
+for one candidate. Every memo of the package is a ``Memo``, emptied when it
+holds ``CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ TEMPLATE_SETS = tuple(TEMPLATE_TABLE)
 @dataclass(frozen=True)
 class Templates:
     """A template set and the resources a model file stores for it. A set
-    whose slots read no lexicons holds empty ones, and is refused others."""
+    holds an empty resource where its slots read none, and is refused others."""
 
     name: str
     abbreviations: frozenset[str] = frozenset()
@@ -166,6 +168,8 @@ class Templates:
             raise FeatureError(f"{self.name} template set requires resource lexicons")
         if resource != "lexicons" and self.lexicons not in (None, ResourceLexicons()):
             raise FeatureError(f"{self.name} template set reads no lexicons")
+        if resource != "abbreviations" and self.abbreviations:
+            raise FeatureError(f"{self.name} template set reads no abbreviations")
         object.__setattr__(self, "lexicons", self.lexicons or ResourceLexicons())
         object.__setattr__(self, "token_keys", partial(token_keys, getattr(self, resource)))
         object.__setattr__(self, "word_keys", partial(word_keys, getattr(self, resource)))

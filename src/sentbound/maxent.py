@@ -1,15 +1,16 @@
 """Maximum entropy model over (outcome, context) with Generalized Iterative
 Scaling training.
 
-Binary features pair one contextual predicate with one outcome; the model
-keeps one (yes, no) log-weight pair per registry predicate. Training is
-conditional GIS: expectations are taken over outcomes given each observed
-context, so the joint model's normaliser cancels and is not stored. A
-per-outcome correction (slack) feature absorbs C minus the active-feature
-count, as GIS's constant-sum condition requires. GIS sums sparse context
-entries with ``np.bincount``, not BLAS, so training is machine-independent.
-A model file holds everything that turns a candidate into a decision: the
-registry's ``features.Templates`` value owns the resource sections it stores.
+An outcome is a bool, True (yes) iff the mark ends a sentence. Binary
+features pair one contextual predicate with one outcome; the model keeps one
+(yes, no) log-weight pair per registry predicate. Training is conditional
+GIS: expectations are taken over outcomes given each observed context, so
+the joint model's normaliser cancels and is not stored. A per-outcome
+correction (slack) feature absorbs C minus the active-feature count, as
+GIS's constant-sum condition requires. GIS sums sparse context entries with
+``np.bincount``, not BLAS, so training is machine-independent. A model file
+holds everything that turns a candidate into a decision: the registry's
+``features.Templates`` value owns the resource sections it stores.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .corpus import NO, YES
 from .features import FeatureError, Memo, PredicateRegistry, Templates
 
-OUTCOMES = (YES, NO)
+OUTCOMES = (True, False)  # GIS's row order: yes, then no
 
 DEFAULT_MAX_ITERS = 100
 DEFAULT_TOLERANCE = 1e-3
@@ -42,6 +42,7 @@ MODEL_FORMAT_VERSION = 2
 _HEADER = f"sentbound-model v{MODEL_FORMAT_VERSION}"
 # The sections of Templates.resources, in its order.
 _RESOURCE_SECTIONS = ("[abbreviations]", "[honorifics]", "[designators]")
+_CORRECTION_TAGS = ("yes", "no")  # of the correction rows, in OUTCOMES order
 
 Weight = Optional[float]
 
@@ -57,7 +58,7 @@ class ModelFormatError(Exception):
 @dataclass(frozen=True)
 class TrainingEvent:
     active_predicates: tuple[int, ...]
-    outcome: str
+    outcome: bool  # True iff the mark ends a sentence
     multiplicity: int = 1
 
 
@@ -97,7 +98,7 @@ class Model:
         return _digest(_body(self))
 
 
-def merge_events(raw: Iterable[tuple[tuple[int, ...], str]]) -> list[TrainingEvent]:
+def merge_events(raw: Iterable[tuple[tuple[int, ...], bool]]) -> list[TrainingEvent]:
     """Merge identical (context, outcome) events into multiplicities."""
     counts = Counter(raw)
     return [
@@ -164,8 +165,9 @@ class _GisProblem:
         for ev in events:
             if ev.multiplicity < 1:
                 raise TrainingError("event multiplicity must be >= 1")
-            if ev.outcome not in OUTCOMES:
-                raise TrainingError(f"event outcome {ev.outcome!r} is not one of {OUTCOMES}")
+            # Not ``in OUTCOMES``, which 1, 0 and 1.0 would pass.
+            if type(ev.outcome) is not bool:
+                raise TrainingError(f"event outcome {ev.outcome!r} is not a bool")
             active = ev.active_predicates
             # -1 < first < ... < last < n_preds, as features.encode produces them.
             if any(a >= b for a, b in zip((-1, *active), (*active, n_preds))):
@@ -403,7 +405,7 @@ def _body(model: Model) -> list[str]:
         lines.append(f"{tag} {len(entries)}")
         lines.extend(sorted(entries))
     lines.append("[corrections]")
-    lines.extend(f"{b}\t{w.hex()}" for b, w in zip(OUTCOMES, model.corrections))
+    lines.extend(f"{b}\t{w.hex()}" for b, w in zip(_CORRECTION_TAGS, model.corrections))
     return lines
 
 
@@ -485,7 +487,7 @@ def load_model(path: str | Path) -> Model:
         if next_line() != "[corrections]":
             raise ModelFormatError(f"{path}: missing corrections section")
         corrections = []
-        for b in OUTCOMES:
+        for b in _CORRECTION_TAGS:
             name, _, value = next_line().partition("\t")
             if name != b:
                 raise ModelFormatError(f"{path}: bad correction row for {b}")

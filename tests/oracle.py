@@ -33,7 +33,7 @@ def ml_conditionals(events):
     m_no = np.zeros(len(contexts))
     ctx_row = {c: i for i, c in enumerate(contexts)}
     for active, outcome, mult in events:
-        if outcome == "yes":
+        if outcome is True:
             m_yes[ctx_row[active]] += mult
         else:
             m_no[ctx_row[active]] += mult

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from oracle import ml_conditionals
-from sentbound.corpus import NO, YES, label_candidates, load_annotated
+from sentbound.corpus import label_candidates, load_annotated
 from sentbound.evaluation import evaluate, score
 from sentbound.features import (
     PredicateRegistry,
@@ -111,12 +111,12 @@ def test_criterion_2_baseline_identities(eval_labeled):
 def test_criterion_3_gis_correctness(trained):
     toy_registry = PredicateRegistry(Templates("portable"), keys=["P0", "P1"], counts=[1, 1])
     toy_corpora = [
-        [TrainingEvent((0,), NO, 9), TrainingEvent((0,), YES, 1)],
+        [TrainingEvent((0,), False, 9), TrainingEvent((0,), True, 1)],
         [
-            TrainingEvent((0,), NO, 5),
-            TrainingEvent((0,), YES, 2),
-            TrainingEvent((0, 1), YES, 4),
-            TrainingEvent((1,), NO, 3),
+            TrainingEvent((0,), False, 5),
+            TrainingEvent((0,), True, 2),
+            TrainingEvent((0, 1), True, 4),
+            TrainingEvent((1,), False, 3),
         ],
     ]
     runs = []
@@ -150,19 +150,19 @@ def test_criterion_3_gis_correctness(trained):
 
 def test_criterion_4_oracle_equivalence():
     corpora = [
-        [((0,), NO, 9), ((0,), YES, 1)],
-        [((0,), NO, 1), ((0,), YES, 3)],
+        [((0,), False, 9), ((0,), True, 1)],
+        [((0,), False, 1), ((0,), True, 3)],
         [
-            ((0,), YES, 3), ((0,), NO, 1),
-            ((1,), YES, 1), ((1,), NO, 3),
-            ((0, 1), YES, 2), ((0, 1), NO, 2),
+            ((0,), True, 3), ((0,), False, 1),
+            ((1,), True, 1), ((1,), False, 3),
+            ((0, 1), True, 2), ((0, 1), False, 2),
         ],
-        [((), YES, 1), ((), NO, 3), ((0,), YES, 3), ((0,), NO, 1)],
+        [((), True, 1), ((), False, 3), ((0,), True, 3), ((0,), False, 1)],
         [
-            ((0,), YES, 2), ((0,), NO, 1),
-            ((1,), YES, 1), ((1,), NO, 2),
-            ((2,), YES, 2), ((2,), NO, 2),
-            ((0, 1, 2), YES, 1), ((0, 1, 2), NO, 1),
+            ((0,), True, 2), ((0,), False, 1),
+            ((1,), True, 1), ((1,), False, 2),
+            ((2,), True, 2), ((2,), False, 2),
+            ((0, 1, 2), True, 1), ((0, 1, 2), False, 1),
         ],
     ]
     ok = True

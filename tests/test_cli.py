@@ -8,7 +8,7 @@ import pytest
 
 from sentbound import pipeline
 from sentbound.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, main
-from sentbound.maxent import load_model
+from sentbound.maxent import ModelFormatError, _digest, load_model
 from sentbound.synthetic import make_corpus, write_corpus
 
 
@@ -239,6 +239,25 @@ def test_best_model_carries_its_lexicons(tmp_path, corpus_file):
     before = offsets("before.txt")
     honorifics.unlink()
     assert offsets("after.txt") == before
+
+
+def test_best_model_file_with_abbreviations_is_refused(tmp_path, corpus_file, capsys):
+    model = tmp_path / "best.txt"
+    argv = ["train", "--corpus", str(corpus_file), "--model", str(model), "--templates", "best"]
+    assert main(argv + ["--max-iters", "5"]) == EXIT_OK
+    # Add an abbreviation, and a fingerprint that matches it, so that only the
+    # template set's own check can refuse the file.
+    lines = model.read_text(encoding="utf-8").split("\n")
+    at = lines.index("[abbreviations] 0")
+    lines[at : at + 1] = ["[abbreviations] 1", "Mr."]
+    lines[1] = f"fingerprint {_digest(lines[4:-2])}"
+    model.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="best template set reads no abbreviations"):
+        load_model(model)
+    inp = tmp_path / "raw.txt"
+    inp.write_text("Some text.")
+    assert main(["segment", "--model", str(model), "--input", str(inp)]) == EXIT_FORMAT
+    assert "best template set reads no abbreviations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--honorifics", "x"], ["--max-iters", "5"]])

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from sentbound.candidates import BOUNDARY_MARKS, scan
 from sentbound.cli import EXIT_OK, main
 from sentbound.corpus import (
-    NO,
-    YES,
     EmptyCorpusError,
     corpus_from_sentences,
     induce_abbreviations,
@@ -64,7 +62,7 @@ def test_load_annotated_splits_lines_at_line_feeds_only(tmp_path):
     corp = load_annotated(p, encoding="latin-1")
     assert corp.sentences == ("Wait.\x85Then go.", "Next one.", "Last.")
     labels = [(c.token, label) for c, label in rows(label_candidates(corp))]
-    assert labels[:2] == [("Wait.", NO), ("go.", YES)]
+    assert labels[:2] == [("Wait.", False), ("go.", True)]
 
 
 def test_load_annotated_missing_file(tmp_path):
@@ -94,24 +92,24 @@ def test_load_raw_bad_encoding(tmp_path):
 def test_label_single_boundary():
     lab = label_candidates(corpus_from_sentences(["Hello world ."]))
     assert len(lab) == 1
-    assert lab.labels[0] == YES
+    assert lab.labels[0] is True
 
 
 def test_label_example1(example1_labeled):
     got = [(c.token, lab) for c, lab in rows(example1_labeled)]
-    assert got == [("Corp.", NO), ("Dr.", NO), ("resigned.", YES)]
+    assert got == [("Corp.", False), ("Dr.", False), ("resigned.", True)]
 
 
 def test_label_dc(dc_corpus):
     lab = label_candidates(dc_corpus)
     got = [(c.offset_in_token, label) for c, label in rows(lab)]
-    assert got == [(1, NO), (3, YES)]
+    assert got == [(1, False), (3, True)]
 
 
 def test_label_warns_on_unpunctuated_final_token():
     lab = label_candidates(corpus_from_sentences(["A headline without period"]))
     assert len(lab.warnings) == 1
-    assert YES not in lab.labels
+    assert True not in lab.labels
 
 
 def test_induce_example1(example1_labeled):
@@ -142,8 +140,8 @@ def test_label_deterministic_and_bounded(sentences):
     lab1 = label_candidates(corp)
     lab2 = label_candidates(corp)
     assert rows(lab1) == rows(lab2)
-    assert set(lab1.labels) <= {YES, NO}
-    assert lab1.labels.count(YES) <= len(corp)
+    assert all(type(label) is bool for label in lab1.labels)
+    assert lab1.labels.count(True) <= len(corp)
 
 
 @given(st.lists(sentence_strategy, min_size=1, max_size=8))
@@ -184,7 +182,7 @@ def test_labels_come_from_the_inference_scan(sentences):
         yes = [
             cand.stream_position
             for cand, label in rows(lab)
-            if label == YES and start <= cand.stream_position <= end
+            if label and start <= cand.stream_position <= end
         ]
         if sent[-1] in BOUNDARY_MARKS:
             assert yes == [end]
@@ -192,5 +190,5 @@ def test_labels_come_from_the_inference_scan(sentences):
             assert yes == []
             unmarked += 1
         start = end + 2
-    assert lab.labels.count(YES) == len(corp) - unmarked
+    assert lab.labels.count(True) == len(corp) - unmarked
     assert len(lab.warnings) == unmarked

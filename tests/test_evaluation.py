@@ -76,8 +76,14 @@ def test_perfect_model_on_separable_corpus(synthetic_train):
     model, labeled = train_model(
         synthetic_train, "portable", max_iters=2000, tolerance=1e-3
     )
-    report = evaluate(model, labeled, sentences=len(synthetic_train))
+    report = evaluate(model, labeled)
     assert report.accuracy > max(report.baseline_all_yes, report.baseline_token_final)
+
+
+def test_report_counts_the_sentences_of_the_labeled_corpus(synthetic_train, synthetic_eval):
+    model, _ = train_model(synthetic_train, "portable", max_iters=20)
+    for corpus in (synthetic_train, synthetic_eval):
+        assert evaluate(model, label_candidates(corpus)).sentences == len(corpus)
 
 
 def test_baselines_model_independent(synthetic_train, synthetic_eval):

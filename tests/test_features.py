@@ -112,6 +112,14 @@ def test_portable_templates_refuse_lexicons():
     assert Templates("portable", lexicons=no_lexicons) == Templates("portable")
 
 
+def test_best_templates_refuse_abbreviations():
+    # Likewise: best reads lexicons, never the abbreviation list.
+    lexicons = load_lexicons()
+    with pytest.raises(FeatureError, match="best template set reads no abbreviations"):
+        Templates("best", frozenset({"Mr."}), lexicons)
+    assert Templates("best", frozenset(), lexicons) == Templates("best", lexicons=lexicons)
+
+
 def test_literal_null_token_does_not_collide():
     cand = make_candidate("x.", 1, prev="NULL", nxt=None)
     preds = extract_portable(cand, frozenset())
@@ -154,7 +162,8 @@ def slot_cases(draw):
     pool = [token[: offset + 1], token[offset + 1 :], prev, nxt, "Dr.", "x"]
     abbrevs = frozenset(w for w in draw(st.lists(st.sampled_from(pool))) if w)
     name = draw(st.sampled_from(TEMPLATE_SETS))
-    lexicons = DEFAULT_LEXICONS if name == "best" else None
+    # Each set holds only the resource it reads.
+    abbrevs, lexicons = (frozenset(), DEFAULT_LEXICONS) if name == "best" else (abbrevs, None)
     return Templates(name, abbrevs, lexicons), token, offset, prev, nxt
 
 
@@ -204,7 +213,8 @@ def registry_cases(draw):
         candidates.append(make_candidate(token, offset, prev, nxt))
     abbrevs = frozenset(draw(st.lists(st.sampled_from(words + ["x."]))))
     name = draw(st.sampled_from(TEMPLATE_SETS))
-    lexicons = DEFAULT_LEXICONS if name == "best" else None
+    # Each set holds only the resource it reads.
+    abbrevs, lexicons = (frozenset(), DEFAULT_LEXICONS) if name == "best" else (abbrevs, None)
     return Templates(name, abbrevs, lexicons), candidates, draw(st.integers(1, 3))
 
 
@@ -214,7 +224,7 @@ def test_build_registry_equals_the_per_candidate_count(case):
 
     templates, candidates, cutoff = case
     keys, counts = reference_registry(candidates, templates, cutoff)
-    labeled = LabeledCandidateSet(Candidates.from_rows(candidates), ["no"] * len(candidates))
+    labeled = LabeledCandidateSet(Candidates.from_rows(candidates), [False] * len(candidates), 0)
     # The default bound, and a bound of 2, so the build's slot memos get
     # emptied in the middle of it.
     for bound in (None, 2):
@@ -246,7 +256,9 @@ def test_registry_counts_scale_linearly(example1_labeled):
     from sentbound.corpus import LabeledCandidateSet
 
     doubled = LabeledCandidateSet(
-        Candidates.from_rows(list(example1_labeled.columns) * 2), example1_labeled.labels * 2
+        Candidates.from_rows(list(example1_labeled.columns) * 2),
+        example1_labeled.labels * 2,
+        example1_labeled.sentences * 2,
     )
     templates = Templates("portable")
     reg1 = build_registry(example1_labeled, templates)

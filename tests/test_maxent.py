@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gis_reference import reference_train
 from oracle import grid_conditional_single_predicate, ml_conditionals
-from sentbound.corpus import NO, YES, corpus_from_sentences, induce_abbreviations, label_candidates
+from sentbound.corpus import corpus_from_sentences, induce_abbreviations, label_candidates
 from sentbound.features import (
     TEMPLATE_SETS,
     PredicateRegistry,
@@ -94,19 +94,19 @@ def test_classify_strict_threshold():
 
 
 def test_train_nine_no_one_yes():
-    ev = events_of(((0,), NO, 9), ((0,), YES, 1))
+    ev = events_of(((0,), False, 9), ((0,), True, 1))
     m = train_gis(ev, registry(1), max_iters=2000, tolerance=1e-6)
     assert conditional_yes(m, (0,)) == pytest.approx(0.1, abs=1e-3)
 
 
 def test_train_separable_saturates():
-    ev = events_of(((0,), YES, 10))
+    ev = events_of(((0,), True, 10))
     m = train_gis(ev, registry(1), max_iters=5000, tolerance=1e-9)
     assert conditional_yes(m, (0,)) >= 0.99
 
 
 def test_zero_iterations_gives_uniform_model():
-    ev = events_of(((0,), NO, 9), ((0,), YES, 1))
+    ev = events_of(((0,), False, 9), ((0,), True, 1))
     m = train_gis(ev, registry(1), max_iters=0)
     assert conditional_yes(m, (0,)) == 0.5
     assert not m.converged
@@ -117,7 +117,7 @@ def test_log_likelihood_non_decreasing():
     raw = []
     for _ in range(60):
         active = tuple(sorted(rng.sample(range(4), rng.randint(0, 3))))
-        raw.append((active, rng.choice([YES, NO])))
+        raw.append((active, rng.choice([True, False])))
     ev = merge_events(raw)
     m = train_gis(ev, registry(4), max_iters=300, tolerance=1e-4)
     lls = [ll for ll, _ in m.history]
@@ -125,14 +125,14 @@ def test_log_likelihood_non_decreasing():
 
 
 def test_converged_model_satisfies_constraints():
-    ev = events_of(((0,), NO, 9), ((0,), YES, 1), ((0, 1), YES, 3), ((1,), NO, 2))
+    ev = events_of(((0,), False, 9), ((0,), True, 1), ((0, 1), True, 3), ((1,), False, 2))
     m = train_gis(ev, registry(2), max_iters=5000, tolerance=1e-3)
     assert m.converged
     assert check_constraints(m, ev) <= 1e-3
 
 
 def test_uniform_model_violation_on_nine_one():
-    ev = events_of(((0,), NO, 9), ((0,), YES, 1))
+    ev = events_of(((0,), False, 9), ((0,), True, 1))
     m = train_gis(ev, registry(1), max_iters=0)
     # expected count under uniform is 10 * 0.5 = 5 for each outcome; the
     # yes feature's empirical count is 1, so its violation is |5 - 1| / 1
@@ -149,16 +149,16 @@ def test_malformed_event_predicates_are_refused(active):
     # index would count once in GIS's design matrix but twice in
     # conditional_yes, so GIS could report convergence while the scorer that
     # ships violates the constraints.
-    ev = events_of((active, YES, 3), (active, NO, 1))
+    ev = events_of((active, True, 3), (active, False, 1))
     with pytest.raises(TrainingError, match="strictly increase"):
         train_gis(ev, registry(2), max_iters=100)
     with pytest.raises(TrainingError, match="strictly increase"):
         check_constraints(trained_toy_model()[0], ev)
 
 
-@pytest.mark.parametrize("outcome", ["maybe", "YES", ""])
+@pytest.mark.parametrize("outcome", ["maybe", "YES", "", "yes", 1, 0, 1.0, None])
 def test_unknown_outcome_is_refused(outcome):
-    ev = events_of(((0,), YES, 3), ((0,), outcome, 1))
+    ev = events_of(((0,), True, 3), ((0,), outcome, 1))
     with pytest.raises(TrainingError, match="outcome"):
         train_gis(ev, registry(1), max_iters=10)
     with pytest.raises(TrainingError, match="outcome"):
@@ -168,7 +168,7 @@ def test_unknown_outcome_is_refused(outcome):
 def test_weights_follow_the_model_layout():
     # Predicate 0 is seen with both outcomes, predicate 1 with yes only and
     # predicate 2 in no event.
-    ev = events_of(((0, 1), YES, 3), ((0,), YES, 1), ((0,), NO, 2))
+    ev = events_of(((0, 1), True, 3), ((0,), True, 1), ((0,), False, 2))
     m = train_gis(ev, registry(3), max_iters=5000, tolerance=1e-3)
     assert [tuple(w is not None for w in pair) for pair in m.log_alpha] == [
         (True, True),
@@ -189,7 +189,7 @@ def test_gis_memory_follows_the_entries_not_contexts_times_predicates():
     # 3000 contexts of one predicate each: 9000 entries, where a dense
     # contexts x predicates matrix would take 3000 * 3002 * 8 bytes (72 MB).
     n = 3000
-    ev = events_of(*(((i,), YES if i % 3 else NO, 1) for i in range(n)))
+    ev = events_of(*(((i,), bool(i % 3), 1) for i in range(n)))
     reg = registry(n)
     tracemalloc.start()
     try:
@@ -208,7 +208,7 @@ def test_permutation_invariance(rnd):
     rng = random.Random(7)
     for _ in range(30):
         active = tuple(sorted(rng.sample(range(3), rng.randint(0, 2))))
-        raw.append((active, rng.choice([YES, NO])))
+        raw.append((active, rng.choice([True, False])))
     shuffled = list(raw)
     rnd.shuffle(shuffled)
     m1 = train_gis(merge_events(raw), registry(3), max_iters=50)
@@ -218,11 +218,11 @@ def test_permutation_invariance(rnd):
 
 
 ORACLE_CORPORA = [
-    [((0,), NO, 9), ((0,), YES, 1)],
-    [((0,), NO, 1), ((0,), YES, 3)],
-    [((0,), YES, 3), ((0,), NO, 1), ((1,), YES, 1), ((1,), NO, 3), ((0, 1), YES, 2), ((0, 1), NO, 2)],
-    [((), YES, 1), ((), NO, 3), ((0,), YES, 3), ((0,), NO, 1)],
-    [((0,), YES, 2), ((0,), NO, 1), ((1,), YES, 1), ((1,), NO, 2), ((2,), YES, 2), ((2,), NO, 2), ((0, 1, 2), YES, 1), ((0, 1, 2), NO, 1)],
+    [((0,), False, 9), ((0,), True, 1)],
+    [((0,), False, 1), ((0,), True, 3)],
+    [((0,), True, 3), ((0,), False, 1), ((1,), True, 1), ((1,), False, 3), ((0, 1), True, 2), ((0, 1), False, 2)],
+    [((), True, 1), ((), False, 3), ((0,), True, 3), ((0,), False, 1)],
+    [((0,), True, 2), ((0,), False, 1), ((1,), True, 1), ((1,), False, 2), ((2,), True, 2), ((2,), False, 2), ((0, 1, 2), True, 1), ((0, 1, 2), False, 1)],
 ]
 
 
@@ -278,7 +278,7 @@ def test_gis_equals_reference_on_a_zipfian_portable_corpus():
 def test_gis_equals_reference_where_an_expectation_reaches_zero():
     # Separable, but the heavy yes contexts drive p(no|(0, 1)) to exactly 0.0
     # while both no features have positive empirical counts.
-    ev = events_of(((0,), YES, 10**17), ((0, 1), NO, 10), ((1,), YES, 10**17))
+    ev = events_of(((0,), True, 10**17), ((0, 1), False, 10), ((1,), True, 10**17))
     ref = assert_gis_matches_reference(ev, registry(2), 100, 1e-3)
     assert ref.zero_expectation_steps > 0
 
@@ -288,15 +288,15 @@ def test_grid_oracle_agrees_on_nine_one():
 
 
 def test_merge_events_multiplicity():
-    ev = merge_events([((0,), YES)] * 3 + [((0,), NO)])
+    ev = merge_events([((0,), True)] * 3 + [((0,), False)])
     assert sorted((e.active_predicates, e.outcome, e.multiplicity) for e in ev) == [
-        ((0,), NO, 1),
-        ((0,), YES, 3),
+        ((0,), False, 1),
+        ((0,), True, 3),
     ]
 
 
 def trained_toy_model():
-    ev = events_of(((0,), NO, 9), ((0,), YES, 1), ((0, 1), YES, 3), ((1,), NO, 2))
+    ev = events_of(((0,), False, 9), ((0,), True, 1), ((0, 1), True, 3), ((1,), False, 2))
     return train_gis(ev, registry(2), max_iters=2000, tolerance=1e-5), ev
 
 

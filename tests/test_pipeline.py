@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 import weakref
+from itertools import compress
 from operator import add
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import pipeline_reference
 from sentbound import features, pipeline
 from sentbound.candidates import NO_WORD, scan
-from sentbound.corpus import YES, label_candidates
+from sentbound.corpus import corpus_from_sentences, label_candidates
 from sentbound.evaluation import evaluate
 from sentbound.features import TEMPLATE_SETS, FeatureError, encode, load_lexicons
 from sentbound.maxent import (
@@ -194,7 +195,7 @@ def test_scorer_matches_training_path(template_set, synthetic_train, lexicons):
     ll = 0.0
     for ev in events:
         p_yes = conditional_yes(model, ev.active_predicates)
-        ll += ev.multiplicity * math.log(p_yes if ev.outcome == YES else 1.0 - p_yes)
+        ll += ev.multiplicity * math.log(p_yes if ev.outcome else 1.0 - p_yes)
     final_ll, final_violation = model.history[-1]
     assert ll == pytest.approx(final_ll, rel=1e-12)
     assert check_constraints(model, events) == pytest.approx(final_violation, rel=1e-12)
@@ -332,6 +333,29 @@ def test_sliced_offsets_equal_the_whole_text_reference(cache_models, template_se
     # Each candidate was decided once, with the words and position that the
     # whole text gives it.
     assert decided == list(scan(text))
+
+
+# Whitespace-normalised sentences of slice tokens, each ending in a mark.
+MARK_FINAL_SENTENCE = st.builds(
+    add, st.lists(SLICE_TOKEN, min_size=1, max_size=6).map(" ".join), st.sampled_from(".?!")
+)
+
+
+@settings(deadline=None)
+@given(sentences=st.lists(MARK_FINAL_SENTENCE, min_size=1, max_size=8), slice_chars=st.integers(1, 8))
+@example(sentences=["Dr. Smith left.", "He said \"stop.\" twice!", "Why?"], slice_chars=3)
+def test_labels_used_as_decisions_give_back_the_corpus(sentences, slice_chars):
+    labeled = label_candidates(corpus_from_sentences(sentences))
+    ends = set(compress(labeled.columns.positions, labeled.labels))
+
+    def label_decide(model, cands):
+        return list(map(ends.__contains__, cands.positions))
+
+    for chars in (pipeline.SLICE_CHARS, slice_chars):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "SLICE_CHARS", chars)
+            mp.setattr(pipeline, "decide", label_decide)
+            assert segment_text(None, " ".join(sentences)).sentences == sentences
 
 
 def test_a_text_of_one_slice_is_scanned_whole(portable_model, monkeypatch):
