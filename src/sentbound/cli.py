@@ -56,14 +56,14 @@ def _at_least(convert: Callable[[str], float], low: float) -> Callable[[str], fl
 
 
 def _sizes(text: str) -> list[int]:
-    """argparse type: comma-separated, distinct training sizes."""
+    """argparse type: comma-separated, distinct training sizes, each at least 1."""
     try:
         sizes = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         sizes = []
-    if not sizes or len(set(sizes)) != len(sizes):
+    if not sizes or len(set(sizes)) != len(sizes) or min(sizes) < 1:
         raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of distinct integers: {text!r}"
+            f"not a comma-separated list of distinct integers >= 1: {text!r}"
         )
     return sizes
 
@@ -124,19 +124,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_checked(args) -> maxent.Model:
-    model = maxent.load_model(args.model)
-    trained_with = model.registry.templates.name
-    if args.templates and args.templates != trained_with:
-        raise maxent.ModelFormatError(
-            f"model was trained with --templates {trained_with}, "
-            f"refusing to run with --templates {args.templates}"
-        )
-    return model
-
-
 def cmd_segment(args) -> int:
-    model = _load_model_checked(args)
+    model = maxent.load_model(args.model)
     text = corpus_mod.load_raw(args.input, encoding=args.encoding)
     if args.offsets:
         offsets = pipeline.boundary_offsets(model, text)
@@ -148,7 +137,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _load_model_checked(args)
+    model = maxent.load_model(args.model)
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
     labeled = corpus_mod.label_candidates(corp)
     report = evaluation.evaluate(model, labeled)
@@ -215,22 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--designators", type=_file_path, default=None,
                        help="corporate designator lexicon file (best)")
 
-    def template_check(p):
-        p.add_argument(
-            "--templates", choices=features.TEMPLATE_SETS, default=None,
-            help="refuse a model trained with another template set",
-        )
-
     training(command("train", cmd_train, "train a model on an annotated corpus",
                      model=True, corpus=True, output=False))
 
     p_seg = command("segment", cmd_segment, "segment raw text with a trained model",
                     model=True, inp=True)
-    template_check(p_seg)
     p_seg.add_argument("--offsets", action="store_true", help="emit byte offsets of boundary marks")
 
-    template_check(command("evaluate", cmd_evaluate, "score a model against a labeled corpus",
-                           model=True, corpus=True))
+    command("evaluate", cmd_evaluate, "score a model against a labeled corpus",
+            model=True, corpus=True)
 
     command("induce-abbrevs", cmd_induce_abbrevs, "induce the abbreviation list from a corpus",
             corpus=True)

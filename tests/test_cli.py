@@ -154,13 +154,32 @@ def test_segment_offsets_builds_no_sentences(tmp_path, model_file, capsys, monke
     assert [int(x) for x in capsys.readouterr().out.split()] == marks
 
 
-def test_segment_template_mismatch(model_file, tmp_path):
+def test_segment_template_mismatch(model_file, tmp_path, capsys):
+    # The model file's template_set line decides; a --templates flag is refused by
+    # argparse before the model or the input is read.
     inp = tmp_path / "raw.txt"
     inp.write_text("Some text.")
-    rc = main(
-        ["segment", "--model", str(model_file), "--input", str(inp), "--templates", "best"]
-    )
-    assert rc == EXIT_FORMAT
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["segment", "--model", str(model_file), "--input", str(inp),
+             "--output", str(out), "--templates", "best"]
+        )
+    assert exc.value.code == 2
+    assert "--templates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("templates", ["best", "portable"])
+def test_evaluate_takes_no_templates_flag(model_file, corpus_file, tmp_path, templates,
+                                          capsys):
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--model", str(model_file), "--corpus", str(corpus_file),
+              "--output", str(out), "--templates", templates])
+    assert exc.value.code == 2
+    assert "--templates" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_on_training_corpus(corpus_file, model_file, capsys):
@@ -300,13 +319,15 @@ def test_learning_curve_sizes_not_integers(corpus_file):
 
 
 def test_learning_curve_size_below_one(corpus_file, capsys):
-    rc = main(
-        [
-            "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
-            "--sizes=-1,2",
-        ]
-    )
-    assert rc == EXIT_FORMAT
+    # Refused while parsing the command line, before either corpus is read.
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
+                "--sizes=-1,2",
+            ]
+        )
+    assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
 
@@ -420,7 +441,7 @@ def test_empty_lexicon_path_is_refused(tmp_path, corpus_file, command, flag, cap
     assert not (tmp_path / "m.txt").exists()
 
 
-@pytest.mark.parametrize("sizes", [",", "", "2,2", "30,120,30"])
+@pytest.mark.parametrize("sizes", [",", "", "2,2", "30,120,30", "0", "5,-3"])
 def test_learning_curve_sizes_empty_or_repeated(corpus_file, sizes, capsys):
     with pytest.raises(SystemExit) as exc:
         main(

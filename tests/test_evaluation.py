@@ -113,6 +113,14 @@ def test_learning_curve_size_exceeds_corpus():
         learning_curve(corp, eval_lab, [11], "portable", seed=0)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_learning_curve_size_below_one(size):
+    corp = make_corpus(10, seed=5)
+    eval_lab = label_candidates(make_corpus(5, seed=6))
+    with pytest.raises(CorpusError, match="below 1"):
+        learning_curve(corp, eval_lab, [5, size], "portable", seed=0)
+
+
 def test_portable_learning_curve_refuses_lexicons():
     corp = make_corpus(20, seed=5)
     eval_lab = label_candidates(make_corpus(5, seed=6))
