@@ -93,7 +93,7 @@ def _write_output(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _lexicons(args) -> Optional[features.ResourceLexicons]:
+def _lexicons(args) -> Optional[dict[str, frozenset[str]]]:
     if args.templates != "best":
         return None
     return features.load_lexicons(args.honorifics, args.designators)
@@ -156,6 +156,8 @@ def cmd_induce_abbrevs(args) -> int:
 
 def cmd_learning_curve(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
+    # Refused before the held-out corpus is read and labeled.
+    evaluation.check_training_sizes(args.sizes, corp)
     eval_corp = corpus_mod.load_annotated(args.input, encoding=args.encoding)
     eval_labeled = corpus_mod.label_candidates(eval_corp)
     rows = evaluation.learning_curve(

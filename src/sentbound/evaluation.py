@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import eq, gt, lt
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .corpus import (
     AnnotatedCorpus,
@@ -19,7 +19,6 @@ from .corpus import (
     corpus_from_sentences,
     label_candidates,
 )
-from .features import ResourceLexicons
 from .maxent import Model
 # perfbench's tracer patches ``evaluation.make_classifier``; nothing here
 # calls it.
@@ -79,33 +78,32 @@ def evaluate(model: Model, labeled: LabeledCandidateSet) -> EvaluationReport:
     return score(decide(model, labeled.columns), labeled)
 
 
+def check_training_sizes(sizes: Sequence[int], corpus: AnnotatedCorpus) -> None:
+    """Refuse a training size below 1 or above the corpus's sentence count."""
+    for size in sizes:
+        if not 1 <= size <= len(corpus):
+            bound = "is below 1" if size < 1 else f"exceeds corpus size {len(corpus)}"
+            raise CorpusError(f"requested training size {size} {bound}")
+
+
 def learning_curve(
     corpus: AnnotatedCorpus,
     eval_labeled: LabeledCandidateSet,
     sizes: Sequence[int],
     template_set: str,
     seed: int,
-    *,
-    lexicons: Optional[ResourceLexicons] = None,
     **train_kwargs,
 ) -> list[tuple[int, float]]:
     """Train one model per prefix-sample of each size (under a seeded shuffle
-    of the training corpus) and score each on the fixed held-out set."""
-    for size in sizes:
-        if size < 1:
-            raise CorpusError(f"requested training size {size} is below 1")
-        if size > len(corpus):
-            raise CorpusError(
-                f"requested training size {size} exceeds corpus size {len(corpus)}"
-            )
+    of the training corpus) and score each on the fixed held-out set.
+    ``train_kwargs`` go to ``train_model``."""
+    check_training_sizes(sizes, corpus)
     shuffled = list(corpus.sentences)
     random.Random(seed).shuffle(shuffled)
     rows = []
     for size in sizes:
         subset = corpus_from_sentences(shuffled[:size])
-        model, _ = train_model(
-            subset, template_set, lexicons=lexicons, **train_kwargs
-        )
+        model, _ = train_model(subset, template_set, **train_kwargs)
         rows.append((size, evaluate(model, eval_labeled).accuracy))
     return rows
 

@@ -5,8 +5,8 @@ corporate-designator lexicons plus character-class tests; "portable" uses only
 token identities and the abbreviation list induced from training data. Each is
 one row of ``TEMPLATE_TABLE``: a token-slot function that reads the token and
 the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), a
-word-slot function for the previous and the following word, and the resource
-both read. A ``Templates`` value is one set with the resources a model file
+word-slot function for the previous and the following word, and the resources
+both read. A ``Templates`` value is one set with the ``RESOURCES`` a model file
 stores, and it owns them: it refuses a resource to a set that does not read
 it. The registry carries it, so ``encode(candidate, registry)`` needs nothing
 else. ``Templates.extract`` is the union of the slots. ``build_registry``
@@ -43,12 +43,6 @@ class EmptyRegistryError(FeatureError):
     """No predicate survived the frequency cutoff; the model would be vacuous."""
 
 
-@dataclass(frozen=True)
-class ResourceLexicons:
-    honorifics: frozenset[str] = frozenset()
-    corporate_designators: frozenset[str] = frozenset()
-
-
 def _word_key(word: Optional[str]) -> str:
     """Render a token for use in a predicate key. None and the empty affix
     render as NULL; a literal token "NULL", and any token starting with a
@@ -68,7 +62,7 @@ PREVIOUS = "PreviousWord"
 FOLLOWING = "FollowingWord"
 
 
-def _best_token_keys(lex: ResourceLexicons, token: str, offset: int) -> set[str]:
+def _best_token_keys(hon: frozenset[str], des: frozenset[str], token: str, offset: int) -> set[str]:
     prefix, suffix = token[:offset], token[offset + 1 :]
     preds = {
         f"Prefix={_word_key(prefix)}",
@@ -76,9 +70,9 @@ def _best_token_keys(lex: ResourceLexicons, token: str, offset: int) -> set[str]
     }
     preds.update(_char_class_preds("Prefix", prefix))
     preds.update(_char_class_preds("Suffix", suffix))
-    if token in lex.honorifics:
+    if token in hon:
         preds.add("PrefixFeature=Honorific")
-    if token in lex.corporate_designators:
+    if token in des:
         preds.add("PrefixFeature=CorporateDesignator")
     return preds
 
@@ -100,7 +94,9 @@ def _char_class_preds(side: str, affix: str) -> set[str]:
     return preds
 
 
-def _best_word_keys(lex: ResourceLexicons, side: str, word: Optional[str]) -> set[str]:
+def _best_word_keys(
+    hon: frozenset[str], des: frozenset[str], side: str, word: Optional[str]
+) -> set[str]:
     if word is None:
         return {f"{side}=NULL"}
     preds = set()
@@ -108,9 +104,9 @@ def _best_word_keys(lex: ResourceLexicons, side: str, word: Optional[str]) -> se
         preds.add(f"{side}IsCapitalized")
     if len(word) > 1 and word.isupper():
         preds.add(f"{side}IsAllCaps")
-    if word in lex.honorifics:
+    if word in hon:
         preds.add(f"{side}IsHonorific")
-    if word in lex.corporate_designators:
+    if word in des:
         preds.add(f"{side}IsCorporateDesignator")
     if word.endswith("."):
         preds.add(f"{side}EndsWithPeriod")
@@ -138,11 +134,14 @@ def _portable_word_keys(abbrevs: frozenset[str], side: str, word: Optional[str])
     return preds
 
 
+# The resources a template set may read: ``Templates`` fields and model file sections, in order.
+RESOURCES = ("abbreviations", "honorifics", "designators")
+
 # The template sets: name -> (token-slot function, word-slot function, the
-# ``Templates`` field both read, which they take first).
+# resources both read, which they take first, in this order).
 TEMPLATE_TABLE = {
-    "best": (_best_token_keys, _best_word_keys, "lexicons"),
-    "portable": (_portable_token_keys, _portable_word_keys, "abbreviations"),
+    "best": (_best_token_keys, _best_word_keys, ("honorifics", "designators")),
+    "portable": (_portable_token_keys, _portable_word_keys, ("abbreviations",)),
 }
 TEMPLATE_SETS = tuple(TEMPLATE_TABLE)
 
@@ -154,8 +153,9 @@ class Templates:
 
     name: str
     abbreviations: frozenset[str] = frozenset()
-    lexicons: Optional[ResourceLexicons] = None
-    # The set's slot functions, bound to its resource: ``token_keys(token, offset)``,
+    honorifics: frozenset[str] = frozenset()
+    designators: frozenset[str] = frozenset()
+    # The set's slot functions, bound to its resources: ``token_keys(token, offset)``,
     # and ``word_keys(side, word)`` with ``side`` PREVIOUS or FOLLOWING.
     token_keys: Callable[..., set[str]] = field(init=False, repr=False, compare=False)
     word_keys: Callable[..., set[str]] = field(init=False, repr=False, compare=False)
@@ -163,26 +163,13 @@ class Templates:
     def __post_init__(self):
         if self.name not in TEMPLATE_TABLE:
             raise FeatureError(f"unknown template set {self.name!r}")
-        token_keys, word_keys, resource = TEMPLATE_TABLE[self.name]
-        if resource == "lexicons" and self.lexicons is None:
-            raise FeatureError(f"{self.name} template set requires resource lexicons")
-        if resource != "lexicons" and self.lexicons not in (None, ResourceLexicons()):
-            raise FeatureError(f"{self.name} template set reads no lexicons")
-        if resource != "abbreviations" and self.abbreviations:
-            raise FeatureError(f"{self.name} template set reads no abbreviations")
-        object.__setattr__(self, "lexicons", self.lexicons or ResourceLexicons())
-        object.__setattr__(self, "token_keys", partial(token_keys, getattr(self, resource)))
-        object.__setattr__(self, "word_keys", partial(word_keys, getattr(self, resource)))
-
-    @classmethod
-    def from_resources(cls, name: str, abbreviations, honorifics, designators) -> Templates:
-        """The template set ``name`` holding the given resources."""
-        return cls(name, abbreviations, ResourceLexicons(honorifics, designators))
-
-    @property
-    def resources(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-        """The abbreviations, honorifics and designators, as ``from_resources`` takes them."""
-        return self.abbreviations, self.lexicons.honorifics, self.lexicons.corporate_designators
+        token_keys, word_keys, reads = TEMPLATE_TABLE[self.name]
+        for resource in RESOURCES:
+            if resource not in reads and getattr(self, resource):
+                raise FeatureError(f"{self.name} template set reads no {resource}")
+        bound = [getattr(self, resource) for resource in reads]
+        object.__setattr__(self, "token_keys", partial(token_keys, *bound))
+        object.__setattr__(self, "word_keys", partial(word_keys, *bound))
 
     def extract(self, c: Candidate) -> set[str]:
         """All predicates of a candidate: the union of its three slots'."""
@@ -191,9 +178,9 @@ class Templates:
                 | self.word_keys(FOLLOWING, c.next_word))
 
 
-def extract_best(c: Candidate, lex: ResourceLexicons) -> set[str]:
-    """Predicates for the high-performance template set."""
-    return Templates("best", lexicons=lex).extract(c)
+def extract_best(c: Candidate, lexicons: dict[str, frozenset[str]]) -> set[str]:
+    """Predicates for the high-performance template set; ``lexicons`` as from ``load_lexicons``."""
+    return Templates("best", **lexicons).extract(c)
 
 
 def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
@@ -331,11 +318,12 @@ def _shipped_lexicon(name: str) -> frozenset[str]:
 def load_lexicons(
     honorifics_path: Optional[str | Path] = None,
     designators_path: Optional[str | Path] = None,
-) -> ResourceLexicons:
-    """The lexicon files at the given paths; a shipped file stands in for a
-    path not given, and is read only then."""
-    hon = (_shipped_lexicon("honorifics.txt") if honorifics_path is None
-           else load_lexicon_file(honorifics_path))
-    des = (_shipped_lexicon("designators.txt") if designators_path is None
-           else load_lexicon_file(designators_path))
-    return ResourceLexicons(honorifics=hon, corporate_designators=des)
+) -> dict[str, frozenset[str]]:
+    """The honorifics and designators, as ``Templates`` keyword arguments:
+    the lexicon files at the given paths; a shipped file stands in for a path
+    not given, and is read only then."""
+    paths = {"honorifics": honorifics_path, "designators": designators_path}
+    return {
+        name: _shipped_lexicon(f"{name}.txt") if path is None else load_lexicon_file(path)
+        for name, path in paths.items()
+    }

@@ -10,7 +10,7 @@ correction (slack) feature absorbs C minus the active-feature count, as
 GIS's constant-sum condition requires. GIS sums sparse context entries with
 ``np.bincount``, not BLAS, so training is machine-independent. A model file
 holds everything that turns a candidate into a decision: the registry's
-``features.Templates`` value owns the resource sections it stores.
+``features.Templates`` value owns its ``features.RESOURCES`` sections.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureError, Memo, PredicateRegistry, Templates
+from .features import RESOURCES, FeatureError, Memo, PredicateRegistry, Templates
 
 OUTCOMES = (True, False)  # GIS's row order: yes, then no
 
@@ -40,8 +40,6 @@ VIOLATION_FLOOR = 1.0
 
 MODEL_FORMAT_VERSION = 2
 _HEADER = f"sentbound-model v{MODEL_FORMAT_VERSION}"
-# The sections of Templates.resources, in its order.
-_RESOURCE_SECTIONS = ("[abbreviations]", "[honorifics]", "[designators]")
 _CORRECTION_TAGS = ("yes", "no")  # of the correction rows, in OUTCOMES order
 
 Weight = Optional[float]
@@ -94,7 +92,7 @@ class Model:
     @property
     def fingerprint(self) -> str:
         """SHA-256 of the serialised template set, C, cutoff, registry (keys,
-        counts, weights), abbreviations, lexicons and corrections."""
+        counts, weights), resources and corrections."""
         return _digest(_body(self))
 
 
@@ -401,9 +399,9 @@ def _body(model: Model) -> list[str]:
         zip(registry.keys, registry.counts, model.log_alpha)
     ):
         lines.append(f"{i}\t{count}\t{key}\t{_weight_text(w_yes)}\t{_weight_text(w_no)}")
-    for tag, entries in zip(_RESOURCE_SECTIONS, templates.resources):
-        lines.append(f"{tag} {len(entries)}")
-        lines.extend(sorted(entries))
+    for resource in RESOURCES:
+        entries = sorted(getattr(templates, resource))
+        lines += [f"[{resource}] {len(entries)}", *entries]
     lines.append("[corrections]")
     lines.extend(f"{b}\t{w.hex()}" for b, w in zip(_CORRECTION_TAGS, model.corrections))
     return lines
@@ -483,7 +481,7 @@ def load_model(path: str | Path) -> Model:
             counts.append(int(parts[1]))
             keys.append(parts[2])
             log_alpha.append((weight(parts[3]), weight(parts[4])))
-        resources = [frozenset(section(tag)) for tag in _RESOURCE_SECTIONS]
+        resources = {name: frozenset(section(f"[{name}]")) for name in RESOURCES}
         if next_line() != "[corrections]":
             raise ModelFormatError(f"{path}: missing corrections section")
         corrections = []
@@ -494,7 +492,7 @@ def load_model(path: str | Path) -> Model:
             corrections.append(float.fromhex(value))
         if next_line() != "[end]":
             raise ModelFormatError(f"{path}: missing end marker")
-        templates = Templates.from_resources(template_set, *resources)
+        templates = Templates(template_set, **resources)
     except (ValueError, OverflowError, FeatureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
     model = Model(

@@ -33,7 +33,7 @@ from .corpus import (
     induce_abbreviations,
     label_candidates,
 )
-from .features import ResourceLexicons, Templates
+from .features import Templates
 from .maxent import Model
 
 # Characters of raw text that ``boundary_offsets`` scans and decides at a
@@ -66,17 +66,20 @@ def train_model(
     cutoff: int = 1,
     max_iters: int = maxent.DEFAULT_MAX_ITERS,
     tolerance: float = maxent.DEFAULT_TOLERANCE,
-    lexicons: Optional[ResourceLexicons] = None,
+    lexicons: Optional[dict[str, frozenset[str]]] = None,
 ) -> tuple[Model, LabeledCandidateSet]:
     """Label the corpus, build resources and registry, and run GIS.
 
     The portable system induces its abbreviation list from the corpus, and
-    refuses ``lexicons``; the best system needs them. The model's registry
-    keeps whichever it used.
+    refuses ``lexicons``; the best system needs them, as
+    ``features.load_lexicons`` returns them. The model's registry keeps
+    whichever it used.
     """
+    if template_set == "best" and lexicons is None:
+        raise features.FeatureError("best template set requires resource lexicons")
     labeled = label_candidates(corpus)
     abbreviations = induce_abbreviations(labeled) if template_set == "portable" else frozenset()
-    templates = Templates(template_set, abbreviations, lexicons)
+    templates = Templates(template_set, abbreviations, **(lexicons or {}))
     registry = features.build_registry(labeled, templates, cutoff=cutoff)
     events = events_from_labeled(labeled, registry)
     model = maxent.train_gis(events, registry, max_iters=max_iters, tolerance=tolerance)

@@ -211,6 +211,19 @@ def test_learning_curve_oversized_request(tmp_path, corpus_file, capsys):
     assert rc == EXIT_FORMAT
 
 
+def test_learning_curve_oversized_request_is_refused_before_input_is_read(tmp_path, capsys):
+    corpus = tmp_path / "train.txt"
+    write_corpus(make_corpus(20, seed=3), corpus)
+    rc = main(
+        [
+            "learning-curve", "--corpus", str(corpus), "--input", str(tmp_path / "missing.txt"),
+            "--sizes", "21",
+        ]
+    )
+    assert rc == EXIT_FORMAT
+    assert "requested training size 21 exceeds corpus size 20" in capsys.readouterr().err
+
+
 def test_learning_curve_runs(tmp_path, corpus_file, capsys):
     eval_file = tmp_path / "eval.txt"
     write_corpus(make_corpus(40, seed=8), eval_file)
@@ -245,7 +258,7 @@ def test_best_model_carries_its_lexicons(tmp_path, corpus_file):
         ]
     )
     assert rc == EXIT_OK
-    assert load_model(model).registry.templates.lexicons.honorifics == {"Dr.", "Gen."}
+    assert load_model(model).registry.templates.honorifics == {"Dr.", "Gen."}
     raw = tmp_path / "raw.txt"
     raw.write_text("Mr. Smith met Dr. Chen of Acme Corp. today. Did Gen. Davis stay? No!\n")
 

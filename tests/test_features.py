@@ -8,10 +8,10 @@ from sentbound.features import (
     FOLLOWING,
     PREVIOUS,
     TEMPLATE_SETS,
+    TEMPLATE_TABLE,
     EmptyRegistryError,
     FeatureError,
     Memo,
-    ResourceLexicons,
     _word_key,
     build_registry,
     encode,
@@ -92,32 +92,34 @@ def test_portable_final_token():
     }
 
 
-def test_portable_never_consults_lexicons(monkeypatch):
-    # No portable slot function may read a lexicon, wherever it finds one.
-    templates = Templates("portable", frozenset({"Corp.", "Dr."}))
-
-    def boom(lexicons, name):
-        raise AssertionError(f"portable templates read the lexicons' {name}")
-
-    monkeypatch.setattr(ResourceLexicons, "__getattribute__", boom)
-    assert templates.extract(CORP)
-    assert templates.extract(make_candidate("Dr.", 2, prev="Mr.", nxt="Corp."))
+def test_slot_functions_take_exactly_the_resources_of_their_row():
+    # A slot function sees only the resources its TEMPLATE_TABLE row names,
+    # in the row's order, and nothing else of the set.
+    for name, (token_keys, word_keys, reads) in TEMPLATE_TABLE.items():
+        resources = {resource: frozenset({f"{resource}."}) for resource in reads}
+        templates = Templates(name, **resources)
+        for bound, func in ((templates.token_keys, token_keys), (templates.word_keys, word_keys)):
+            assert bound.func is func
+            assert bound.args == tuple(resources[resource] for resource in reads)
+            assert all(a is b for a, b in zip(bound.args, map(resources.get, reads)))
+            assert bound.keywords == {}
 
 
 def test_portable_templates_refuse_lexicons():
     # A model file would store them, and no decision would read them.
-    with pytest.raises(FeatureError, match="portable template set reads no lexicons"):
-        Templates("portable", lexicons=load_lexicons())
-    no_lexicons = ResourceLexicons(frozenset(), frozenset())
-    assert Templates("portable", lexicons=no_lexicons) == Templates("portable")
+    for resource, lexicon in load_lexicons().items():
+        with pytest.raises(FeatureError, match=f"portable template set reads no {resource}$"):
+            Templates("portable", **{resource: lexicon})
+    no_lexicons = {"honorifics": frozenset(), "designators": frozenset()}
+    assert Templates("portable", **no_lexicons) == Templates("portable")
 
 
 def test_best_templates_refuse_abbreviations():
     # Likewise: best reads lexicons, never the abbreviation list.
     lexicons = load_lexicons()
-    with pytest.raises(FeatureError, match="best template set reads no abbreviations"):
-        Templates("best", frozenset({"Mr."}), lexicons)
-    assert Templates("best", frozenset(), lexicons) == Templates("best", lexicons=lexicons)
+    with pytest.raises(FeatureError, match="best template set reads no abbreviations$"):
+        Templates("best", frozenset({"Mr."}), **lexicons)
+    assert Templates("best", frozenset(), **lexicons) == Templates("best", **lexicons)
 
 
 def test_literal_null_token_does_not_collide():
@@ -141,7 +143,7 @@ def test_word_keys_are_injective(a, b):
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
 @pytest.mark.parametrize("text", ["x NULL. y", "NULL x. y", "x y. NULL"])
 def test_escaped_null_and_backslash_tokens_get_different_predicates(template_set, text, lexicons):
-    templates = Templates(template_set, lexicons=lexicons if template_set == "best" else None)
+    templates = Templates(template_set, **(lexicons if template_set == "best" else {}))
 
     def predicates(text):
         return [templates.extract(c) for c in scan(text)]
@@ -163,8 +165,8 @@ def slot_cases(draw):
     abbrevs = frozenset(w for w in draw(st.lists(st.sampled_from(pool))) if w)
     name = draw(st.sampled_from(TEMPLATE_SETS))
     # Each set holds only the resource it reads.
-    abbrevs, lexicons = (frozenset(), DEFAULT_LEXICONS) if name == "best" else (abbrevs, None)
-    return Templates(name, abbrevs, lexicons), token, offset, prev, nxt
+    abbrevs, lexicons = (frozenset(), DEFAULT_LEXICONS) if name == "best" else (abbrevs, {})
+    return Templates(name, abbrevs, **lexicons), token, offset, prev, nxt
 
 
 @given(slot_cases())
@@ -178,7 +180,7 @@ def test_the_three_slots_partition_the_predicates(case):
     assert all(not a & b for i, a in enumerate(slots) for b in slots[i + 1 :])
     cand = make_candidate(token, offset, prev, nxt)
     if templates.name == "best":
-        extracted = extract_best(cand, templates.lexicons)
+        extracted = extract_best(cand, DEFAULT_LEXICONS)
     else:
         extracted = extract_portable(cand, templates.abbreviations)
     assert set().union(*slots) == extracted == templates.extract(cand)
@@ -214,8 +216,8 @@ def registry_cases(draw):
     abbrevs = frozenset(draw(st.lists(st.sampled_from(words + ["x."]))))
     name = draw(st.sampled_from(TEMPLATE_SETS))
     # Each set holds only the resource it reads.
-    abbrevs, lexicons = (frozenset(), DEFAULT_LEXICONS) if name == "best" else (abbrevs, None)
-    return Templates(name, abbrevs, lexicons), candidates, draw(st.integers(1, 3))
+    abbrevs, lexicons = (frozenset(), DEFAULT_LEXICONS) if name == "best" else (abbrevs, {})
+    return Templates(name, abbrevs, **lexicons), candidates, draw(st.integers(1, 3))
 
 
 @given(registry_cases())
@@ -295,10 +297,10 @@ def test_load_lexicons_reads_no_shipped_file_for_a_given_path(tmp_path, monkeypa
         features, "_shipped_lexicon", lambda name: read.append(name) or shipped_lexicon(name)
     )
     both = load_lexicons(honorifics, designators)
-    assert (both.honorifics, both.corporate_designators) == ({"Dr."}, {"Corp."})
+    assert both == {"honorifics": {"Dr."}, "designators": {"Corp."}}
     assert read == []
     one = load_lexicons(designators_path=designators)
-    assert (one.honorifics, one.corporate_designators) == (shipped.honorifics, {"Corp."})
+    assert one == {"honorifics": shipped["honorifics"], "designators": {"Corp."}}
     assert read == ["honorifics.txt"]
     # An empty path is a path given: reading it fails, no shipped file stands in.
     with pytest.raises(OSError):
@@ -337,5 +339,5 @@ def test_memo_stores_nothing_when_compute_raises():
 
 
 def test_default_lexicons_seeded(lexicons):
-    assert {"Ms.", "Dr.", "Gen."} <= lexicons.honorifics
-    assert {"Corp.", "S.p.A.", "L.L.C."} <= lexicons.corporate_designators
+    assert {"Ms.", "Dr.", "Gen."} <= lexicons["honorifics"]
+    assert {"Corp.", "S.p.A.", "L.L.C."} <= lexicons["designators"]

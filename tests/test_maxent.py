@@ -258,7 +258,7 @@ def test_gis_equals_reference_on_oracle_corpora(spec):
 
 def test_gis_equals_reference_on_a_best_corpus(lexicons):
     labeled = label_candidates(make_corpus(150, seed=21))
-    reg = build_registry(labeled, Templates("best", lexicons=lexicons))
+    reg = build_registry(labeled, Templates("best", **lexicons))
     ref = assert_gis_matches_reference(events_from_labeled(labeled, reg), reg, 400, 1e-3)
     assert len(ref.contexts) > 10
 
@@ -375,6 +375,94 @@ def test_load_v1_file_asks_for_retraining(tmp_path):
     path.write_text("sentbound-model v1\ntemplate_set portable\nC 1\n")
     with pytest.raises(ModelFormatError, match="retrain"):
         load_model(path)
+
+
+# Two v2 model files written by an earlier version of the writer, kept as
+# bytes: the round-trip tests above save and load with the same code, so
+# they would pass a writer and a reader changed together. Neither needs
+# training, so the bytes do not depend on the platform's floating point.
+BEST_V2 = "".join(line + "\n" for line in [
+    "sentbound-model v2",
+    "fingerprint 3dd4ca8e78c2b0b44da02c1a431210b0c3efd01180401fe9607cdae6e91c0302",
+    "converged 0",
+    "iterations 2",
+    "template_set best",
+    "C 7",
+    "cutoff 1",
+    "[registry] 16",
+    "0\t2\tFollowingWordIsCapitalized\t0x1.23d905b96d2f4p-6\t-0x1.037558c382d22p-6",
+    "1\t1\tPrefix=Dr\t-\t0x1.2cf45056b1139p-3",
+    "2\t4\tPrefixContainsLower\t0x1.803b837e2f9ddp-6\t-0x1.49f60043baa8ep-6",
+    "3\t2\tPrefixContainsUpper\t-\t0x1.31333034114c3p-3",
+    "4\t1\tPrefixFeature=Honorific\t-\t0x1.2cf45056b1139p-3",
+    "5\t1\tPreviousWord=NULL\t-\t0x1.2cf45056b1139p-3",
+    "6\t4\tSuffix=NULL\t0x1.803b837e2f9ddp-6\t-0x1.49f60043baa8ep-6",
+    "7\t1\tFollowingWordEndsWithPeriod\t-\t0x1.3582113ac7b12p-3",
+    "8\t1\tPrefix=Corp\t-\t0x1.3582113ac7b12p-3",
+    "9\t1\tPrefixFeature=CorporateDesignator\t-\t0x1.3582113ac7b12p-3",
+    "10\t3\tPreviousWordIsCapitalized\t0x1.73f83d163f406p-4\t-0x1.fbccf5277214ap-4",
+    "11\t1\tPrefix=today\t0x1.615956c98d136p-3\t-",
+    "12\t1\tPreviousWordEndsWithPeriod\t0x1.615956c98d136p-3\t-",
+    "13\t1\tPreviousWordIsCorporateDesignator\t0x1.615956c98d136p-3\t-",
+    "14\t1\tFollowingWord=NULL\t0x1.907a0aff45de2p-3\t-",
+    "15\t1\tPrefix=rained\t0x1.907a0aff45de2p-3\t-",
+    "[abbreviations] 0",
+    "[honorifics] 2",
+    "Dr.",
+    "Gen.",
+    "[designators] 1",
+    "Corp.",
+    "[corrections]",
+    "yes\t-0x1.a59ec2bad3cf6p-3",
+    "no\t0x0.0p+0",
+    "[end]",
+])
+
+PORTABLE_V2 = "".join(line + "\n" for line in [
+    "sentbound-model v2",
+    "fingerprint 4b1325c3d03461ceb3dae2c78b109bdc8764e1c09a77e07b791fbeded4b6d209",
+    "converged 0",
+    "iterations 2",
+    "template_set portable",
+    "C 5",
+    "cutoff 1",
+    "[registry] 12",
+    "0\t1\tFollowingWord=Lee.\t-\t0x1.8cb1433d08358p-3",
+    "1\t1\tPrefix=Mr\t-\t0x1.8cb1433d08358p-3",
+    "2\t1\tPrefixFeature=InducedAbbreviation\t-\t0x1.8cb1433d08358p-3",
+    "3\t1\tPreviousWord=met\t-\t0x1.8cb1433d08358p-3",
+    "4\t3\tSuffix=NULL\t0x1.d7d2348d16d36p-4\t-0x1.4c65f588b7d4cp-3",
+    "5\t1\tFollowingWord=Go.\t0x1.c1fdd9114d1aap-3\t-",
+    "6\t1\tPrefix=Lee\t0x1.c1fdd9114d1aap-3\t-",
+    "7\t1\tPreviousWord=Mr.\t0x1.c1fdd9114d1aap-3\t-",
+    "8\t1\tPreviousWordFeature=InducedAbbreviation\t0x1.c1fdd9114d1aap-3\t-",
+    "9\t1\tFollowingWord=NULL\t0x1.f2cf230fc2a86p-3\t-",
+    "10\t1\tPrefix=Go\t0x1.f2cf230fc2a86p-3\t-",
+    "11\t1\tPreviousWord=Lee.\t0x1.f2cf230fc2a86p-3\t-",
+    "[abbreviations] 1",
+    "Mr.",
+    "[honorifics] 0",
+    "[designators] 0",
+    "[corrections]",
+    "yes\t-0x1.16017989eedb3p-2",
+    "no\t0x0.0p+0",
+    "[end]",
+])
+
+
+@pytest.mark.parametrize("text, templates", [
+    (BEST_V2, Templates("best", honorifics=frozenset({"Dr.", "Gen."}),
+                        designators=frozenset({"Corp."}))),
+    (PORTABLE_V2, Templates("portable", abbreviations=frozenset({"Mr."}))),
+], ids=["best", "portable"])
+def test_stored_v2_file_loads_and_saves_byte_for_byte(tmp_path, text, templates):
+    path = tmp_path / "model.txt"
+    path.write_bytes(text.encode("utf-8"))
+    model = load_model(path)
+    assert model.registry.templates == templates
+    resaved = tmp_path / "resaved.txt"
+    save_model(model, resaved)
+    assert resaved.read_bytes() == text.encode("utf-8")
 
 
 @pytest.fixture(scope="module")

@@ -53,8 +53,13 @@ def lexicons_session():
     return load_lexicons()
 
 
-def test_train_best_requires_lexicons():
-    with pytest.raises(FeatureError):
+def test_train_best_requires_lexicons(monkeypatch):
+    # Refused before the corpus is labeled.
+    def boom(corpus):
+        raise AssertionError("labeled a corpus that cannot train a best model")
+
+    monkeypatch.setattr(pipeline, "label_candidates", boom)
+    with pytest.raises(FeatureError, match="best template set requires resource lexicons"):
         train_model(make_corpus(10, seed=2), "best")
 
 
@@ -287,7 +292,7 @@ def test_a_saved_model_loads_with_its_templates(cache_models, template_set, tmp_
 
 
 def test_portable_training_refuses_lexicons():
-    with pytest.raises(FeatureError):
+    with pytest.raises(FeatureError, match="portable template set reads no honorifics"):
         train_model(make_corpus(20, seed=1), "portable", lexicons=load_lexicons(), max_iters=5)
 
 
