@@ -5,20 +5,26 @@ corporate-designator lexicons plus character-class tests; "portable" uses only
 token identities and the abbreviation list induced from training data. Each is
 one row of ``TEMPLATE_TABLE``: a token-slot function that reads the token and
 the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), a
-word-slot function for the previous and the following word, and the resources
-both read. A ``Templates`` value is one set with the ``RESOURCES`` a model file
-stores, and it owns them: it refuses a resource to a set that does not read
-it. The registry carries it, so ``encode(candidate, registry)`` needs nothing
-else. ``Templates.extract`` is the union of the slots. ``build_registry``
-calls the slot functions through memos made for the call: once per distinct
-slot value, until a slot passes ``CACHE_ENTRIES`` values and its emptied memo
-computes recurring values again. The registry keeps one ``Memo`` per slot,
-from the slot's value to its registered predicate indices.
+word-slot function for the previous and the following word, the resources
+both read, and the slot lookups its registry encodes through. A ``Templates``
+value is one set with the ``RESOURCES`` a model file stores, and it owns
+them: it refuses a resource to a set that does not read it. The registry
+carries it, so ``encode(candidate, registry)`` needs nothing else.
+``Templates.extract`` is the union of the slots.
+
+``build_registry`` calls the slot functions through ``SlotMemos`` made for
+the call, because it must count keys that miss the cutoff too: once per
+distinct slot value, until a slot passes ``CACHE_ENTRIES`` values and its
+emptied memo computes recurring values again. A registry then looks its
+slots up in one of two ways. Portable's keys and abbreviation list fix every
+slot value with a registered predicate, so a portable registry builds
+``SlotTables`` once, four dicts from a slot value to its predicate indices,
+that never empty and never grow. Best's character-class predicates take any
+affix, so a best registry keeps ``SlotMemos``, bounded by ``CACHE_ENTRIES``.
 ``active_predicates`` encodes the ``scan`` columns of many candidates at once:
-three memo lookups, a concatenation and a sort per candidate, all through
-``map``, so Python runs only on a memo miss; ``encode`` is the same formula
-for one candidate. Every memo of the package is a ``Memo``, emptied when it
-holds ``CACHE_ENTRIES`` entries.
+a lookup per slot, a concatenation and a sort per candidate, all through
+``map``, so Python runs only on a best memo's miss; ``encode`` is the same
+formula for one candidate.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .candidates import Candidate, Candidates
+from .candidates import BOUNDARY_MARKS, NO_WORD, Candidate, Candidates
 from .corpus import LabeledCandidateSet
 
 class FeatureError(Exception):
@@ -52,6 +58,17 @@ def _word_key(word: Optional[str]) -> str:
     if word == "NULL" or word.startswith("\\"):
         return "\\" + word
     return word
+
+
+def _unrendered(rendered: str) -> Optional[str]:
+    """The token or affix that ``_word_key`` renders as ``rendered``, "" for
+    NULL; None if it renders none, as for a registry key no slot produces."""
+    if rendered == "NULL":
+        return ""
+    if rendered.startswith("\\"):
+        word = rendered[1:]
+        return word if word == "NULL" or word.startswith("\\") else None
+    return rendered or None
 
 
 # Every predicate of both template systems reads exactly one slot: the token
@@ -134,14 +151,138 @@ def _portable_word_keys(abbrevs: frozenset[str], side: str, word: Optional[str])
     return preds
 
 
+# Entries a best slot memo, or a model's decision memo, may hold before it is
+# emptied. Enough for the frequent words of a Zipfian vocabulary; an entry
+# costs about 200 bytes, and most entries of a much larger memo would hold
+# words seen once. Portable's slots read tables that never fill (SlotTables).
+CACHE_ENTRIES = 1_024
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``, first emptying
+    itself if it holds ``CACHE_ENTRIES`` entries."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self.compute(key)
+        if len(self) >= CACHE_ENTRIES:
+            self.clear()
+        self[key] = value
+        return value
+
+
+class SlotMemos(NamedTuple):
+    """Memos of a conversion of each slot's keys: the token slot keyed by
+    (token, offset), the previous- and following-word slots by the word.
+    ``build_registry`` counts keys through them, and a best registry encodes
+    through them: best's character-class predicates take any affix, so no
+    table of registered values covers its token slot."""
+
+    token: Memo
+    previous: Memo
+    following: Memo
+
+    @classmethod
+    def of(cls, templates: Templates, convert: Callable) -> SlotMemos:
+        return cls(
+            Memo(lambda slot: convert(templates.token_keys(*slot))),
+            Memo(lambda word: convert(templates.word_keys(PREVIOUS, word))),
+            Memo(lambda word: convert(templates.word_keys(FOLLOWING, word))),
+        )
+
+    @classmethod
+    def for_registry(cls, templates: Templates, index: dict[str, int]) -> SlotMemos:
+        return cls.of(templates, lambda preds: tuple([index[k] for k in preds if k in index]))
+
+    def sorted_unions(self, c: Candidates) -> Iterator[list]:
+        """Each candidate's three slot values, sorted. The slots' keys (and so
+        their indices) never overlap, so the concatenation is the union."""
+        return map(sorted, map(
+            add,
+            map(add, map(self.token.__getitem__, zip(c.tokens, c.offsets)),
+                map(self.previous.__getitem__, c.prev_words)),
+            map(self.following.__getitem__, c.next_words),
+        ))
+
+
+class SlotTables(NamedTuple):
+    """A portable registry's slots as four tables, from a slot value to the
+    indices of its registered predicates: the head of the token (its prefix
+    and mark), its tail (after the mark), the previous word and the following
+    word. Portable reads only token identities and the abbreviation list, so
+    the registry's keys and that list fix every value with a registered
+    predicate; any other value encodes to (). The tables are built once, with
+    the registry, and never change."""
+
+    head: dict[str, tuple[int, ...]]
+    tail: dict[str, tuple[int, ...]]
+    previous: dict[Optional[str], tuple[int, ...]]
+    following: dict[Optional[str], tuple[int, ...]]
+
+    @classmethod
+    def for_registry(cls, templates: Templates, index: dict[str, int]) -> SlotTables:
+        tables = head, tail, previous, following = cls({}, {}, {}, {})
+        # The identity keys, spelled "name=value" as _portable_*_keys spell them.
+        for key, i in index.items():
+            name, _, rendered = key.partition("=")
+            value = _unrendered(rendered)
+            if value is None:
+                continue
+            one = (i,)
+            if name == FOLLOWING:
+                following[value or NO_WORD] = one
+            elif name == PREVIOUS:
+                previous[value or NO_WORD] = one
+            elif name == "Prefix":
+                for mark in BOUNDARY_MARKS:
+                    head[value + mark] = one
+            elif name == "Suffix":
+                tail[value] = one
+        # The induced-abbreviation flags. A head flags only a non-empty prefix,
+        # a tail only a non-empty suffix.
+        abbreviations = templates.abbreviations
+        for table, name, values in (
+            (head, "Prefix", [a for a in abbreviations if len(a) > 1]),
+            (tail, "Suffix", [a for a in abbreviations if a]),
+            (previous, PREVIOUS, abbreviations),
+            (following, FOLLOWING, abbreviations),
+        ):
+            flag = index.get(f"{name}Feature=InducedAbbreviation")
+            if flag is not None:
+                one = (flag,)
+                for value in values:
+                    table[value] = table.get(value, ()) + one
+        return tables
+
+    def sorted_unions(self, c: Candidates) -> Iterator[list]:
+        """Each candidate's four table values, sorted; the tables' indices
+        never overlap, so the concatenation is the union."""
+        ends = list(map((1).__add__, c.offsets))
+        heads = map(str.__getitem__, c.tokens, map(slice, ends))
+        tails = map(str.__getitem__, c.tokens, map(slice, ends, repeat(None)))
+        return map(sorted, map(
+            add,
+            map(add,
+                map(add, map(self.head.get, heads, repeat(())), map(self.tail.get, tails, repeat(()))),
+                map(self.previous.get, c.prev_words, repeat(()))),
+            map(self.following.get, c.next_words, repeat(())),
+        ))
+
+
 # The resources a template set may read: ``Templates`` fields and model file sections, in order.
 RESOURCES = ("abbreviations", "honorifics", "designators")
 
 # The template sets: name -> (token-slot function, word-slot function, the
-# resources both read, which they take first, in this order).
+# resources both read, which they take first, in this order, and the slot
+# lookups a registry of the set encodes through).
 TEMPLATE_TABLE = {
-    "best": (_best_token_keys, _best_word_keys, ("honorifics", "designators")),
-    "portable": (_portable_token_keys, _portable_word_keys, ("abbreviations",)),
+    "best": (_best_token_keys, _best_word_keys, ("honorifics", "designators"), SlotMemos),
+    "portable": (_portable_token_keys, _portable_word_keys, ("abbreviations",), SlotTables),
 }
 TEMPLATE_SETS = tuple(TEMPLATE_TABLE)
 
@@ -163,7 +304,7 @@ class Templates:
     def __post_init__(self):
         if self.name not in TEMPLATE_TABLE:
             raise FeatureError(f"unknown template set {self.name!r}")
-        token_keys, word_keys, reads = TEMPLATE_TABLE[self.name]
+        token_keys, word_keys, reads, _ = TEMPLATE_TABLE[self.name]
         for resource in RESOURCES:
             if resource not in reads and getattr(self, resource):
                 raise FeatureError(f"{self.name} template set reads no {resource}")
@@ -189,76 +330,27 @@ def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
     return Templates("portable", abbrevs).extract(c)
 
 
-# Entries a memo may hold before it is emptied: each slot memo, and the
-# decision memo of a model. Enough for the frequent words of a Zipfian
-# vocabulary; an entry costs about 200 bytes, and most entries of a much
-# larger memo would hold words seen once.
-CACHE_ENTRIES = 1_024
-
-
-class Memo(dict):
-    """A dict that fills a missing key with ``compute(key)``, first emptying
-    itself if it holds ``CACHE_ENTRIES`` entries."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self.compute(key)
-        if len(self) >= CACHE_ENTRIES:
-            self.clear()
-        self[key] = value
-        return value
-
-
-def slot_memos(templates: Templates, convert: Callable) -> tuple[Memo, Memo, Memo]:
-    """Memos of ``convert`` applied to each slot's keys: the token slot keyed
-    by (token, offset), the previous- and following-word slots by the word."""
-    return (
-        Memo(lambda slot: convert(templates.token_keys(*slot))),
-        Memo(lambda word: convert(templates.word_keys(PREVIOUS, word))),
-        Memo(lambda word: convert(templates.word_keys(FOLLOWING, word))),
-    )
-
-
-def _sorted_slot_union(
-    token_slot: Memo, previous_slot: Memo, following_slot: Memo, c: Candidates
-) -> Iterator[list]:
-    """Each candidate's three slot values, read from the slot memos and sorted.
-
-    The slots' keys (and so their indices) never overlap, so the
-    concatenation is the union."""
-    return map(sorted, map(
-        add,
-        map(add, map(token_slot.__getitem__, zip(c.tokens, c.offsets)),
-            map(previous_slot.__getitem__, c.prev_words)),
-        map(following_slot.__getitem__, c.next_words),
-    ))
-
-
 @dataclass
 class PredicateRegistry:
     """Dense-indexed predicate set with training-time occurrence counts, the
-    templates that extract its predicates, and one memo per slot from the
-    slot's value to the indices of its registered predicates."""
+    templates that extract its predicates, and the slot lookups of its
+    template set (``TEMPLATE_TABLE``), from a slot's value to the indices of
+    its registered predicates."""
 
     templates: Templates
     keys: list[str]
     counts: list[int]
     cutoff: int = 1
     index: dict[str, int] = field(init=False)
-    token_slot: Memo = field(init=False, repr=False, compare=False)
-    previous_slot: Memo = field(init=False, repr=False, compare=False)
-    following_slot: Memo = field(init=False, repr=False, compare=False)
+    slots: SlotMemos | SlotTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = self.index = {k: i for i, k in enumerate(self.keys)}
-        self.token_slot, self.previous_slot, self.following_slot = slot_memos(
-            self.templates, lambda preds: tuple([index[k] for k in preds if k in index])
-        )
+        if len(index) < len(self.keys):
+            # Only one of the rows could ever be read.
+            twice = next(k for k, n in Counter(self.keys).items() if n > 1)
+            raise FeatureError(f"registry names predicate {twice!r} twice")
+        self.slots = TEMPLATE_TABLE[self.templates.name][3].for_registry(self.templates, index)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -272,12 +364,13 @@ def build_registry(
     """Count predicate occurrences over the training candidates, drop those
     below the cutoff, and assign dense indices in first-occurrence order.
 
-    Each slot's keys are read from a slot memo made for the call."""
+    Each slot's keys are read from a slot memo made for the call, which must
+    count keys that miss the cutoff too."""
     if not labeled.labels:
         raise FeatureError("no training candidates")
     # Counter keeps first-occurrence order.
     counts = Counter(chain.from_iterable(
-        _sorted_slot_union(*slot_memos(templates, tuple), labeled.columns)
+        SlotMemos.of(templates, tuple).sorted_unions(labeled.columns)
     ))
     keys = [k for k, n in counts.items() if n >= cutoff]
     if not keys:
@@ -287,11 +380,10 @@ def build_registry(
 
 def active_predicates(registry: PredicateRegistry, c: Candidates) -> Iterator[tuple[int, ...]]:
     """For each candidate, the sorted indices of the registered predicates
-    active on it: the union of its three slots' indices, each read from the
-    registry's memo for that slot. Predicates unseen at training time are
+    active on it: the union of its slots' indices, each read from the
+    registry's lookup for that slot. Predicates unseen at training time are
     silently dropped."""
-    r = registry
-    return map(tuple, _sorted_slot_union(r.token_slot, r.previous_slot, r.following_slot, c))
+    return map(tuple, registry.slots.sorted_unions(c))
 
 
 def encode(c: Candidate, registry: PredicateRegistry) -> tuple[int, ...]:

@@ -426,7 +426,8 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     """Read a v2 model file. Any damage raises ModelFormatError; so does a
-    file whose fingerprint does not match what it holds."""
+    file whose fingerprint does not match what it holds, or whose registry
+    names a predicate twice."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -492,11 +493,11 @@ def load_model(path: str | Path) -> Model:
             corrections.append(float.fromhex(value))
         if next_line() != "[end]":
             raise ModelFormatError(f"{path}: missing end marker")
-        templates = Templates(template_set, **resources)
+        registry = PredicateRegistry(Templates(template_set, **resources), keys, counts, cutoff)
     except (ValueError, OverflowError, FeatureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
     model = Model(
-        registry=PredicateRegistry(templates, keys, counts, cutoff),
+        registry=registry,
         log_alpha=log_alpha,
         corrections=tuple(corrections),
         C=C,

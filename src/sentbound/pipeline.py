@@ -7,12 +7,14 @@ model's registry carries them to every encoding. Training events and
 slice of ``SLICE_CHARS`` characters at a time, so its memory grows with the
 text and one slice, not with the text's token count; ``scan`` gets the
 words on either side of each slice as its edge words. Each encodes its
-columns with ``features.active_predicates``, through the registry's per-slot
-memos; ``decide`` then reads each decision from the model's decision memo,
-all in one chain of ``map`` calls. ``make_classifier`` decides one candidate
-by the same memos. The memos live as long as the loaded model, so repeated
-calls with it reuse them; each is a ``features.Memo``, emptied when it
-reaches ``features.CACHE_ENTRIES`` entries.
+columns with ``features.active_predicates``, through the registry's slot
+lookups: a portable registry's tables, which never empty, or a best
+registry's memos. ``decide`` then reads each decision from the model's
+decision memo, all in one chain of ``map`` calls. ``make_classifier``
+decides one candidate by the same lookups. They live as long as the loaded
+model, so repeated calls with it reuse them; each memo is a
+``features.Memo``, emptied when it reaches ``features.CACHE_ENTRIES``
+entries.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sentbound import features
 from sentbound.candidates import Candidate, Candidates, scan
+from sentbound.corpus import LabeledCandidateSet
 from sentbound.features import (
     FOLLOWING,
     PREVIOUS,
@@ -12,7 +13,11 @@ from sentbound.features import (
     EmptyRegistryError,
     FeatureError,
     Memo,
+    PredicateRegistry,
+    SlotTables,
+    _unrendered,
     _word_key,
+    active_predicates,
     build_registry,
     encode,
     extract_best,
@@ -21,6 +26,7 @@ from sentbound.features import (
     load_lexicon_file,
     load_lexicons,
 )
+from sentbound.maxent import Model, load_model, save_model
 
 
 def make_candidate(token, offset, prev=None, nxt=None):
@@ -95,7 +101,7 @@ def test_portable_final_token():
 def test_slot_functions_take_exactly_the_resources_of_their_row():
     # A slot function sees only the resources its TEMPLATE_TABLE row names,
     # in the row's order, and nothing else of the set.
-    for name, (token_keys, word_keys, reads) in TEMPLATE_TABLE.items():
+    for name, (token_keys, word_keys, reads, _) in TEMPLATE_TABLE.items():
         resources = {resource: frozenset({f"{resource}."}) for resource in reads}
         templates = Templates(name, **resources)
         for bound, func in ((templates.token_keys, token_keys), (templates.word_keys, word_keys)):
@@ -138,6 +144,9 @@ WORD = st.text(alphabet="\\NUL.", min_size=1, max_size=6)
 def test_word_keys_are_injective(a, b):
     assert _word_key(a) != _word_key(None)
     assert (_word_key(a) == _word_key(b)) == (a == b)
+    # The slot tables read keys back into tokens.
+    assert _unrendered(_word_key(a)) == a
+    assert _unrendered(_word_key(None)) == ""
 
 
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
@@ -278,6 +287,55 @@ def test_encode_idempotent_and_drops_unseen(example1_labeled):
     unseen = make_candidate("zzzz.", 4, prev="qqqq", nxt="wwww")
     assert all(reg.keys[i] in extract_portable(unseen, frozenset())
                for i in encode(unseen, reg))
+
+
+# Tokens whose keys need escaping, "=", marks, closers and abbreviations. They
+# repeat, so a text shares slot values with the text its registry was built on.
+TABLE_WORDS = st.sampled_from([
+    "NULL", "NULL.", "\\NULL", "\\NULL.", "\\x.", "=", "a=b.", "=.", "Dr.", "Inc.", "U.S.",
+    "what?!", "wow!", 'it."', "(yes.)", "3.5", "...", "Mr", "x",
+]) | st.text(alphabet="aZ=\\NUL.?!\"')", min_size=1, max_size=6)
+# A model file may list any string as an abbreviation: with a mark at its end
+# or none at all, and even the empty string.
+TABLE_ABBREVIATIONS = st.frozensets(
+    TABLE_WORDS | st.sampled_from(["what?", "wow!", "Inc", "Mr", "x", "", "a", ".", "?"])
+)
+# Keys no portable slot produces. A registry may hold any string; tests build
+# registries of keys like P0.
+UNPRODUCED_KEYS = [
+    "P0", "Prefix", "Prefix=", "Prefix=\\x", "Suffix=\\", "PreviousWord=\\w", "FollowingWord=",
+    "PrefixFeature=Other", "PreviousWordIsCapitalized", "SuffixContainsDigit",
+]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    train=st.lists(TABLE_WORDS, min_size=1, max_size=25).map(" ".join),
+    text=st.lists(TABLE_WORDS, max_size=25).map(" ".join),
+    abbreviations=TABLE_ABBREVIATIONS,
+    unproduced=st.lists(st.sampled_from(UNPRODUCED_KEYS), unique=True),
+)
+@example(train="NULL. \\NULL. x", text="", abbreviations=frozenset({"NULL.", "\\NULL"}),
+         unproduced=UNPRODUCED_KEYS)
+def test_portable_tables_encode_as_the_slot_functions(
+    tmp_path_factory, train, text, abbreviations, unproduced
+):
+    # Both encoders agree on a registry as built, and on one saved and loaded.
+    templates = Templates("portable", abbreviations)
+    train += " x."  # at least one candidate
+    columns = scan(train)
+    built = build_registry(LabeledCandidateSet(columns, [False] * len(columns), 0), templates)
+    registry = PredicateRegistry(
+        templates, built.keys + unproduced, built.counts + [1] * len(unproduced)
+    )
+    path = tmp_path_factory.getbasetemp() / "tables-model.txt"
+    save_model(Model(registry, [(None, None)] * len(registry), (0.0, 0.0), C=1), path)
+    cands = scan(f"{text} {train} {text}")
+    for reg in (registry, load_model(path).registry):
+        assert isinstance(reg.slots, SlotTables)
+        index = reg.index
+        want = [tuple(sorted(index[k] for k in templates.extract(c) if k in index)) for c in cands]
+        assert list(active_predicates(reg, cands)) == want
 
 
 def test_load_lexicon_file(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gis_reference import reference_train
 from oracle import grid_conditional_single_predicate, ml_conditionals
+from sentbound import cli
 from sentbound.corpus import corpus_from_sentences, induce_abbreviations, label_candidates
 from sentbound.features import (
     TEMPLATE_SETS,
@@ -359,6 +360,21 @@ def test_load_rejects_unknown_template_set(tmp_path, retag_template_set):
     retag_template_set(path, "bogus")
     with pytest.raises(ModelFormatError, match="unknown template set 'bogus'"):
         load_model(path)
+
+
+def test_load_refuses_a_registry_that_names_a_predicate_twice(tmp_path):
+    # save_model computes the fingerprint, so only the duplicate can refuse
+    # the file; row 0's weights would otherwise never be read.
+    model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
+    keys = model.registry.keys
+    keys[1] = keys[0]
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    with pytest.raises(ModelFormatError, match=f"names predicate {keys[0]!r} twice"):
+        load_model(path)
+    text = tmp_path / "text.txt"
+    text.write_text("Dr. Smith left. He went home.\n", encoding="utf-8")
+    assert cli.main(["segment", "--model", str(path), "--input", str(text)]) == 3
 
 
 def test_load_rejects_file_that_is_not_utf8(tmp_path):

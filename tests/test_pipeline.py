@@ -15,7 +15,7 @@ from sentbound import features, pipeline
 from sentbound.candidates import NO_WORD, scan
 from sentbound.corpus import corpus_from_sentences, label_candidates
 from sentbound.evaluation import evaluate
-from sentbound.features import TEMPLATE_SETS, FeatureError, encode, load_lexicons
+from sentbound.features import TEMPLATE_SETS, FeatureError, Memo, encode, load_lexicons
 from sentbound.maxent import (
     check_constraints,
     classify,
@@ -170,17 +170,24 @@ def test_portable_training_without_any_lexicons(monkeypatch):
 
 
 def test_a_dropped_model_is_freed_without_the_collector():
-    # No reference cycle runs through the model's memos: with the collector
-    # off, the model and its registry go as soon as the last reference does.
+    # No reference cycle runs through the model's memos or tables: with the
+    # collector off, the model and its registry go as soon as the last
+    # reference does. Best's slots are memos, portable's are tables.
     gc.disable()
     try:
-        model, labeled = train_model(make_corpus(40, seed=4), "portable", max_iters=20)
-        decide = make_classifier(model)
-        assert any(map(decide, labeled.columns))
-        assert model.decisions and model.registry.token_slot
-        refs = weakref.ref(model), weakref.ref(model.registry)
-        del model, decide
-        assert [ref() for ref in refs] == [None, None]
+        for name in TEMPLATE_SETS:
+            model, labeled = train_model(
+                make_corpus(40, seed=4),
+                name,
+                lexicons=load_lexicons() if name == "best" else None,
+                max_iters=20,
+            )
+            decide = make_classifier(model)
+            assert any(map(decide, labeled.columns))
+            assert model.decisions and all(model.registry.slots)
+            refs = weakref.ref(model), weakref.ref(model.registry)
+            del model, decide
+            assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -221,8 +228,13 @@ def cache_models():
 
 
 def caches(model):
-    registry = model.registry
-    return [registry.token_slot, registry.previous_slot, registry.following_slot, model.decisions]
+    """(the memos a model fills as it decides, bounded by CACHE_ENTRIES; the
+    slot tables it reads, which never change): best's slot memos and every
+    decision memo, and portable's slot tables."""
+    slots = list(model.registry.slots)
+    tables = [slot for slot in slots if not isinstance(slot, Memo)]
+    assert bool(tables) == (model.registry.templates.name == "portable")
+    return [slot for slot in slots if isinstance(slot, Memo)] + [model.decisions], tables
 
 
 def uncached_encoding(model, cand):
@@ -248,12 +260,14 @@ MANY_KEYS = " ".join(f"w{i}. W{i} {i}.5 x{i}! Dr. Corp." for i in range(20))
 @example(text=MANY_KEYS)
 def test_cached_decisions_equal_uncached_ones(cache_models, template_set, bound, text):
     model = cache_models[template_set]
+    memos, tables = caches(model)
+    sizes = list(map(len, tables))
     with pytest.MonkeyPatch.context() as mp:
         if bound is not None:
-            # A small bound, so full caches get emptied while segmenting.
+            # A small bound, so full memos get emptied while segmenting.
             mp.setattr(features, "CACHE_ENTRIES", bound)
-            for cache in caches(model):
-                cache.clear()
+            for memo in memos:
+                memo.clear()
         cands = scan(text)
         decide = make_classifier(model)
         want = [classify(model, uncached_encoding(model, c)) for c in cands]
@@ -262,7 +276,20 @@ def test_cached_decisions_equal_uncached_ones(cache_models, template_set, bound,
         offsets = [c.stream_position for c, yes in zip(cands, want) if yes]
         assert segment_text(model, text).boundary_offsets == offsets
         if bound is not None:
-            assert all(len(cache) <= bound for cache in caches(model))
+            assert all(len(memo) <= bound for memo in memos)
+        assert list(map(len, tables)) == sizes
+
+
+def test_unseen_words_leave_the_slot_tables_as_they_are(cache_models):
+    model = cache_models["portable"]
+    _, tables = caches(model)
+    sizes = list(map(len, tables))
+    text = " ".join(f"Qz{i}. qz{i}? {i}!x" for i in range(10 * features.CACHE_ENTRIES + 1))
+    cands = scan(text)
+    assert len(set(cands.prev_words) | set(cands.tokens)) > 20 * features.CACHE_ENTRIES
+    batch = decide(model, cands)
+    assert batch == [classify(model, uncached_encoding(model, c)) for c in cands]
+    assert list(map(len, tables)) == sizes
 
 
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
