@@ -110,29 +110,21 @@ def learning_curve(
 
 def format_report(report: EvaluationReport) -> str:
     """Aligned table plus machine-readable key=value lines."""
-    rows = [
-        ("Sentences", f"{report.sentences}"),
-        ("Candidate P. Marks", f"{report.candidates}"),
-        ("Accuracy", f"{report.accuracy * 100:.2f}%"),
-        ("False Positives", f"{report.false_positives}"),
-        ("False Negatives", f"{report.false_negatives}"),
-        ("Baseline (all yes)", f"{report.baseline_all_yes * 100:.2f}%"),
-        ("Baseline (token-final)", f"{report.baseline_token_final * 100:.2f}%"),
+    # (table, key=value) format specs of each kind of value.
+    count, ratio = ("", ""), (".2%", ".6f")
+    fields = [
+        ("Sentences", "sentences", report.sentences, count),
+        ("Candidate P. Marks", "candidates", report.candidates, count),
+        ("Accuracy", "accuracy", report.accuracy, ratio),
+        ("False Positives", "fp", report.false_positives, count),
+        ("False Negatives", "fn", report.false_negatives, count),
+        ("Baseline (all yes)", "baseline_all_yes", report.baseline_all_yes, ratio),
+        ("Baseline (token-final)", "baseline_token_final", report.baseline_token_final, ratio),
     ]
-    width = max(len(name) for name, _ in rows)
-    table = "\n".join(f"{name:<{width}}  {value:>8}" for name, value in rows)
-    kv = "\n".join(
-        [
-            f"sentences={report.sentences}",
-            f"candidates={report.candidates}",
-            f"accuracy={report.accuracy:.6f}",
-            f"fp={report.false_positives}",
-            f"fn={report.false_negatives}",
-            f"baseline_all_yes={report.baseline_all_yes:.6f}",
-            f"baseline_token_final={report.baseline_token_final:.6f}",
-        ]
-    )
-    return table + "\n\n" + kv + "\n"
+    width = max(len(name) for name, *_ in fields)
+    table = [f"{name:<{width}}  {format(v, spec):>8}" for name, _, v, (spec, _) in fields]
+    kv = [f"{key}={format(v, spec)}" for _, key, v, (_, spec) in fields]
+    return "\n".join(table) + "\n\n" + "\n".join(kv) + "\n"
 
 
 def format_learning_curve(rows: Sequence[tuple[int, float]]) -> str:

@@ -94,21 +94,19 @@ def _best_token_keys(hon: frozenset[str], des: frozenset[str], token: str, offse
     return preds
 
 
+# Best's character classes of an affix: (predicate name, test of one character).
+_CHAR_CLASSES = (
+    ("ContainsDigit", str.isdigit),
+    ("ContainsUpper", str.isupper),
+    ("ContainsLower", str.islower),
+    ("ContainsPeriod", ".".__eq__),
+    ("ContainsComma", ",".__eq__),
+    ("ContainsQuote", "\"'".__contains__),
+)
+
+
 def _char_class_preds(side: str, affix: str) -> set[str]:
-    preds = set()
-    if any(ch.isdigit() for ch in affix):
-        preds.add(f"{side}ContainsDigit")
-    if any(ch.isupper() for ch in affix):
-        preds.add(f"{side}ContainsUpper")
-    if any(ch.islower() for ch in affix):
-        preds.add(f"{side}ContainsLower")
-    if "." in affix:
-        preds.add(f"{side}ContainsPeriod")
-    if "," in affix:
-        preds.add(f"{side}ContainsComma")
-    if '"' in affix or "'" in affix:
-        preds.add(f"{side}ContainsQuote")
-    return preds
+    return {f"{side}{name}" for name, test in _CHAR_CLASSES if any(map(test, affix))}
 
 
 def _best_word_keys(

@@ -97,12 +97,9 @@ class Model:
 
 
 def merge_events(raw: Iterable[tuple[tuple[int, ...], bool]]) -> list[TrainingEvent]:
-    """Merge identical (context, outcome) events into multiplicities."""
-    counts = Counter(raw)
-    return [
-        TrainingEvent(active, outcome, mult)
-        for (active, outcome), mult in sorted(counts.items())
-    ]
+    """Merge identical (context, outcome) events into multiplicities, in
+    first-occurrence order; GIS orders the contexts itself."""
+    return [TrainingEvent(*event, n) for event, n in Counter(raw).items()]
 
 
 def conditional_yes(model: Model, active_predicates: Sequence[int]) -> float:
@@ -426,8 +423,9 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     """Read a v2 model file. Any damage raises ModelFormatError; so does a
-    file whose fingerprint does not match what it holds, or whose registry
-    names a predicate twice."""
+    file whose fingerprint does not match what it holds, whose registry
+    names a predicate twice, or that holds a value GIS never gives: a
+    non-finite weight or correction, or C below 1."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -455,7 +453,12 @@ def load_model(path: str | Path) -> Model:
         return [next_line() for _ in range(int(count))]
 
     def weight(text: str) -> Weight:
-        return None if text == "-" else float.fromhex(text)
+        if text == "-":
+            return None
+        w = float.fromhex(text)
+        if not math.isfinite(w):
+            raise ModelFormatError(f"{path}: weight {text!r} is not finite")
+        return w
 
     header = next_line()
     if header != _HEADER:
@@ -473,6 +476,8 @@ def load_model(path: str | Path) -> Model:
         iterations = int(header_field("iterations"))
         template_set = header_field("template_set")
         C = int(header_field("C"))
+        if C < 1:
+            raise ModelFormatError(f"{path}: C {C} is below 1")
         cutoff = int(header_field("cutoff"))
         keys, counts, log_alpha = [], [], []
         for i, row in enumerate(section("[registry]")):
@@ -488,9 +493,9 @@ def load_model(path: str | Path) -> Model:
         corrections = []
         for b in _CORRECTION_TAGS:
             name, _, value = next_line().partition("\t")
-            if name != b:
+            if name != b or value == "-":
                 raise ModelFormatError(f"{path}: bad correction row for {b}")
-            corrections.append(float.fromhex(value))
+            corrections.append(weight(value))
         if next_line() != "[end]":
             raise ModelFormatError(f"{path}: missing end marker")
         registry = PredicateRegistry(Templates(template_set, **resources), keys, counts, cutoff)

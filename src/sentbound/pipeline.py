@@ -8,20 +8,17 @@ slice of ``SLICE_CHARS`` characters at a time, so its memory grows with the
 text and one slice, not with the text's token count; ``scan`` gets the
 words on either side of each slice as its edge words. Each encodes its
 columns with ``features.active_predicates``, through the registry's slot
-lookups: a portable registry's tables, which never empty, or a best
-registry's memos. ``decide`` then reads each decision from the model's
-decision memo, all in one chain of ``map`` calls. ``make_classifier``
-decides one candidate by the same lookups. They live as long as the loaded
-model, so repeated calls with it reuse them; each memo is a
-``features.Memo``, emptied when it reaches ``features.CACHE_ENTRIES``
-entries.
+lookups, and ``decide`` reads each decision from the model's decision memo,
+all in one chain of ``map`` calls; ``make_classifier`` decides one candidate
+the same way. The ``features`` module says what the slot lookups are, and
+how far they and the decision memo grow.
 """
 
 from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Optional
 
@@ -58,7 +55,7 @@ def events_from_labeled(
     registry: features.PredicateRegistry,
 ) -> list[maxent.TrainingEvent]:
     actives = features.active_predicates(registry, labeled.columns)
-    return maxent.merge_events(list(zip(actives, labeled.labels)))
+    return maxent.merge_events(zip(actives, labeled.labels))
 
 
 def train_model(
@@ -79,9 +76,11 @@ def train_model(
     """
     if template_set == "best" and lexicons is None:
         raise features.FeatureError("best template set requires resource lexicons")
+    # Refuses an unknown set, or lexicons to portable, before any labeling.
+    templates = Templates(template_set, **(lexicons or {}))
     labeled = label_candidates(corpus)
-    abbreviations = induce_abbreviations(labeled) if template_set == "portable" else frozenset()
-    templates = Templates(template_set, abbreviations, **(lexicons or {}))
+    if template_set == "portable":
+        templates = replace(templates, abbreviations=induce_abbreviations(labeled))
     registry = features.build_registry(labeled, templates, cutoff=cutoff)
     events = events_from_labeled(labeled, registry)
     model = maxent.train_gis(events, registry, max_iters=max_iters, tolerance=tolerance)

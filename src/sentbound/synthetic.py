@@ -46,9 +46,7 @@ def _sentence(rng: random.Random) -> str:
         f"Who leads {company} {desig} now?",
         f"{first} {last} asked whether {company} shares hit {dec} dollars.",
     ]
-    sent = rng.choice(templates)
-    # Absorption: sentence-final abbreviations keep a single period.
-    return sent
+    return rng.choice(templates)
 
 
 def make_corpus(n_sentences: int, seed: int) -> AnnotatedCorpus:

@@ -2,6 +2,7 @@ import pytest
 
 from sentbound.corpus import CorpusError, corpus_from_sentences, label_candidates
 from sentbound.evaluation import (
+    EvaluationReport,
     baseline_all_yes,
     baseline_token_final,
     evaluate,
@@ -134,6 +135,63 @@ def test_format_report_contains_kv_lines(example1_labeled):
     assert "accuracy=" in text
     assert "baseline_token_final=" in text
     assert "Candidate P. Marks" in text
+
+
+REPORT = dict(sentences=4000, candidates=7497, false_positives=178, false_negatives=221)
+
+
+# Ratios that round in both kinds of line, and ratios that are or round to
+# 1 and 0, whose percentages are the widest and the narrowest.
+@pytest.mark.parametrize(
+    "ratios, text",
+    [
+        (
+            (0.946797803475033, 0.533546752034147, 0.0125),
+            "Sentences                   4000\n"
+            "Candidate P. Marks          7497\n"
+            "Accuracy                  94.68%\n"
+            "False Positives              178\n"
+            "False Negatives              221\n"
+            "Baseline (all yes)        53.35%\n"
+            "Baseline (token-final)     1.25%\n"
+            "\n"
+            "sentences=4000\n"
+            "candidates=7497\n"
+            "accuracy=0.946798\n"
+            "fp=178\n"
+            "fn=221\n"
+            "baseline_all_yes=0.533547\n"
+            "baseline_token_final=0.012500\n",
+        ),
+        (
+            (1.0, 0.9999996, 0.0),
+            "Sentences                   4000\n"
+            "Candidate P. Marks          7497\n"
+            "Accuracy                 100.00%\n"
+            "False Positives              178\n"
+            "False Negatives              221\n"
+            "Baseline (all yes)       100.00%\n"
+            "Baseline (token-final)     0.00%\n"
+            "\n"
+            "sentences=4000\n"
+            "candidates=7497\n"
+            "accuracy=1.000000\n"
+            "fp=178\n"
+            "fn=221\n"
+            "baseline_all_yes=1.000000\n"
+            "baseline_token_final=0.000000\n",
+        ),
+    ],
+)
+def test_format_report_text(ratios, text):
+    accuracy, all_yes, token_final = ratios
+    report = EvaluationReport(
+        **REPORT,
+        accuracy=accuracy,
+        baseline_all_yes=all_yes,
+        baseline_token_final=token_final,
+    )
+    assert format_report(report) == text
 
 
 def test_format_learning_curve_csv():

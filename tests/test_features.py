@@ -15,6 +15,7 @@ from sentbound.features import (
     Memo,
     PredicateRegistry,
     SlotTables,
+    _char_class_preds,
     _unrendered,
     _word_key,
     active_predicates,
@@ -68,6 +69,39 @@ def test_best_char_classes(lexicons):
     assert "PrefixContainsDigit" in preds
     assert "SuffixContainsDigit" in preds
     assert "PrefixContainsUpper" not in preds
+
+
+def char_class_reference(side, affix):
+    """``_char_class_preds`` as six tests, one per class."""
+    preds = set()
+    if any(ch.isdigit() for ch in affix):
+        preds.add(f"{side}ContainsDigit")
+    if any(ch.isupper() for ch in affix):
+        preds.add(f"{side}ContainsUpper")
+    if any(ch.islower() for ch in affix):
+        preds.add(f"{side}ContainsLower")
+    if "." in affix:
+        preds.add(f"{side}ContainsPeriod")
+    if "," in affix:
+        preds.add(f"{side}ContainsComma")
+    if '"' in affix or "'" in affix:
+        preds.add(f"{side}ContainsQuote")
+    return preds
+
+
+# Digits beyond ASCII (the superscript "²", which is not decimal, and the
+# Arabic-Indic "٣"), the title case "ǅ", which is neither upper nor lower,
+# the uppercase numeral "Ⅻ", the lowercase "ß", and both quote marks.
+AFFIX = st.text(alphabet=st.sampled_from("aZ3²٣ǅⅫß.,\"' ") | st.characters(), max_size=8)
+
+
+@settings(max_examples=300)
+@example("")
+@example("²ǅⅫß\"'.,")
+@given(AFFIX)
+def test_char_class_preds_equal_the_six_tests(affix):
+    for side in ("Prefix", "Suffix"):
+        assert _char_class_preds(side, affix) == char_class_reference(side, affix)
 
 
 def test_portable_worked_example(example1_labeled):

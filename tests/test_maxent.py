@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from sentbound.maxent import (
     ModelFormatError,
     TrainingError,
     TrainingEvent,
+    _digest,
     check_constraints,
     classify,
     conditional_yes,
@@ -375,6 +377,33 @@ def test_load_refuses_a_registry_that_names_a_predicate_twice(tmp_path):
     text = tmp_path / "text.txt"
     text.write_text("Dr. Smith left. He went home.\n", encoding="utf-8")
     assert cli.main(["segment", "--model", str(path), "--input", str(text)]) == 3
+
+
+@pytest.mark.parametrize(
+    "pattern, value, problem",
+    [
+        # Row 0's yes weight; the correction rows; the header's C.
+        (r"^(0\t[^\t]*\t[^\t]*\t)[^\t]*", r"\1nan", "weight 'nan' is not finite"),
+        (r"^(yes\t).*", r"\1inf", "weight 'inf' is not finite"),
+        (r"^(C ).*", r"\g<1>0", "C 0 is below 1"),
+    ],
+    ids=["nan-weight", "inf-correction", "C-0"],
+)
+def test_load_refuses_values_gis_cannot_produce(tmp_path, pattern, value, problem):
+    # GIS clamps every weight and correction to a finite range and gives
+    # C >= 1. The file is signed again, so only the value can refuse it.
+    model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    text = re.sub(pattern, value, path.read_text(encoding="utf-8"), count=1, flags=re.M)
+    lines = text.split("\n")
+    lines[1] = f"fingerprint {_digest(lines[4:-2])}"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=problem):
+        load_model(path)
+    raw = tmp_path / "text.txt"
+    raw.write_text("Dr. Smith left. He returned!\n", encoding="utf-8")
+    assert cli.main(["segment", "--model", str(path), "--input", str(raw)]) == 3
 
 
 def test_load_rejects_file_that_is_not_utf8(tmp_path):

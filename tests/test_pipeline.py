@@ -53,18 +53,24 @@ def lexicons_session():
     return load_lexicons()
 
 
-def test_train_best_requires_lexicons(monkeypatch):
-    # Refused before the corpus is labeled.
+@pytest.fixture
+def refuse_labeling(monkeypatch):
+    """Fail on labeling: ``train_model`` must refuse the request before it
+    labels the corpus."""
+
     def boom(corpus):
-        raise AssertionError("labeled a corpus that cannot train a best model")
+        raise AssertionError("labeled a corpus that cannot train the requested model")
 
     monkeypatch.setattr(pipeline, "label_candidates", boom)
+
+
+def test_train_best_requires_lexicons(refuse_labeling):
     with pytest.raises(FeatureError, match="best template set requires resource lexicons"):
         train_model(make_corpus(10, seed=2), "best")
 
 
-def test_unknown_template_set():
-    with pytest.raises(FeatureError):
+def test_unknown_template_set(refuse_labeling):
+    with pytest.raises(FeatureError, match="unknown template set 'bogus'"):
         train_model(make_corpus(10, seed=2), "bogus")
 
 
@@ -318,7 +324,7 @@ def test_a_saved_model_loads_with_its_templates(cache_models, template_set, tmp_
     assert load_model(path).registry.templates == model.registry.templates
 
 
-def test_portable_training_refuses_lexicons():
+def test_portable_training_refuses_lexicons(refuse_labeling):
     with pytest.raises(FeatureError, match="portable template set reads no honorifics"):
         train_model(make_corpus(20, seed=1), "portable", lexicons=load_lexicons(), max_iters=5)
 
