@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -84,6 +85,54 @@ def test_retrain_byte_identical_whatever_the_blas_threads(tmp_path):
         )
         models.append(model.read_bytes())
     assert models[0] == models[1]
+
+
+# Runs each argv of the JSON list in sys.argv[1] through cli.main with numpy
+# unimportable, and prints the exit codes.
+WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+import sentbound, sentbound.cli
+print(json.dumps([sentbound.cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.mark.parametrize("templates", ["best", "portable"])
+def test_inference_runs_without_numpy(tmp_path, corpus_file, templates):
+    model = tmp_path / "model.txt"
+    rc = main(["train", "--corpus", str(corpus_file), "--model", str(model),
+               "--templates", templates, "--max-iters", "50"])
+    assert rc == EXIT_OK
+    raw = tmp_path / "raw.txt"
+    raw.write_text("Dr. Smith of Acme Corp. rose 5.4 percent. He went home!\n",
+                   encoding="utf-8")
+
+    def commands(out):
+        out.mkdir()
+        return [
+            ["segment", "--model", str(model), "--input", str(raw),
+             "--output", str(out / "segment")],
+            ["segment", "--model", str(model), "--input", str(raw), "--offsets",
+             "--output", str(out / "offsets")],
+            ["evaluate", "--model", str(model), "--corpus", str(corpus_file),
+             "--output", str(out / "evaluate")],
+            ["induce-abbrevs", "--corpus", str(corpus_file), "--output", str(out / "abbrevs")],
+        ]
+
+    assert [main(argv) for argv in commands(tmp_path / "in_process")] == [EXIT_OK] * 4
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(commands(tmp_path / "no_numpy"))],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [EXIT_OK] * 4
+    for name in ("segment", "offsets", "evaluate", "abbrevs"):
+        no_numpy, in_process = (tmp_path / run / name for run in ("no_numpy", "in_process"))
+        assert no_numpy.read_bytes() == in_process.read_bytes()
 
 
 def test_train_missing_corpus(tmp_path):

@@ -382,16 +382,18 @@ def test_load_refuses_a_registry_that_names_a_predicate_twice(tmp_path):
 @pytest.mark.parametrize(
     "pattern, value, problem",
     [
-        # Row 0's yes weight; the correction rows; the header's C.
+        # Row 0's yes weight; the correction rows; the header's C and iterations.
         (r"^(0\t[^\t]*\t[^\t]*\t)[^\t]*", r"\1nan", "weight 'nan' is not finite"),
         (r"^(yes\t).*", r"\1inf", "weight 'inf' is not finite"),
         (r"^(C ).*", r"\g<1>0", "C 0 is below 1"),
+        (r"^(iterations ).*", r"\g<1>-5", "iterations -5 is below 0"),
     ],
-    ids=["nan-weight", "inf-correction", "C-0"],
+    ids=["nan-weight", "inf-correction", "C-0", "iterations-negative"],
 )
 def test_load_refuses_values_gis_cannot_produce(tmp_path, pattern, value, problem):
-    # GIS clamps every weight and correction to a finite range and gives
-    # C >= 1. The file is signed again, so only the value can refuse it.
+    # GIS clamps every weight and correction to a finite range, gives C >= 1
+    # and counts its updates from 0. The file is signed again, so only the
+    # value can refuse it.
     model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
     path = tmp_path / "model.txt"
     save_model(model, path)
