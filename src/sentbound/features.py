@@ -24,7 +24,10 @@ affix, so a best registry keeps ``SlotMemos``, bounded by ``CACHE_ENTRIES``.
 ``active_predicates`` encodes the ``scan`` columns of many candidates at once:
 a lookup per slot, a concatenation and a sort per candidate, all through
 ``map``, so Python runs only on a best memo's miss; ``encode`` is the same
-formula for one candidate.
+formula for one candidate. ``summed`` turns either kind of lookup into one
+of the same kind from a slot value to a sum over its predicates, which
+``maxent.Scores`` uses to score a slot value once; ``sums`` adds each
+candidate's slot values, for both.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ def _portable_word_keys(abbrevs: frozenset[str], side: str, word: Optional[str])
     return preds
 
 
-# Entries a best slot memo, or a model's decision memo, may hold before it is
+# Entries a best slot memo, or slot score memo, may hold before it is
 # emptied. Enough for the frequent words of a Zipfian vocabulary; an entry
 # costs about 200 bytes, and most entries of a much larger memo would hold
 # words seen once. Portable's slots read tables that never fill (SlotTables).
@@ -197,15 +200,28 @@ class SlotMemos(NamedTuple):
     def for_registry(cls, templates: Templates, index: dict[str, int]) -> SlotMemos:
         return cls.of(templates, lambda preds: tuple([index[k] for k in preds if k in index]))
 
-    def sorted_unions(self, c: Candidates) -> Iterator[list]:
-        """Each candidate's three slot values, sorted. The slots' keys (and so
-        their indices) never overlap, so the concatenation is the union."""
-        return map(sorted, map(
+    def summed(self, per_predicate: list, zero) -> SlotMemos:
+        """Memos from each slot's value to the sum, from ``zero``, of
+        ``per_predicate`` over the indices these memos give it."""
+        return SlotMemos(*(
+            Memo(lambda value, slot=slot: sum(map(per_predicate.__getitem__, slot[value]), zero))
+            for slot in self
+        ))
+
+    def sums(self, c: Candidates, missing=()) -> Iterator:
+        """Each candidate's three slot values added together. A memo computes
+        every value it lacks, so ``missing`` is never read."""
+        return map(
             add,
             map(add, map(self.token.__getitem__, zip(c.tokens, c.offsets)),
                 map(self.previous.__getitem__, c.prev_words)),
             map(self.following.__getitem__, c.next_words),
-        ))
+        )
+
+    def sorted_unions(self, c: Candidates) -> Iterator[list]:
+        """Each candidate's three slot values, sorted. The slots' keys (and so
+        their indices) never overlap, so the concatenation is the union."""
+        return map(sorted, self.sums(c))
 
 
 class SlotTables(NamedTuple):
@@ -257,19 +273,34 @@ class SlotTables(NamedTuple):
                     table[value] = table.get(value, ()) + one
         return tables
 
-    def sorted_unions(self, c: Candidates) -> Iterator[list]:
-        """Each candidate's four table values, sorted; the tables' indices
-        never overlap, so the concatenation is the union."""
+    def summed(self, per_predicate: list, zero) -> SlotTables:
+        """Tables from each value of these tables to the sum, from ``zero``,
+        of ``per_predicate`` over its indices."""
+        get = repeat(per_predicate.__getitem__)
+        return SlotTables(*(
+            dict(zip(table, map(sum, map(map, get, table.values()), repeat(zero))))
+            for table in self
+        ))
+
+    def sums(self, c: Candidates, missing=()) -> Iterator:
+        """Each candidate's four table values added together; ``missing`` is
+        the value of a slot value that no table holds."""
         ends = list(map((1).__add__, c.offsets))
         heads = map(str.__getitem__, c.tokens, map(slice, ends))
         tails = map(str.__getitem__, c.tokens, map(slice, ends, repeat(None)))
-        return map(sorted, map(
+        return map(
             add,
             map(add,
-                map(add, map(self.head.get, heads, repeat(())), map(self.tail.get, tails, repeat(()))),
-                map(self.previous.get, c.prev_words, repeat(()))),
-            map(self.following.get, c.next_words, repeat(())),
-        ))
+                map(add, map(self.head.get, heads, repeat(missing)),
+                    map(self.tail.get, tails, repeat(missing))),
+                map(self.previous.get, c.prev_words, repeat(missing))),
+            map(self.following.get, c.next_words, repeat(missing)),
+        )
+
+    def sorted_unions(self, c: Candidates) -> Iterator[list]:
+        """Each candidate's four table values, sorted; the tables' indices
+        never overlap, so the concatenation is the union."""
+        return map(sorted, self.sums(c))
 
 
 # The resources a template set may read: ``Templates`` fields and model file sections, in order.

@@ -5,24 +5,29 @@ An outcome is a bool, True (yes) iff the mark ends a sentence. Binary
 features pair one contextual predicate with one outcome; the model keeps one
 (yes, no) log-weight pair per registry predicate. A per-outcome correction
 (slack) feature absorbs C minus the active-feature count, as GIS's
-constant-sum condition requires. ``train_gis`` and ``check_constraints``
-import ``sentbound.gis``, GIS's array code, only when called, so loading a
-model and deciding with it need no array library. A model file holds
-everything that turns a candidate into a decision: the registry's
-``features.Templates`` value owns its ``features.RESOURCES`` sections.
+constant-sum condition requires. ``conditional_yes`` is the one definition
+of p(yes|c); ``Scores`` restates its decision as a sum of per-slot scores,
+which ``pipeline.decide`` reads, and says where that sum is sure to agree.
+``train_gis`` and ``check_constraints`` import ``sentbound.gis``, GIS's
+array code, only when called, so loading a model and deciding with it need
+no array library. A model file holds everything that turns a candidate into
+a decision: the registry's ``features.Templates`` value owns its
+``features.RESOURCES`` sections.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import chain
+from operator import is_not
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .features import RESOURCES, FeatureError, Memo, PredicateRegistry, Templates
+from .features import RESOURCES, FeatureError, PredicateRegistry, SlotMemos, SlotTables, Templates
 
 OUTCOMES = (True, False)  # GIS's row order: yes, then no
 
@@ -70,20 +75,19 @@ class Model:
     converged: bool = False
     iterations: int = 0
     history: list[tuple[float, float]] = field(default_factory=list)
-    # Memo of active-predicate tuple -> classify(model, tuple), filled by
-    # pipeline.decide and pipeline.make_classifier; not part of the file or
-    # the fingerprint.
-    # Valid as long as the weights are not edited after the first decision.
-    decisions: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.log_alpha) != len(self.registry):
             raise ValueError(
                 f"{len(self.log_alpha)} weight pairs for {len(self.registry)} predicates"
             )
-        # A proxy, so the memo does not keep its model alive in a cycle.
-        model = weakref.proxy(self)
-        self.decisions = Memo(lambda active: classify(model, active))
+
+    @cached_property
+    def scores(self) -> Scores:
+        """The per-slot scores ``pipeline.decide`` reads, built on first use;
+        not part of the file or the fingerprint, and valid as long as the
+        weights are not edited after the first decision."""
+        return _slot_scores(self)
 
     @property
     def fingerprint(self) -> str:
@@ -126,6 +130,61 @@ def conditional_yes(model: Model, active_predicates: Sequence[int]) -> float:
 def classify(model: Model, active_predicates: Sequence[int]) -> bool:
     """Boundary iff p(yes|c) > 0.5 strictly."""
     return conditional_yes(model, active_predicates) > 0.5
+
+
+class Scores(NamedTuple):
+    """A model's decisions as sums over the candidates' slots.
+
+    While at most C fitted features per outcome are summed, the log-odds
+    ln - ly of ``conditional_yes`` are the base C·(c_no - c_yes) plus the
+    sum over the active predicates of d = (w_no - c_no) - (w_yes - c_yes),
+    where an unfitted weight adds neither itself nor its correction. Each
+    predicate reads one slot, so a slot value has one score, a complex
+    number: the sum of its predicates' d, and their fitted-feature counts
+    packed as n_yes·K + n_no (K = registry size + 1, above any one count).
+    One chain of additions sums both parts. A candidate whose counts fit is
+    surely a boundary if its sum is below ``low`` and surely not from
+    ``high`` on; these lie a margin below and above -base."""
+
+    slots: SlotMemos | SlotTables  # the registry's slot lookups, scored
+    low: float
+    high: float
+    fits: Callable[[float], bool]  # packed counts -> both counts are at most C
+
+
+def _slot_scores(model: Model) -> Scores:
+    registry, C = model.registry, model.C
+    c_yes, c_no = model.corrections
+    K = len(registry) + 1
+    score = [
+        complex((0.0 if w_no is None else w_no - c_no) - (0.0 if w_yes is None else w_yes - c_yes),
+                (w_yes is not None) * K + (w_no is not None))
+        for w_yes, w_no in model.log_alpha
+    ]
+    # The margin. Let u = 2**-53 and W >= 1 bound every |weight| and
+    # |correction|, with at most C fitted features per outcome.
+    # ``conditional_yes`` sums at most C + 1 terms per outcome, of absolute sum
+    # at most C·W, and subtracts: its ln - ly lies within 2·(C + 2)·C·u·W of
+    # the exact log-odds. A sum of slot scores, in whatever order its slots
+    # and predicates give, adds at most 4·C terms (fitted weights and their
+    # corrections) of absolute sum at most 4·C·W, so it lies within
+    # 16·C**2·u·W of its exact value, and ``low`` and ``high`` within
+    # 6·C·u·W + u·margin of theirs. In floats, 1/(1 + exp(x)) > 0.5 holds for
+    # x <= -2**-49 and fails for x >= 0. So a sum further than
+    # 2**-47·(C + 4)**2·W from -base has the sign that decides in
+    # ``conditional_yes``; the margin is 2**7 times that.
+    # Weights large enough for a sum to overflow, or a registry large enough
+    # for a packed count to pass 2**52, leave no sum sure.
+    fitted = filter(partial(is_not, None), chain(model.corrections, *model.log_alpha))
+    scale = (C + 4) ** 2 * max(1.0, max(map(abs, fitted)))
+    margin = scale * 2.0**-40 if scale < 2.0**1000 and K < 2**26 else math.inf
+    base = C * (c_no - c_yes)
+    return Scores(
+        registry.slots.summed(score, 0j),
+        -base - margin,
+        -base + margin,
+        lambda packed: packed // K <= C and packed % K <= C,
+    )
 
 
 def train_gis(
@@ -252,13 +311,15 @@ def load_model(path: str | Path) -> Model:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: model file is not UTF-8: {exc}") from None
-    lines = iter(text.splitlines())
+    lines = text.splitlines()
+    read = 0  # lines read so far
 
     def next_line() -> str:
-        line = next(lines, None)
-        if line is None:
+        nonlocal read
+        if read == len(lines):
             raise ModelFormatError(f"{path}: truncated model file")
-        return line
+        read += 1
+        return lines[read - 1]
 
     def header_field(name: str) -> str:
         line = next_line()
@@ -325,7 +386,10 @@ def load_model(path: str | Path) -> Model:
         registry = PredicateRegistry(Templates(template_set, **resources), keys, counts, cutoff)
     except (ValueError, OverflowError, FeatureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
-    model = Model(
+    # The lines from template_set to the last correction row, as read.
+    if _digest(lines[4 : read - 1]) != fingerprint:
+        raise ModelFormatError(f"{path}: fingerprint mismatch (corrupt or edited file)")
+    return Model(
         registry=registry,
         log_alpha=log_alpha,
         corrections=tuple(corrections),
@@ -333,6 +397,3 @@ def load_model(path: str | Path) -> Model:
         converged=converged == "1",
         iterations=iterations,
     )
-    if model.fingerprint != fingerprint:
-        raise ModelFormatError(f"{path}: fingerprint mismatch (corrupt or edited file)")
-    return model

@@ -6,20 +6,23 @@ model's registry carries them to every encoding. Training events and
 (which ``segment_text`` calls before it joins sentences) takes them one
 slice of ``SLICE_CHARS`` characters at a time, so its memory grows with the
 text and one slice, not with the text's token count; ``scan`` gets the
-words on either side of each slice as its edge words. Each encodes its
-columns with ``features.active_predicates``, through the registry's slot
-lookups, and ``decide`` reads each decision from the model's decision memo,
-all in one chain of ``map`` calls; ``make_classifier`` decides one candidate
-the same way. The ``features`` module says what the slot lookups are, and
-how far they and the decision memo grow.
+words on either side of each slice as its edge words. Training encodes
+its columns with ``features.active_predicates``, through the registry's slot
+lookups; ``decide`` adds each candidate's slot scores (``maxent.Scores``),
+read through the same lookups, in one chain of ``map`` calls, and encodes
+and scores with ``maxent.classify`` only the few candidates whose sum is
+too close to its threshold to be sure, or that have more fitted features
+than C. ``make_classifier`` decides one candidate the same way. The
+``features`` module says what the slot lookups are and how far they grow.
 """
 
 from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass, replace
-from itertools import compress
+from dataclasses import dataclass, fields, replace
+from itertools import compress, count
+from operator import attrgetter, ne, not_, or_
 from typing import Callable, Optional
 
 from . import features, maxent
@@ -48,6 +51,8 @@ SLICE_CHARS = 1 << 16
 # so ``scan``, splits on.
 _SPACE_RE = re.compile(r"\s")
 _WORD_RE = re.compile(r"\S+")
+
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
 def events_from_labeled(
@@ -88,16 +93,29 @@ def train_model(
 
 
 def decide(model: Model, c: Candidates) -> list[bool]:
-    """The model's decision on each candidate, read from its decision memo;
-    ``classify`` scores an active-predicate tuple on a miss only."""
-    return list(map(model.decisions.__getitem__, features.active_predicates(model.registry, c)))
+    """The model's decision on each candidate, the one ``maxent.classify``
+    gives: from the sum of its slot scores where that sum is sure
+    (``maxent.Scores``), and from ``classify`` on its active predicates
+    where it is not."""
+    scores = model.scores
+    sums = list(scores.slots.sums(c, 0j))
+    odds = list(map(_REAL, sums))
+    decisions = list(map(scores.low.__gt__, odds))
+    maybe = list(map(scores.high.__gt__, odds))
+    if decisions != maybe or not all(map(scores.fits, set(map(_IMAG, sums)))):
+        # The candidates between low and high, or with more fitted features than C.
+        unsure = map(or_, map(ne, decisions, maybe), map(not_, map(scores.fits, map(_IMAG, sums))))
+        rows = list(compress(count(), unsure))
+        rest = Candidates(*(list(map(getattr(c, f.name).__getitem__, rows)) for f in fields(c)))
+        for row, active in zip(rows, features.active_predicates(model.registry, rest)):
+            decisions[row] = maxent.classify(model, active)
+    return decisions
 
 
 def make_classifier(model: Model) -> Callable[[Candidate], bool]:
-    """Candidate -> is-boundary decision function for a trained model: what
-    ``decide`` gives for the candidate. The function keeps the model alive;
-    the decision memo refers to it only weakly."""
-    return lambda cand: model.decisions[features.encode(cand, model.registry)]
+    """Candidate -> is-boundary decision function for a trained model:
+    ``decide`` on the one candidate."""
+    return lambda cand: decide(model, Candidates.from_rows([cand]))[0]
 
 
 @dataclass

@@ -408,6 +408,25 @@ def test_load_refuses_values_gis_cannot_produce(tmp_path, pattern, value, proble
     assert cli.main(["segment", "--model", str(path), "--input", str(raw)]) == 3
 
 
+def test_a_weight_respelled_without_signing_again_is_refused(tmp_path):
+    # The fingerprint covers the lines as written. A yes weight spelled with
+    # upper-case hex digits keeps its value, but the file is not the one that
+    # was signed.
+    model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    row = re.compile(r"^(\d+\t\d+\t[^\t]*\t0x)(1\.[0-9]*[a-f][0-9a-f]*)(?=p)", re.M)
+    weight = row.search(text)[2]
+    assert float.fromhex(weight.upper()) == float.fromhex(weight)
+    path.write_text(row.sub(lambda m: m[1] + m[2].upper(), text, count=1), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="fingerprint mismatch"):
+        load_model(path)
+    raw = tmp_path / "text.txt"
+    raw.write_text("Dr. Smith left. He returned!\n", encoding="utf-8")
+    assert cli.main(["segment", "--model", str(path), "--input", str(raw)]) == 3
+
+
 def test_load_rejects_file_that_is_not_utf8(tmp_path):
     m, _ = trained_toy_model()
     path = tmp_path / "model.txt"

@@ -11,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pipeline_reference
-from sentbound import features, pipeline
+from sentbound import features, maxent, pipeline
 from sentbound.candidates import NO_WORD, scan
 from sentbound.corpus import corpus_from_sentences, label_candidates
 from sentbound.evaluation import evaluate
 from sentbound.features import TEMPLATE_SETS, FeatureError, Memo, encode, load_lexicons
 from sentbound.maxent import (
+    Model,
+    _digest,
     check_constraints,
     classify,
     conditional_yes,
@@ -176,9 +178,10 @@ def test_portable_training_without_any_lexicons(monkeypatch):
 
 
 def test_a_dropped_model_is_freed_without_the_collector():
-    # No reference cycle runs through the model's memos or tables: with the
-    # collector off, the model and its registry go as soon as the last
-    # reference does. Best's slots are memos, portable's are tables.
+    # No reference cycle runs through the model's memos or tables, nor its
+    # slot scores: with the collector off, the model and its registry go as
+    # soon as the last reference does. Best's slots are memos, portable's
+    # are tables.
     gc.disable()
     try:
         for name in TEMPLATE_SETS:
@@ -190,7 +193,7 @@ def test_a_dropped_model_is_freed_without_the_collector():
             )
             decide = make_classifier(model)
             assert any(map(decide, labeled.columns))
-            assert model.decisions and all(model.registry.slots)
+            assert all(model.scores.slots) and all(model.registry.slots)
             refs = weakref.ref(model), weakref.ref(model.registry)
             del model, decide
             assert [ref() for ref in refs] == [None, None]
@@ -235,12 +238,12 @@ def cache_models():
 
 def caches(model):
     """(the memos a model fills as it decides, bounded by CACHE_ENTRIES; the
-    slot tables it reads, which never change): best's slot memos and every
-    decision memo, and portable's slot tables."""
-    slots = list(model.registry.slots)
+    slot tables it reads, which never change): best's slot memos and slot
+    score memos, and portable's slot tables and slot score tables."""
+    slots = [*model.registry.slots, *model.scores.slots]
     tables = [slot for slot in slots if not isinstance(slot, Memo)]
     assert bool(tables) == (model.registry.templates.name == "portable")
-    return [slot for slot in slots if isinstance(slot, Memo)] + [model.decisions], tables
+    return [slot for slot in slots if isinstance(slot, Memo)], tables
 
 
 def uncached_encoding(model, cand):
@@ -314,6 +317,78 @@ def test_batch_decisions_equal_the_classifier_row_by_row(
     classify_candidate = make_classifier(load_model(path))
     assert batch == [classify_candidate(c) for c in cands]
     assert len(batch) == len(cands) and any(batch) and not all(batch)
+
+
+def fallbacks(monkeypatch):
+    """The candidates ``decide`` sends to ``maxent.classify``, as the
+    active-predicate tuples it passes, in the order it passes them."""
+    calls = []
+
+    def counted(model, active):
+        calls.append(active)
+        return classify(model, active)
+
+    monkeypatch.setattr(maxent, "classify", counted)
+    return calls
+
+
+# Log-odds ln - ly of one fitted (yes, no) pair with no correction: an exact
+# tie, a tie but for the last bit on either side (2**-53 is below the rounding
+# of 1/(1 + exp(x)) at 0.5, so that x decides no, as a tie does; 2**-52 is
+# above it), and a gap still inside the margin.
+NEAR_TIES = {
+    "x=0": (1.0, 1.0),
+    "x=-2**-53": (1.0, 1.0 - 2.0**-53),
+    "x=+2**-53": (1.0 - 2.0**-53, 1.0),
+    "x=-2**-52": (1.0, 1.0 - 2.0**-52),
+    "x=-2**-45": (1.0, 1.0 - 2.0**-45),
+}
+
+
+@pytest.mark.parametrize("pair", NEAR_TIES.values(), ids=NEAR_TIES)
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+def test_a_sum_within_the_margin_is_decided_by_classify(
+    cache_models, template_set, pair, tmp_path, monkeypatch
+):
+    # The model's weights are edited: one active predicate of the first
+    # candidate keeps ``pair``, every other weight is unfitted, and both
+    # corrections are 0, so that candidate's log-odds are w_no - w_yes.
+    trained = cache_models[template_set]
+    cands = scan(MANY_KEYS + " Dr. Smith left. He went home.")
+    target = uncached_encoding(trained, next(iter(cands)))
+    log_alpha = [(None, None)] * len(trained.registry)
+    log_alpha[target[0]] = pair
+    path = tmp_path / "model.txt"
+    save_model(Model(trained.registry, log_alpha, (0.0, 0.0), trained.C), path)
+    model = load_model(path)
+    want = [classify(model, uncached_encoding(model, c)) for c in cands]
+    calls = fallbacks(monkeypatch)
+    assert decide(model, cands) == want
+    assert target in calls
+    assert want[0] == (pair[1] - pair[0] < -2.0**-53)
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+def test_more_fitted_features_than_C_are_decided_by_classify(
+    cache_models, template_set, tmp_path, monkeypatch
+):
+    # A file with C lowered to 1 and signed again: most candidates now have
+    # more fitted features than C, where ``conditional_yes`` adds no
+    # correction, so the slot scores' sum is not their log-odds.
+    path = tmp_path / "model.txt"
+    save_model(cache_models[template_set], path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[lines.index(f"C {cache_models[template_set].C}")] = "C 1"
+    lines[1] = f"fingerprint {_digest(lines[4:-2])}"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    model = load_model(path)
+    assert model.C == 1
+    cands = scan(MANY_KEYS + " " + " ".join(make_corpus(60, seed=8).sentences))
+    want = [classify(model, uncached_encoding(model, c)) for c in cands]
+    calls = fallbacks(monkeypatch)
+    assert decide(model, cands) == want
+    assert len(calls) > len(cands) // 2
+    assert any(want) and not all(want)
 
 
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
