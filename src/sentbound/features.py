@@ -6,7 +6,7 @@ token identities and the abbreviation list induced from training data. Each is
 one row of ``TEMPLATE_TABLE``: a token-slot function that reads the token and
 the mark's offset in it (prefix, suffix, lexicon or abbreviation tests), a
 word-slot function for the previous and the following word, the resources
-both read, and the slot lookups its registry encodes through. A ``Templates``
+both read, and the kind of slot lookups its registry builds. A ``Templates``
 value is one set with the ``RESOURCES`` a model file stores, and it owns
 them: it refuses a resource to a set that does not read it. The registry
 carries it, so ``encode(candidate, registry)`` needs nothing else.
@@ -15,19 +15,22 @@ carries it, so ``encode(candidate, registry)`` needs nothing else.
 ``build_registry`` calls the slot functions through ``SlotMemos`` made for
 the call, because it must count keys that miss the cutoff too: once per
 distinct slot value, until a slot passes ``CACHE_ENTRIES`` values and its
-emptied memo computes recurring values again. A registry then looks its
-slots up in one of two ways. Portable's keys and abbreviation list fix every
-slot value with a registered predicate, so a portable registry builds
-``SlotTables`` once, four dicts from a slot value to its predicate indices,
-that never empty and never grow. Best's character-class predicates take any
-affix, so a best registry keeps ``SlotMemos``, bounded by ``CACHE_ENTRIES``.
-``active_predicates`` encodes the ``scan`` columns of many candidates at once:
-a lookup per slot, a concatenation and a sort per candidate, all through
-``map``, so Python runs only on a best memo's miss; ``encode`` is the same
-formula for one candidate. ``summed`` turns either kind of lookup into one
-of the same kind from a slot value to a sum over its predicates, which
-``maxent.Scores`` uses to score a slot value once; ``sums`` adds each
-candidate's slot values, for both.
+emptied memo computes recurring values again.
+
+``PredicateRegistry.lookups`` is the one constructor of slot lookups: given
+a value per predicate and a zero, they map a slot value to the sum of its
+registered predicates' values. Portable's keys and abbreviation list fix
+every slot value with a registered predicate, so portable's lookups are
+``SlotTables``, four dicts built whole that never empty and never grow.
+Best's character-class predicates take any affix, so best's are
+``SlotMemos``, bounded by ``CACHE_ENTRIES``. ``sums`` adds each candidate's
+slot values, for both, through ``map``, so Python runs only on a best memo's
+miss. With ``(i,)`` as predicate i's value and ``()`` as the zero, a sum is
+a concatenation of indices: ``active_predicates`` encodes the ``scan``
+columns of many candidates so, through lookups made for the call, and sorts
+each. ``maxent.Scores`` builds its lookups from the model's per-predicate
+scores and ``0j``, to score a slot value once. ``encode`` gives one
+candidate's sorted indices from its extracted predicates, with no lookup.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from importlib import resources
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from .candidates import BOUNDARY_MARKS, NO_WORD, Candidate, Candidates
 from .corpus import LabeledCandidateSet
@@ -152,7 +155,7 @@ def _portable_word_keys(abbrevs: frozenset[str], side: str, word: Optional[str])
     return preds
 
 
-# Entries a best slot memo, or slot score memo, may hold before it is
+# Entries a best slot memo, of indices or of scores, may hold before it is
 # emptied. Enough for the frequent words of a Zipfian vocabulary; an entry
 # costs about 200 bytes, and most entries of a much larger memo would hold
 # words seen once. Portable's slots read tables that never fill (SlotTables).
@@ -180,9 +183,9 @@ class Memo(dict):
 class SlotMemos(NamedTuple):
     """Memos of a conversion of each slot's keys: the token slot keyed by
     (token, offset), the previous- and following-word slots by the word.
-    ``build_registry`` counts keys through them, and a best registry encodes
-    through them: best's character-class predicates take any affix, so no
-    table of registered values covers its token slot."""
+    ``build_registry`` counts keys through them, and a best registry's
+    lookups are them: best's character-class predicates take any affix, so
+    no table of registered values covers its token slot."""
 
     token: Memo
     previous: Memo
@@ -197,16 +200,13 @@ class SlotMemos(NamedTuple):
         )
 
     @classmethod
-    def for_registry(cls, templates: Templates, index: dict[str, int]) -> SlotMemos:
-        return cls.of(templates, lambda preds: tuple([index[k] for k in preds if k in index]))
+    def for_registry(
+        cls, templates: Templates, index: dict[str, int], per_predicate: list, zero
+    ) -> SlotMemos:
+        def convert(preds: set[str]):
+            return sum([per_predicate[index[k]] for k in preds if k in index], zero)
 
-    def summed(self, per_predicate: list, zero) -> SlotMemos:
-        """Memos from each slot's value to the sum, from ``zero``, of
-        ``per_predicate`` over the indices these memos give it."""
-        return SlotMemos(*(
-            Memo(lambda value, slot=slot: sum(map(per_predicate.__getitem__, slot[value]), zero))
-            for slot in self
-        ))
+        return cls.of(templates, convert)
 
     def sums(self, c: Candidates, missing=()) -> Iterator:
         """Each candidate's three slot values added together. A memo computes
@@ -218,36 +218,34 @@ class SlotMemos(NamedTuple):
             map(self.following.__getitem__, c.next_words),
         )
 
-    def sorted_unions(self, c: Candidates) -> Iterator[list]:
-        """Each candidate's three slot values, sorted. The slots' keys (and so
-        their indices) never overlap, so the concatenation is the union."""
-        return map(sorted, self.sums(c))
-
 
 class SlotTables(NamedTuple):
-    """A portable registry's slots as four tables, from a slot value to the
-    indices of its registered predicates: the head of the token (its prefix
-    and mark), its tail (after the mark), the previous word and the following
-    word. Portable reads only token identities and the abbreviation list, so
-    the registry's keys and that list fix every value with a registered
-    predicate; any other value encodes to (). The tables are built once, with
-    the registry, and never change."""
+    """A portable registry's lookups as four tables, from a slot value to the
+    sum of its registered predicates' values: the head of the token (its
+    prefix and mark), its tail (after the mark), the previous word and the
+    following word. Portable reads only token identities and the
+    abbreviation list, so the registry's keys and that list fix every value
+    with a registered predicate; any other value is left out, and sums to
+    the caller's ``missing``. The tables never change once built."""
 
-    head: dict[str, tuple[int, ...]]
-    tail: dict[str, tuple[int, ...]]
-    previous: dict[Optional[str], tuple[int, ...]]
-    following: dict[Optional[str], tuple[int, ...]]
+    head: dict[str, Any]
+    tail: dict[str, Any]
+    previous: dict[Optional[str], Any]
+    following: dict[Optional[str], Any]
 
     @classmethod
-    def for_registry(cls, templates: Templates, index: dict[str, int]) -> SlotTables:
+    def for_registry(
+        cls, templates: Templates, index: dict[str, int], per_predicate: list, zero
+    ) -> SlotTables:
         tables = head, tail, previous, following = cls({}, {}, {}, {})
-        # The identity keys, spelled "name=value" as _portable_*_keys spell them.
+        # The identity keys, spelled "name=value" as _portable_*_keys spell
+        # them. No two give one slot value, so it is set here, not added to.
         for key, i in index.items():
             name, _, rendered = key.partition("=")
             value = _unrendered(rendered)
             if value is None:
                 continue
-            one = (i,)
+            one = per_predicate[i]
             if name == FOLLOWING:
                 following[value or NO_WORD] = one
             elif name == PREVIOUS:
@@ -268,19 +266,10 @@ class SlotTables(NamedTuple):
         ):
             flag = index.get(f"{name}Feature=InducedAbbreviation")
             if flag is not None:
-                one = (flag,)
+                one = per_predicate[flag]
                 for value in values:
-                    table[value] = table.get(value, ()) + one
+                    table[value] = table.get(value, zero) + one
         return tables
-
-    def summed(self, per_predicate: list, zero) -> SlotTables:
-        """Tables from each value of these tables to the sum, from ``zero``,
-        of ``per_predicate`` over its indices."""
-        get = repeat(per_predicate.__getitem__)
-        return SlotTables(*(
-            dict(zip(table, map(sum, map(map, get, table.values()), repeat(zero))))
-            for table in self
-        ))
 
     def sums(self, c: Candidates, missing=()) -> Iterator:
         """Each candidate's four table values added together; ``missing`` is
@@ -297,18 +286,13 @@ class SlotTables(NamedTuple):
             map(self.following.get, c.next_words, repeat(missing)),
         )
 
-    def sorted_unions(self, c: Candidates) -> Iterator[list]:
-        """Each candidate's four table values, sorted; the tables' indices
-        never overlap, so the concatenation is the union."""
-        return map(sorted, self.sums(c))
-
 
 # The resources a template set may read: ``Templates`` fields and model file sections, in order.
 RESOURCES = ("abbreviations", "honorifics", "designators")
 
 # The template sets: name -> (token-slot function, word-slot function, the
-# resources both read, which they take first, in this order, and the slot
-# lookups a registry of the set encodes through).
+# resources both read, which they take first, in this order, and the kind of
+# slot lookups ``PredicateRegistry.lookups`` builds for the set).
 TEMPLATE_TABLE = {
     "best": (_best_token_keys, _best_word_keys, ("honorifics", "designators"), SlotMemos),
     "portable": (_portable_token_keys, _portable_word_keys, ("abbreviations",), SlotTables),
@@ -361,17 +345,14 @@ def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
 
 @dataclass
 class PredicateRegistry:
-    """Dense-indexed predicate set with training-time occurrence counts, the
-    templates that extract its predicates, and the slot lookups of its
-    template set (``TEMPLATE_TABLE``), from a slot's value to the indices of
-    its registered predicates."""
+    """Dense-indexed predicate set with training-time occurrence counts and
+    the templates that extract its predicates."""
 
     templates: Templates
     keys: list[str]
     counts: list[int]
     cutoff: int = 1
     index: dict[str, int] = field(init=False)
-    slots: SlotMemos | SlotTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = self.index = {k: i for i, k in enumerate(self.keys)}
@@ -379,10 +360,16 @@ class PredicateRegistry:
             # Only one of the rows could ever be read.
             twice = next(k for k, n in Counter(self.keys).items() if n > 1)
             raise FeatureError(f"registry names predicate {twice!r} twice")
-        self.slots = TEMPLATE_TABLE[self.templates.name][3].for_registry(self.templates, index)
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    def lookups(self, per_predicate: list, zero) -> SlotMemos | SlotTables:
+        """Slot lookups of this registry's template set (``TEMPLATE_TABLE``),
+        from a slot's value to the sum, from ``zero``, of ``per_predicate``
+        over its registered predicates."""
+        kind = TEMPLATE_TABLE[self.templates.name][3]
+        return kind.for_registry(self.templates, self.index, per_predicate, zero)
 
 
 def build_registry(
@@ -397,9 +384,9 @@ def build_registry(
     count keys that miss the cutoff too."""
     if not labeled.labels:
         raise FeatureError("no training candidates")
-    # Counter keeps first-occurrence order.
+    # Counter keeps first-occurrence order; a candidate's keys count in sorted order.
     counts = Counter(chain.from_iterable(
-        SlotMemos.of(templates, tuple).sorted_unions(labeled.columns)
+        map(sorted, SlotMemos.of(templates, tuple).sums(labeled.columns))
     ))
     keys = [k for k, n in counts.items() if n >= cutoff]
     if not keys:
@@ -409,16 +396,19 @@ def build_registry(
 
 def active_predicates(registry: PredicateRegistry, c: Candidates) -> Iterator[tuple[int, ...]]:
     """For each candidate, the sorted indices of the registered predicates
-    active on it: the union of its slots' indices, each read from the
-    registry's lookup for that slot. Predicates unseen at training time are
-    silently dropped."""
-    return map(tuple, registry.slots.sorted_unions(c))
+    active on it: the union of its slots' indices, each read from slot
+    lookups made for the call, with ``(i,)`` as predicate i's value. The
+    slots' keys never overlap, so the concatenation is the union. Predicates
+    unseen at training time are silently dropped."""
+    lookups = registry.lookups([(i,) for i in range(len(registry))], ())
+    return map(tuple, map(sorted, lookups.sums(c, ())))
 
 
 def encode(c: Candidate, registry: PredicateRegistry) -> tuple[int, ...]:
-    """``active_predicates`` of one candidate."""
-    (active,) = active_predicates(registry, Candidates.from_rows([c]))
-    return active
+    """The sorted indices of the registered predicates active on one
+    candidate, from its extracted predicates."""
+    index = registry.index
+    return tuple(sorted([index[k] for k in registry.templates.extract(c) if k in index]))
 
 
 def _lexicon_entries(text: str) -> frozenset[str]:

@@ -7,7 +7,8 @@ features pair one contextual predicate with one outcome; the model keeps one
 (slack) feature absorbs C minus the active-feature count, as GIS's
 constant-sum condition requires. ``conditional_yes`` is the one definition
 of p(yes|c); ``Scores`` restates its decision as a sum of per-slot scores,
-which ``pipeline.decide`` reads, and says where that sum is sure to agree.
+which ``pipeline.decide`` reads through slot lookups that the registry
+builds from each predicate's score, and says where that sum is sure to agree.
 ``train_gis`` and ``check_constraints`` import ``sentbound.gis``, GIS's
 array code, only when called, so loading a model and deciding with it need
 no array library. A model file holds everything that turns a candidate into
@@ -146,7 +147,7 @@ class Scores(NamedTuple):
     surely a boundary if its sum is below ``low`` and surely not from
     ``high`` on; these lie a margin below and above -base."""
 
-    slots: SlotMemos | SlotTables  # the registry's slot lookups, scored
+    slots: SlotMemos | SlotTables  # slot value -> score, from ``PredicateRegistry.lookups``
     low: float
     high: float
     fits: Callable[[float], bool]  # packed counts -> both counts are at most C
@@ -180,7 +181,7 @@ def _slot_scores(model: Model) -> Scores:
     margin = scale * 2.0**-40 if scale < 2.0**1000 and K < 2**26 else math.inf
     base = C * (c_no - c_yes)
     return Scores(
-        registry.slots.summed(score, 0j),
+        registry.lookups(score, 0j),
         -base - margin,
         -base + margin,
         lambda packed: packed // K <= C and packed % K <= C,
@@ -305,8 +306,8 @@ def load_model(path: str | Path) -> Model:
     """Read a v2 model file. Any damage raises ModelFormatError; so does a
     file whose fingerprint does not match what it holds, whose registry
     names a predicate twice, or that holds a value GIS never gives: a
-    non-finite weight or correction, C below 1 or a negative iteration
-    count."""
+    non-finite weight or correction, C below 1 or above the registry's size
+    (1 for an empty registry), or a negative iteration count."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -384,6 +385,9 @@ def load_model(path: str | Path) -> Model:
         if next_line() != "[end]":
             raise ModelFormatError(f"{path}: missing end marker")
         registry = PredicateRegistry(Templates(template_set, **resources), keys, counts, cutoff)
+        # C is the most fitted features any context has, at most one per predicate.
+        if C > max(len(registry), 1):
+            raise ModelFormatError(f"{path}: C {C} is above the number of predicates")
     except (ValueError, OverflowError, FeatureError) as exc:
         raise ModelFormatError(f"{path}: malformed model file: {exc}") from exc
     # The lines from template_set to the last correction row, as read.

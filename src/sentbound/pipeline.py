@@ -7,13 +7,14 @@ model's registry carries them to every encoding. Training events and
 slice of ``SLICE_CHARS`` characters at a time, so its memory grows with the
 text and one slice, not with the text's token count; ``scan`` gets the
 words on either side of each slice as its edge words. Training encodes
-its columns with ``features.active_predicates``, through the registry's slot
-lookups; ``decide`` adds each candidate's slot scores (``maxent.Scores``),
-read through the same lookups, in one chain of ``map`` calls, and encodes
-and scores with ``maxent.classify`` only the few candidates whose sum is
-too close to its threshold to be sure, or that have more fitted features
-than C. ``make_classifier`` decides one candidate the same way. The
-``features`` module says what the slot lookups are and how far they grow.
+its columns with ``features.active_predicates``, through slot lookups of
+predicate indices; ``decide`` adds each candidate's slot scores
+(``maxent.Scores``), read through slot lookups of the same kind, in one
+chain of ``map`` calls, and encodes (``features.encode``) and scores with
+``maxent.classify`` only the few candidates whose sum is too close to its
+threshold to be sure, or that have more fitted features than C.
+``make_classifier`` decides one candidate the same way. The ``features``
+module says what the slot lookups are and how far they grow.
 """
 
 from __future__ import annotations
@@ -105,10 +106,9 @@ def decide(model: Model, c: Candidates) -> list[bool]:
     if decisions != maybe or not all(map(scores.fits, set(map(_IMAG, sums)))):
         # The candidates between low and high, or with more fitted features than C.
         unsure = map(or_, map(ne, decisions, maybe), map(not_, map(scores.fits, map(_IMAG, sums))))
-        rows = list(compress(count(), unsure))
-        rest = Candidates(*(list(map(getattr(c, f.name).__getitem__, rows)) for f in fields(c)))
-        for row, active in zip(rows, features.active_predicates(model.registry, rest)):
-            decisions[row] = maxent.classify(model, active)
+        for row in list(compress(count(), unsure)):
+            cand = Candidate(*(getattr(c, f.name)[row] for f in fields(c)))
+            decisions[row] = maxent.classify(model, features.encode(cand, model.registry))
     return decisions
 
 

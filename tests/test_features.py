@@ -366,10 +366,41 @@ def test_portable_tables_encode_as_the_slot_functions(
     save_model(Model(registry, [(None, None)] * len(registry), (0.0, 0.0), C=1), path)
     cands = scan(f"{text} {train} {text}")
     for reg in (registry, load_model(path).registry):
-        assert isinstance(reg.slots, SlotTables)
+        assert isinstance(reg.lookups([(i,) for i in range(len(reg))], ()), SlotTables)
         index = reg.index
         want = [tuple(sorted(index[k] for k in templates.extract(c) if k in index)) for c in cands]
         assert list(active_predicates(reg, cands)) == want
+
+
+# Values with small integer parts, so every order of summing them is exact.
+SMALL_COMPLEX = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    name=st.sampled_from(TEMPLATE_SETS),
+    train=st.lists(TABLE_WORDS, min_size=1, max_size=25).map(" ".join),
+    text=st.lists(TABLE_WORDS, max_size=25).map(" ".join),
+    data=st.data(),
+)
+def test_lookups_sum_the_values_of_the_encoded_predicates(
+    tmp_path_factory, name, train, text, data
+):
+    # On a registry as built, and on one saved and loaded, a candidate's slot
+    # lookups add up to the sum of its encoded predicates' values.
+    abbreviations = data.draw(TABLE_ABBREVIATIONS) if name == "portable" else frozenset()
+    templates = Templates(name, abbreviations, **(DEFAULT_LEXICONS if name == "best" else {}))
+    train += " x."  # at least one candidate
+    columns = scan(train)
+    registry = build_registry(LabeledCandidateSet(columns, [False] * len(columns), 0), templates)
+    n = len(registry)
+    values = data.draw(st.lists(SMALL_COMPLEX, min_size=n, max_size=n))
+    path = tmp_path_factory.getbasetemp() / "lookups-model.txt"
+    save_model(Model(registry, [(None, None)] * n, (0.0, 0.0), C=1), path)
+    cands = scan(f"{text} {train} {text}")
+    for reg in (registry, load_model(path).registry):
+        want = [sum([values[i] for i in encode(c, reg)], 0j) for c in cands]
+        assert list(reg.lookups(values, 0j).sums(cands, 0j)) == want
 
 
 def test_load_lexicon_file(tmp_path):

@@ -387,13 +387,16 @@ def test_load_refuses_a_registry_that_names_a_predicate_twice(tmp_path):
         (r"^(yes\t).*", r"\1inf", "weight 'inf' is not finite"),
         (r"^(C ).*", r"\g<1>0", "C 0 is below 1"),
         (r"^(iterations ).*", r"\g<1>-5", "iterations -5 is below 0"),
+        # C one above the registry size, which the "[registry] N" line gives.
+        (r"^C .*(?=\ncutoff .*\n\[registry\] (\d+)$)", lambda m: f"C {int(m[1]) + 1}",
+         r"C \d+ is above the number of predicates"),
     ],
-    ids=["nan-weight", "inf-correction", "C-0", "iterations-negative"],
+    ids=["nan-weight", "inf-correction", "C-0", "iterations-negative", "C-above-registry"],
 )
 def test_load_refuses_values_gis_cannot_produce(tmp_path, pattern, value, problem):
     # GIS clamps every weight and correction to a finite range, gives C >= 1
-    # and counts its updates from 0. The file is signed again, so only the
-    # value can refuse it.
+    # (at most one fitted feature per predicate) and counts its updates
+    # from 0. The file is signed again, so only the value can refuse it.
     model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
     path = tmp_path / "model.txt"
     save_model(model, path)

@@ -15,7 +15,7 @@ from sentbound import features, maxent, pipeline
 from sentbound.candidates import NO_WORD, scan
 from sentbound.corpus import corpus_from_sentences, label_candidates
 from sentbound.evaluation import evaluate
-from sentbound.features import TEMPLATE_SETS, FeatureError, Memo, encode, load_lexicons
+from sentbound.features import TEMPLATE_SETS, FeatureError, Memo, active_predicates, load_lexicons
 from sentbound.maxent import (
     Model,
     _digest,
@@ -178,10 +178,9 @@ def test_portable_training_without_any_lexicons(monkeypatch):
 
 
 def test_a_dropped_model_is_freed_without_the_collector():
-    # No reference cycle runs through the model's memos or tables, nor its
-    # slot scores: with the collector off, the model and its registry go as
-    # soon as the last reference does. Best's slots are memos, portable's
-    # are tables.
+    # No reference cycle runs through the model's slot score lookups: with
+    # the collector off, the model and its registry go as soon as the last
+    # reference does. Best's lookups are memos, portable's are tables.
     gc.disable()
     try:
         for name in TEMPLATE_SETS:
@@ -193,7 +192,7 @@ def test_a_dropped_model_is_freed_without_the_collector():
             )
             decide = make_classifier(model)
             assert any(map(decide, labeled.columns))
-            assert all(model.scores.slots) and all(model.registry.slots)
+            assert all(model.scores.slots)
             refs = weakref.ref(model), weakref.ref(model.registry)
             del model, decide
             assert [ref() for ref in refs] == [None, None]
@@ -238,9 +237,9 @@ def cache_models():
 
 def caches(model):
     """(the memos a model fills as it decides, bounded by CACHE_ENTRIES; the
-    slot tables it reads, which never change): best's slot memos and slot
-    score memos, and portable's slot tables and slot score tables."""
-    slots = [*model.registry.slots, *model.scores.slots]
+    slot tables it reads, which never change): best's slot score memos, and
+    portable's slot score tables."""
+    slots = list(model.scores.slots)
     tables = [slot for slot in slots if not isinstance(slot, Memo)]
     assert bool(tables) == (model.registry.templates.name == "portable")
     return [slot for slot in slots if isinstance(slot, Memo)], tables
@@ -280,7 +279,8 @@ def test_cached_decisions_equal_uncached_ones(cache_models, template_set, bound,
         cands = scan(text)
         decide = make_classifier(model)
         want = [classify(model, uncached_encoding(model, c)) for c in cands]
-        assert [encode(c, model.registry) for c in cands] == [uncached_encoding(model, c) for c in cands]
+        encoded = list(active_predicates(model.registry, cands))
+        assert encoded == [uncached_encoding(model, c) for c in cands]
         assert [decide(c) for c in cands] == want
         offsets = [c.stream_position for c, yes in zip(cands, want) if yes]
         assert segment_text(model, text).boundary_offsets == offsets
