@@ -418,7 +418,8 @@ def _lexicon_entries(text: str) -> frozenset[str]:
 
 
 def load_lexicon_file(path: str | Path) -> frozenset[str]:
-    return _lexicon_entries(Path(path).read_text(encoding="utf-8"))
+    """The entries of a UTF-8 lexicon file; a byte-order mark is skipped."""
+    return _lexicon_entries(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _shipped_lexicon(name: str) -> frozenset[str]:

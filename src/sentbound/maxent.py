@@ -7,8 +7,10 @@ features pair one contextual predicate with one outcome; the model keeps one
 (slack) feature absorbs C minus the active-feature count, as GIS's
 constant-sum condition requires. ``conditional_yes`` is the one definition
 of p(yes|c); ``Scores`` restates its decision as a sum of per-slot scores,
-which ``pipeline.decide`` reads through slot lookups that the registry
-builds from each predicate's score, and says where that sum is sure to agree.
+read through slot lookups that the registry builds from each predicate's
+score, and says where that sum is sure to agree. ``decide`` adds each
+candidate's slot scores and sends only the candidates whose sum is not sure
+to ``classify``.
 ``train_gis`` and ``check_constraints`` import ``sentbound.gis``, GIS's
 array code, only when called, so loading a model and deciding with it need
 no array library. A model file holds everything that turns a candidate into
@@ -21,13 +23,15 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from itertools import chain
-from operator import is_not
+from itertools import chain, compress, count
+from operator import attrgetter, is_not, ne, or_
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import features
+from .candidates import Candidate, Candidates
 from .features import RESOURCES, FeatureError, PredicateRegistry, SlotMemos, SlotTables, Templates
 
 OUTCOMES = (True, False)  # GIS's row order: yes, then no
@@ -45,6 +49,8 @@ _HEADER = f"sentbound-model v{MODEL_FORMAT_VERSION}"
 _CORRECTION_TAGS = ("yes", "no")  # of the correction rows, in OUTCOMES order
 
 Weight = Optional[float]
+
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
 class TrainingError(Exception):
@@ -85,7 +91,7 @@ class Model:
 
     @cached_property
     def scores(self) -> Scores:
-        """The per-slot scores ``pipeline.decide`` reads, built on first use;
+        """The per-slot scores ``decide`` reads, built on first use;
         not part of the file or the fingerprint, and valid as long as the
         weights are not edited after the first decision."""
         return _slot_scores(self)
@@ -141,25 +147,24 @@ class Scores(NamedTuple):
     sum over the active predicates of d = (w_no - c_no) - (w_yes - c_yes),
     where an unfitted weight adds neither itself nor its correction. Each
     predicate reads one slot, so a slot value has one score, a complex
-    number: the sum of its predicates' d, and their fitted-feature counts
-    packed as n_yes·K + n_no (K = registry size + 1, above any one count).
-    One chain of additions sums both parts. A candidate whose counts fit is
-    surely a boundary if its sum is below ``low`` and surely not from
-    ``high`` on; these lie a margin below and above -base."""
+    number: the sum of its predicates' d, and the number of its predicates
+    that have a yes or a no weight. One chain of additions sums both parts.
+    A count of at most C bounds both outcomes' fitted features, so a
+    candidate whose count is at most C is surely a boundary if its sum is
+    below ``low`` and surely not from ``high`` on; these lie a margin below
+    and above -base."""
 
     slots: SlotMemos | SlotTables  # slot value -> score, from ``PredicateRegistry.lookups``
     low: float
     high: float
-    fits: Callable[[float], bool]  # packed counts -> both counts are at most C
 
 
 def _slot_scores(model: Model) -> Scores:
     registry, C = model.registry, model.C
     c_yes, c_no = model.corrections
-    K = len(registry) + 1
     score = [
         complex((0.0 if w_no is None else w_no - c_no) - (0.0 if w_yes is None else w_yes - c_yes),
-                (w_yes is not None) * K + (w_no is not None))
+                w_yes is not None or w_no is not None)
         for w_yes, w_no in model.log_alpha
     ]
     # The margin. Let u = 2**-53 and W >= 1 bound every |weight| and
@@ -174,18 +179,31 @@ def _slot_scores(model: Model) -> Scores:
     # x <= -2**-49 and fails for x >= 0. So a sum further than
     # 2**-47·(C + 4)**2·W from -base has the sign that decides in
     # ``conditional_yes``; the margin is 2**7 times that.
-    # Weights large enough for a sum to overflow, or a registry large enough
-    # for a packed count to pass 2**52, leave no sum sure.
+    # Weights large enough for a sum to overflow leave no sum sure.
     fitted = filter(partial(is_not, None), chain(model.corrections, *model.log_alpha))
     scale = (C + 4) ** 2 * max(1.0, max(map(abs, fitted)))
-    margin = scale * 2.0**-40 if scale < 2.0**1000 and K < 2**26 else math.inf
+    margin = scale * 2.0**-40 if scale < 2.0**1000 else math.inf
     base = C * (c_no - c_yes)
-    return Scores(
-        registry.lookups(score, 0j),
-        -base - margin,
-        -base + margin,
-        lambda packed: packed // K <= C and packed % K <= C,
-    )
+    return Scores(registry.lookups(score, 0j), -base - margin, -base + margin)
+
+
+def decide(model: Model, c: Candidates) -> list[bool]:
+    """The model's decision on each candidate, the one ``classify`` gives:
+    from the sum of its slot scores where that sum is sure (``Scores``), and
+    from ``classify`` on its ``features.encode`` encoding where it is not."""
+    scores = model.scores
+    sums = list(scores.slots.sums(c, 0j))
+    odds = list(map(_REAL, sums))
+    decisions = list(map(scores.low.__gt__, odds))
+    maybe = list(map(scores.high.__gt__, odds))
+    C = float(model.C)
+    if decisions != maybe or max(map(_IMAG, sums), default=0.0) > C:
+        # The candidates between low and high, or with more fitted predicates than C.
+        unsure = map(or_, map(ne, decisions, maybe), map(C.__lt__, map(_IMAG, sums)))
+        for row in list(compress(count(), unsure)):
+            cand = Candidate(*(getattr(c, f.name)[row] for f in fields(c)))
+            decisions[row] = classify(model, features.encode(cand, model.registry))
+    return decisions
 
 
 def train_gis(
@@ -305,9 +323,10 @@ def save_model(model: Model, path: str | Path) -> None:
 def load_model(path: str | Path) -> Model:
     """Read a v2 model file. Any damage raises ModelFormatError; so does a
     file whose fingerprint does not match what it holds, whose registry
-    names a predicate twice, or that holds a value GIS never gives: a
-    non-finite weight or correction, C below 1 or above the registry's size
-    (1 for an empty registry), or a negative iteration count."""
+    names a predicate twice, or that holds a value ``save_model`` never
+    writes: a non-finite weight or correction, C below 1 or above the
+    registry's size (1 for an empty registry), a negative iteration count or
+    section count, or a predicate count below 1."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -331,10 +350,12 @@ def load_model(path: str | Path) -> Model:
 
     def section(tag: str) -> list[str]:
         line = next_line()
-        head, _, count = line.partition(" ")
+        head, _, size = line.partition(" ")
         if head != tag:
             raise ModelFormatError(f"{path}: expected section {tag}, got {line!r}")
-        return [next_line() for _ in range(int(count))]
+        if int(size) < 0:
+            raise ModelFormatError(f"{path}: {tag} count {size} is below 0")
+        return [next_line() for _ in range(int(size))]
 
     def weight(text: str) -> Weight:
         if text == "-":
@@ -371,6 +392,8 @@ def load_model(path: str | Path) -> Model:
             if len(parts) != 5 or parts[0] != str(i):
                 raise ModelFormatError(f"{path}: bad registry row {i}: {row!r}")
             counts.append(int(parts[1]))
+            if counts[-1] < 1:
+                raise ModelFormatError(f"{path}: registry row {i} count {parts[1]} is below 1")
             keys.append(parts[2])
             log_alpha.append((weight(parts[3]), weight(parts[4])))
         resources = {name: frozenset(section(f"[{name}]")) for name in RESOURCES}

@@ -8,22 +8,18 @@ slice of ``SLICE_CHARS`` characters at a time, so its memory grows with the
 text and one slice, not with the text's token count; ``scan`` gets the
 words on either side of each slice as its edge words. Training encodes
 its columns with ``features.active_predicates``, through slot lookups of
-predicate indices; ``decide`` adds each candidate's slot scores
-(``maxent.Scores``), read through slot lookups of the same kind, in one
-chain of ``map`` calls, and encodes (``features.encode``) and scores with
-``maxent.classify`` only the few candidates whose sum is too close to its
-threshold to be sure, or that have more fitted features than C.
-``make_classifier`` decides one candidate the same way. The ``features``
-module says what the slot lookups are and how far they grow.
+predicate indices; ``decide``, imported from ``maxent``, decides each
+candidate from slot lookups of scores, and ``make_classifier`` decides one
+candidate the same way. The ``features`` module says what the slot lookups
+are and how far they grow.
 """
 
 from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass, fields, replace
-from itertools import compress, count
-from operator import attrgetter, ne, not_, or_
+from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Callable, Optional
 
 from . import features, maxent
@@ -37,7 +33,7 @@ from .corpus import (
     label_candidates,
 )
 from .features import Templates
-from .maxent import Model
+from .maxent import Model, decide
 
 # Characters of raw text that ``boundary_offsets`` scans and decides at a
 # time: about 11,000 tokens of news-like text. One slice's columns then peak
@@ -52,8 +48,6 @@ SLICE_CHARS = 1 << 16
 # so ``scan``, splits on.
 _SPACE_RE = re.compile(r"\s")
 _WORD_RE = re.compile(r"\S+")
-
-_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
 def events_from_labeled(
@@ -91,25 +85,6 @@ def train_model(
     events = events_from_labeled(labeled, registry)
     model = maxent.train_gis(events, registry, max_iters=max_iters, tolerance=tolerance)
     return model, labeled
-
-
-def decide(model: Model, c: Candidates) -> list[bool]:
-    """The model's decision on each candidate, the one ``maxent.classify``
-    gives: from the sum of its slot scores where that sum is sure
-    (``maxent.Scores``), and from ``classify`` on its active predicates
-    where it is not."""
-    scores = model.scores
-    sums = list(scores.slots.sums(c, 0j))
-    odds = list(map(_REAL, sums))
-    decisions = list(map(scores.low.__gt__, odds))
-    maybe = list(map(scores.high.__gt__, odds))
-    if decisions != maybe or not all(map(scores.fits, set(map(_IMAG, sums)))):
-        # The candidates between low and high, or with more fitted features than C.
-        unsure = map(or_, map(ne, decisions, maybe), map(not_, map(scores.fits, map(_IMAG, sums))))
-        for row in list(compress(count(), unsure)):
-            cand = Candidate(*(getattr(c, f.name)[row] for f in fields(c)))
-            decisions[row] = maxent.classify(model, features.encode(cand, model.registry))
-    return decisions
 
 
 def make_classifier(model: Model) -> Callable[[Candidate], bool]:

@@ -409,6 +409,15 @@ def test_load_lexicon_file(tmp_path):
     assert load_lexicon_file(p) == {"Dr.", "Ms.", "Gen."}
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_entry(tmp_path):
+    # Windows Notepad saves UTF-8 with a byte-order mark.
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("Mr.\nDr.\n", encoding="utf-8")
+    marked.write_text("Mr.\nDr.\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfMr.")
+    assert load_lexicon_file(marked) == load_lexicon_file(plain) == {"Mr.", "Dr."}
+
+
 def test_load_lexicons_reads_no_shipped_file_for_a_given_path(tmp_path, monkeypatch):
     honorifics, designators = tmp_path / "hon.txt", tmp_path / "des.txt"
     honorifics.write_text("Dr.\n")

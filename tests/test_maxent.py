@@ -390,13 +390,19 @@ def test_load_refuses_a_registry_that_names_a_predicate_twice(tmp_path):
         # C one above the registry size, which the "[registry] N" line gives.
         (r"^C .*(?=\ncutoff .*\n\[registry\] (\d+)$)", lambda m: f"C {int(m[1]) + 1}",
          r"C \d+ is above the number of predicates"),
+        # A section count below 0, read as an empty section; row 0's count.
+        (r"^(\[honorifics\] ).*", r"\g<1>-2", r"\[honorifics\] count -2 is below 0"),
+        (r"^(0\t)\d+", r"\g<1>0", "registry row 0 count 0 is below 1"),
     ],
-    ids=["nan-weight", "inf-correction", "C-0", "iterations-negative", "C-above-registry"],
+    ids=["nan-weight", "inf-correction", "C-0", "iterations-negative", "C-above-registry",
+         "section-count-negative", "predicate-count-0"],
 )
 def test_load_refuses_values_gis_cannot_produce(tmp_path, pattern, value, problem):
     # GIS clamps every weight and correction to a finite range, gives C >= 1
     # (at most one fitted feature per predicate) and counts its updates
-    # from 0. The file is signed again, so only the value can refuse it.
+    # from 0; a section counts its entries, and a registered predicate
+    # occurred at least once. The file is signed again, so only the value
+    # can refuse it.
     model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
     path = tmp_path / "model.txt"
     save_model(model, path)

@@ -391,6 +391,34 @@ def test_more_fitted_features_than_C_are_decided_by_classify(
     assert any(want) and not all(want)
 
 
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("models")
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_decisions_equal_classify_at_any_C_and_any_fitted_weights(
+    cache_models, model_dir, template_set, data
+):
+    # A lower C and fewer fitted weights put candidates' counts of fitted
+    # predicates at C, just above it and far above it. The sum is the
+    # log-odds only up to C, so every count above C must go to classify.
+    trained = cache_models[template_set]
+    C = data.draw(st.integers(1, trained.C), label="C")
+    share = data.draw(st.floats(0, 1), label="unfitted share")
+    rnd = data.draw(st.randoms(use_true_random=False))
+    log_alpha = [
+        tuple(None if rnd.random() < share else w for w in pair) for pair in trained.log_alpha
+    ]
+    path = model_dir / f"{template_set}.txt"
+    save_model(Model(trained.registry, log_alpha, trained.corrections, C), path)
+    model = load_model(path)
+    cands = scan(MANY_KEYS + " " + " ".join(make_corpus(60, seed=8).sentences))
+    assert decide(model, cands) == [classify(model, uncached_encoding(model, c)) for c in cands]
+
+
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
 def test_a_saved_model_loads_with_its_templates(cache_models, template_set, tmp_path):
     model = cache_models[template_set]
