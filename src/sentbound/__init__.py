@@ -6,6 +6,7 @@ from .corpus import (
     LabeledCandidateSet,
     induce_abbreviations,
     label_candidates,
+    label_groups,
     load_annotated,
     load_raw,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "evaluate",
     "induce_abbreviations",
     "label_candidates",
+    "label_groups",
     "learning_curve",
     "load_annotated",
     "load_model",

@@ -139,8 +139,7 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     model = maxent.load_model(args.model)
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
-    labeled = corpus_mod.label_candidates(corp)
-    report = evaluation.evaluate(model, labeled)
+    report = evaluation.evaluate(model, corpus_mod.label_groups(corp))
     _write_output(evaluation.format_report(report), args.output)
     return EXIT_OK
 

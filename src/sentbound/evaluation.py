@@ -3,21 +3,26 @@ reference baselines, and the training-set-size experiment.
 
 Accuracy is measured over candidate punctuation marks, not sentences.
 Decisions and labels are both booleans, True at a sentence boundary.
+``evaluate`` decides and counts one group of labeled candidates at a time,
+as ``corpus.label_groups`` yields them, and sums integer counts (sentences,
+candidates, false positives and negatives, True labels, token-final
+agreements); the report's ratios are computed once, from the totals, so a
+corpus scored in groups gives the same report as scored whole, float for
+float, while only one group's columns are held.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import eq, gt, lt
-from typing import Sequence
+from operator import add, eq, gt, lt
+from typing import Iterable, Sequence
 
 from .corpus import (
     AnnotatedCorpus,
     CorpusError,
     LabeledCandidateSet,
     corpus_from_sentences,
-    label_candidates,
 )
 from .maxent import Model
 # perfbench's tracer patches ``evaluation.make_classifier``; nothing here
@@ -36,46 +41,68 @@ class EvaluationReport:
     baseline_token_final: float
 
 
-def baseline_all_yes(labeled: LabeledCandidateSet) -> float:
-    """Accuracy of guessing a boundary at every candidate site."""
-    if not labeled.labels:
-        raise CorpusError("no candidates to evaluate")
-    return sum(labeled.labels) / len(labeled)
-
-
-def baseline_token_final(labeled: LabeledCandidateSet) -> float:
-    """Accuracy of 'boundary iff the mark ends its token'."""
-    if not labeled.labels:
-        raise CorpusError("no candidates to evaluate")
-    c = labeled.columns
-    token_final = map(eq, c.offsets, map((-1).__add__, map(len, c.tokens)))
-    return sum(map(eq, token_final, labeled.labels)) / len(labeled)
-
-
-def score(decisions: Sequence[bool], labeled: LabeledCandidateSet) -> EvaluationReport:
-    """Score one decision per candidate of ``labeled``, in its order."""
-    if not labeled.labels:
-        raise CorpusError("no candidates to evaluate")
+def _counts(decisions: Sequence[bool], labeled: LabeledCandidateSet) -> tuple[int, ...]:
+    """Sentences, candidates, false positives, false negatives, True labels
+    and token-final agreements (a mark ends its token iff it ends its
+    sentence) of one decision per candidate of ``labeled``, in its order.
+    Counts of consecutive groups of a corpus add up to the corpus's."""
     if len(decisions) != len(labeled):
         raise CorpusError(f"{len(decisions)} decisions for {len(labeled)} candidates")
-    fp = sum(map(gt, decisions, labeled.labels))
-    fn = sum(map(lt, decisions, labeled.labels))
-    n = len(labeled)
+    labels, c = labeled.labels, labeled.columns
+    token_final = map(eq, c.offsets, map((-1).__add__, map(len, c.tokens)))
+    return (
+        labeled.sentences,
+        len(labels),
+        sum(map(gt, decisions, labels)),
+        sum(map(lt, decisions, labels)),
+        sum(labels),
+        sum(map(eq, token_final, labels)),
+    )
+
+
+def _report(
+    sentences: int, n: int, fp: int, fn: int, yes: int, token_final: int
+) -> EvaluationReport:
+    if not n:
+        raise CorpusError("no candidates to evaluate")
     return EvaluationReport(
-        sentences=labeled.sentences,
+        sentences=sentences,
         candidates=n,
         # (n - errors)/n rather than 1 - errors/n: keeps the identity with
         # baseline_all_yes exact for a constant-yes classifier.
         accuracy=(n - fp - fn) / n,
         false_positives=fp,
         false_negatives=fn,
-        baseline_all_yes=baseline_all_yes(labeled),
-        baseline_token_final=baseline_token_final(labeled),
+        baseline_all_yes=yes / n,
+        baseline_token_final=token_final / n,
     )
 
 
-def evaluate(model: Model, labeled: LabeledCandidateSet) -> EvaluationReport:
-    return score(decide(model, labeled.columns), labeled)
+def score(decisions: Sequence[bool], labeled: LabeledCandidateSet) -> EvaluationReport:
+    """Score one decision per candidate of ``labeled``, in its order."""
+    return _report(*_counts(decisions, labeled))
+
+
+def baseline_all_yes(labeled: LabeledCandidateSet) -> float:
+    """Accuracy of guessing a boundary at every candidate site."""
+    return score(labeled.labels, labeled).baseline_all_yes
+
+
+def baseline_token_final(labeled: LabeledCandidateSet) -> float:
+    """Accuracy of 'boundary iff the mark ends its token'."""
+    return score(labeled.labels, labeled).baseline_token_final
+
+
+def evaluate(model: Model, groups: Iterable[LabeledCandidateSet]) -> EvaluationReport:
+    """Score the model's decisions on labeled candidates, given as groups,
+    such as ``label_groups`` yields: only one group's columns and decisions
+    are held at a time, and the report is the one that scoring the groups
+    concatenated gives."""
+    totals = (0,) * 6
+    for labeled in groups:
+        totals = tuple(map(add, totals, _counts(decide(model, labeled.columns), labeled)))
+        del labeled  # this group's columns go before the next group's are built
+    return _report(*totals)
 
 
 def check_training_sizes(sizes: Sequence[int], corpus: AnnotatedCorpus) -> None:
@@ -104,7 +131,7 @@ def learning_curve(
     for size in sizes:
         subset = corpus_from_sentences(shuffled[:size])
         model, _ = train_model(subset, template_set, **train_kwargs)
-        rows.append((size, evaluate(model, eval_labeled).accuracy))
+        rows.append((size, evaluate(model, [eval_labeled]).accuracy))
     return rows
 
 

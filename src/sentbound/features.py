@@ -345,8 +345,9 @@ def extract_portable(c: Candidate, abbrevs: frozenset[str]) -> set[str]:
 
 @dataclass
 class PredicateRegistry:
-    """Dense-indexed predicate set with training-time occurrence counts and
-    the templates that extract its predicates."""
+    """Dense-indexed predicate set with training-time occurrence counts, the
+    cutoff (at least 1) they passed, and the templates that extract its
+    predicates."""
 
     templates: Templates
     keys: list[str]
@@ -355,6 +356,9 @@ class PredicateRegistry:
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
+        if self.cutoff < 1:
+            # Any lower cutoff keeps the same predicates as 1.
+            raise FeatureError(f"cutoff {self.cutoff} is below 1")
         index = self.index = {k: i for i, k in enumerate(self.keys)}
         if len(index) < len(self.keys):
             # Only one of the rows could ever be read.
@@ -378,7 +382,8 @@ def build_registry(
     cutoff: int = 1,
 ) -> PredicateRegistry:
     """Count predicate occurrences over the training candidates, drop those
-    below the cutoff, and assign dense indices in first-occurrence order.
+    below the cutoff, and assign dense indices in first-occurrence order. A
+    cutoff below 1 raises FeatureError, as ``PredicateRegistry`` refuses it.
 
     Each slot's keys are read from a slot memo made for the call, which must
     count keys that miss the cutoff too."""

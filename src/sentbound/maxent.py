@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from itertools import chain, compress, count
-from operator import attrgetter, is_not, ne, or_
+from operator import attrgetter, ge, is_not, ne, or_
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -325,8 +325,9 @@ def load_model(path: str | Path) -> Model:
     file whose fingerprint does not match what it holds, whose registry
     names a predicate twice, or that holds a value ``save_model`` never
     writes: a non-finite weight or correction, C below 1 or above the
-    registry's size (1 for an empty registry), a negative iteration count or
-    section count, or a predicate count below 1."""
+    registry's size (1 for an empty registry), a cutoff below 1, a negative
+    iteration count or section count, a predicate count below 1, or a
+    resource section whose entries are not strictly increasing."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -356,6 +357,14 @@ def load_model(path: str | Path) -> Model:
         if int(size) < 0:
             raise ModelFormatError(f"{path}: {tag} count {size} is below 0")
         return [next_line() for _ in range(int(size))]
+
+    def entries(tag: str) -> frozenset[str]:
+        # Sorted and without repeats, as ``save_model`` writes them: a set
+        # written any other way would save back with other bytes.
+        lines = section(tag)
+        if any(map(ge, lines, lines[1:])):
+            raise ModelFormatError(f"{path}: {tag} entries are not strictly increasing")
+        return frozenset(lines)
 
     def weight(text: str) -> Weight:
         if text == "-":
@@ -396,7 +405,7 @@ def load_model(path: str | Path) -> Model:
                 raise ModelFormatError(f"{path}: registry row {i} count {parts[1]} is below 1")
             keys.append(parts[2])
             log_alpha.append((weight(parts[3]), weight(parts[4])))
-        resources = {name: frozenset(section(f"[{name}]")) for name in RESOURCES}
+        resources = {name: entries(f"[{name}]") for name in RESOURCES}
         if next_line() != "[corrections]":
             raise ModelFormatError(f"{path}: missing corrections section")
         corrections = []

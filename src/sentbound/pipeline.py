@@ -1,12 +1,14 @@
 """End-to-end glue: corpus -> trained model, and model -> segmented text.
 
 ``train_model`` picks the template set's resources once; from there the
-model's registry carries them to every encoding. Training events and
-``evaluate`` take the ``scan`` columns of a whole text; ``boundary_offsets``
-(which ``segment_text`` calls before it joins sentences) takes them one
-slice of ``SLICE_CHARS`` characters at a time, so its memory grows with the
-text and one slice, not with the text's token count; ``scan`` gets the
-words on either side of each slice as its edge words. Training encodes
+model's registry carries them to every encoding. Training events take the
+``scan`` columns of the whole training corpus, as ``label_candidates``
+concatenates them; ``evaluate`` takes them one group of sentences at a time
+(``corpus.label_groups``), and ``boundary_offsets`` (which ``segment_text``
+calls before it joins sentences) one slice of raw text at a time. Groups
+and slices hold at least ``SLICE_CHARS`` characters, so that memory grows
+with the text and one slice, not with the text's token count, and ``scan``
+gets the words on either side of each as its edge words. Training encodes
 its columns with ``features.active_predicates``, through slot lookups of
 predicate indices; ``decide``, imported from ``maxent``, decides each
 candidate from slot lookups of scores, and ``make_classifier`` decides one
@@ -25,7 +27,14 @@ from typing import Callable, Optional
 from . import features, maxent
 # perfbench's tracer patches ``pipeline.tokenize_with_positions``; nothing
 # here calls it.
-from .candidates import NO_WORD, Candidate, Candidates, scan, tokenize_with_positions  # noqa: F401
+from .candidates import (  # noqa: F401
+    NO_WORD,
+    SLICE_CHARS,
+    Candidate,
+    Candidates,
+    scan,
+    tokenize_with_positions,
+)
 from .corpus import (
     AnnotatedCorpus,
     LabeledCandidateSet,
@@ -34,14 +43,6 @@ from .corpus import (
 )
 from .features import Templates
 from .maxent import Model, decide
-
-# Characters of raw text that ``boundary_offsets`` scans and decides at a
-# time: about 11,000 tokens of news-like text. One slice's columns then peak
-# under 2 MB (tracemalloc), a small share of a process that has loaded a
-# model, and the few calls that stitch slices together cost nothing
-# measurable once per slice. Slices of 1 Ki characters ran about 6% slower;
-# 16 Ki saved under 1 MB more.
-SLICE_CHARS = 1 << 16
 
 # Where a slice may end, and the next word after it. ``\s`` matches exactly
 # the characters for which ``str.isspace()`` holds, which ``str.split``, and

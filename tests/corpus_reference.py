@@ -1,0 +1,38 @@
+"""Reference labeling: the whole-corpus ``label_candidates`` that
+``sentbound.corpus`` ran before it labeled one group of sentences at a time,
+kept unchanged. ``sentbound.corpus.label_groups`` must give the same
+candidates, labels and warnings, and ``label_candidates`` the same set.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate, count
+from operator import add
+
+from sentbound.candidates import BOUNDARY_MARKS, scan
+from sentbound.corpus import AnnotatedCorpus, EmptyCorpusError, LabeledCandidateSet
+
+
+def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
+    """Join the sentences with single spaces, scan the text as segmentation
+    does, and label each candidate.
+
+    A candidate is labeled True iff its mark is the last character of a
+    sentence. Sentences that end in anything else get no True label and are
+    recorded as warnings, not errors.
+    """
+    sentences = corpus.sentences
+    if not sentences:
+        raise EmptyCorpusError("corpus has no sentences")
+    cands = scan(" ".join(sentences))
+    # Sentence k's last character in the joined text: its length and those
+    # before it, plus the k joining spaces, minus one.
+    ends = set(map(add, accumulate(map(len, sentences)), count(-1)))
+    labels = list(map(ends.__contains__, cands.positions))
+    warnings = [
+        f"sentence {s_i} ends in token {sent.split()[-1]!r}, whose last "
+        "character is not a boundary mark, so it gets no boundary label"
+        for s_i, sent in enumerate(sentences, 1)
+        if sent[-1] not in BOUNDARY_MARKS
+    ]
+    return LabeledCandidateSet(cands, labels, len(sentences), warnings)

@@ -84,8 +84,8 @@ def test_criterion_1_paper_corpora_optional(lexicons):
     test_labeled = label_candidates(load_annotated(test_path))
     best, _ = train_model(corp, "best", lexicons=lexicons, max_iters=MAX_ITERS)
     portable, _ = train_model(corp, "portable", max_iters=MAX_ITERS)
-    acc_best = evaluate(best, test_labeled).accuracy
-    acc_port = evaluate(portable, test_labeled).accuracy
+    acc_best = evaluate(best, [test_labeled]).accuracy
+    acc_port = evaluate(portable, [test_labeled]).accuracy
     report(
         1,
         "wsj-reproduction",
@@ -225,7 +225,7 @@ def test_criterion_6_synthetic_end_to_end(trained, eval_labeled):
     details = []
     for template_set in ("portable", "best"):
         model, _labeled, _lex = trained[template_set]
-        rep = evaluate(model, eval_labeled)
+        rep = evaluate(model, [eval_labeled])
         beats = rep.accuracy > rep.baseline_all_yes and rep.accuracy > rep.baseline_token_final
         ok = ok and beats and rep.accuracy >= 0.95
         details.append(

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -478,6 +479,19 @@ def test_numeric_training_flags_are_checked(tmp_path, corpus_file, command, flag
         main([*argv, *flag])
     assert exc.value.code == 2
     assert not (tmp_path / "m.txt").exists()
+
+
+SYNTHETIC_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic_corpus.py"
+
+
+@pytest.mark.parametrize("sentences", ["0", "-5", "2.5"])
+def test_synthetic_corpus_script_refuses_a_count_below_one(tmp_path, monkeypatch, sentences):
+    out = tmp_path / "corpus.txt"
+    monkeypatch.setattr(sys, "argv", [str(SYNTHETIC_SCRIPT), str(out), "--sentences", sentences])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SYNTHETIC_SCRIPT), run_name="__main__")
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "learning-curve"])

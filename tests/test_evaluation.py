@@ -1,6 +1,6 @@
 import pytest
 
-from sentbound.corpus import CorpusError, corpus_from_sentences, label_candidates
+from sentbound.corpus import CorpusError, corpus_from_sentences, label_candidates, label_groups
 from sentbound.evaluation import (
     EvaluationReport,
     baseline_all_yes,
@@ -77,22 +77,22 @@ def test_perfect_model_on_separable_corpus(synthetic_train):
     model, labeled = train_model(
         synthetic_train, "portable", max_iters=2000, tolerance=1e-3
     )
-    report = evaluate(model, labeled)
+    report = evaluate(model, [labeled])
     assert report.accuracy > max(report.baseline_all_yes, report.baseline_token_final)
 
 
 def test_report_counts_the_sentences_of_the_labeled_corpus(synthetic_train, synthetic_eval):
     model, _ = train_model(synthetic_train, "portable", max_iters=20)
     for corpus in (synthetic_train, synthetic_eval):
-        assert evaluate(model, label_candidates(corpus)).sentences == len(corpus)
+        assert evaluate(model, label_groups(corpus)).sentences == len(corpus)
 
 
 def test_baselines_model_independent(synthetic_train, synthetic_eval):
     eval_lab = label_candidates(synthetic_eval)
     m1, _ = train_model(synthetic_train, "portable", max_iters=5)
     m2, _ = train_model(synthetic_train, "portable", max_iters=200)
-    r1 = evaluate(m1, eval_lab)
-    r2 = evaluate(m2, eval_lab)
+    r1 = evaluate(m1, [eval_lab])
+    r2 = evaluate(m2, [eval_lab])
     assert r1.baseline_all_yes == r2.baseline_all_yes
     assert r1.baseline_token_final == r2.baseline_token_final
 

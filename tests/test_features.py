@@ -297,6 +297,14 @@ def test_build_registry_cutoff_too_high(example1_labeled):
         build_registry(example1_labeled, Templates("portable"), cutoff=99)
 
 
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_build_registry_refuses_a_cutoff_below_one(example1_labeled, cutoff):
+    # Any cutoff below 1 keeps the predicates of cutoff 1, and a model would
+    # record it under another fingerprint.
+    with pytest.raises(FeatureError, match=f"cutoff {cutoff} is below 1"):
+        build_registry(example1_labeled, Templates("portable"), cutoff=cutoff)
+
+
 def test_registry_counts_scale_linearly(example1_labeled):
     from sentbound.corpus import LabeledCandidateSet
 

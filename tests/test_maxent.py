@@ -393,16 +393,25 @@ def test_load_refuses_a_registry_that_names_a_predicate_twice(tmp_path):
         # A section count below 0, read as an empty section; row 0's count.
         (r"^(\[honorifics\] ).*", r"\g<1>-2", r"\[honorifics\] count -2 is below 0"),
         (r"^(0\t)\d+", r"\g<1>0", "registry row 0 count 0 is below 1"),
+        # A cutoff below 1 keeps the predicates of cutoff 1, under another
+        # fingerprint.
+        (r"^(cutoff ).*", r"\g<1>0", "cutoff 0 is below 1"),
+        (r"^(cutoff ).*", r"\g<1>-3", "cutoff -3 is below 1"),
+        # A resource section out of order and with a repeat: read as the set
+        # {Dr., Mr.}, which saves back as "[honorifics] 2" / "Dr." / "Mr.".
+        (r"^\[honorifics\] 0$", r"[honorifics] 3\nMr.\nDr.\nMr.",
+         r"\[honorifics\] entries are not strictly increasing"),
     ],
     ids=["nan-weight", "inf-correction", "C-0", "iterations-negative", "C-above-registry",
-         "section-count-negative", "predicate-count-0"],
+         "section-count-negative", "predicate-count-0", "cutoff-0", "cutoff-negative",
+         "resource-entries-unsorted"],
 )
 def test_load_refuses_values_gis_cannot_produce(tmp_path, pattern, value, problem):
     # GIS clamps every weight and correction to a finite range, gives C >= 1
     # (at most one fitted feature per predicate) and counts its updates
-    # from 0; a section counts its entries, and a registered predicate
-    # occurred at least once. The file is signed again, so only the value
-    # can refuse it.
+    # from 0; a section counts its entries, sorted and without repeats; a
+    # registered predicate occurred at least once, and passed a cutoff of at
+    # least 1. The file is signed again, so only the value can refuse it.
     model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
     path = tmp_path / "model.txt"
     save_model(model, path)

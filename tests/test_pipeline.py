@@ -3,18 +3,20 @@ import math
 import sys
 import tracemalloc
 import weakref
-from itertools import compress
+from dataclasses import fields
+from itertools import accumulate, compress, pairwise
 from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpus_reference
 import pipeline_reference
-from sentbound import features, maxent, pipeline
-from sentbound.candidates import NO_WORD, scan
-from sentbound.corpus import corpus_from_sentences, label_candidates
-from sentbound.evaluation import evaluate
+from sentbound import corpus, features, maxent, pipeline
+from sentbound.candidates import NO_WORD, Candidates, scan
+from sentbound.corpus import CorpusError, corpus_from_sentences, label_candidates, label_groups
+from sentbound.evaluation import evaluate, score
 from sentbound.features import TEMPLATE_SETS, FeatureError, Memo, active_predicates, load_lexicons
 from sentbound.maxent import (
     Model,
@@ -153,7 +155,7 @@ def test_segmentation_offsets_locate_marks_and_keep_text(portable_model, encodin
 def test_best_and_portable_models_learn_training_data(portable_model, best_model):
     labeled = label_candidates(make_corpus(300, seed=1))
     for model in (portable_model, best_model):
-        report = evaluate(model, labeled)
+        report = evaluate(model, [labeled])
         assert report.accuracy > 0.95
 
 
@@ -499,6 +501,63 @@ def test_labels_used_as_decisions_give_back_the_corpus(sentences, slice_chars):
             assert segment_text(None, " ".join(sentences)).sentences == sentences
 
 
+# Sentences of slice tokens: most end in a mark; the others, and those that
+# end in a closing quote or bracket, get a warning instead of a True label.
+LABELED_SENTENCE = MARK_FINAL_SENTENCE | st.lists(SLICE_TOKEN, min_size=1, max_size=6).map(" ".join)
+
+
+def outcome(func, *args):
+    """What ``func(*args)`` returns, or the message of the CorpusError it raises."""
+    try:
+        return func(*args)
+    except CorpusError as exc:
+        return str(exc)
+
+
+def joined_columns(sets):
+    """Each column of ``scan``'s result, concatenated over labeled sets."""
+    return {
+        f.name: [v for labeled in sets for v in getattr(labeled.columns, f.name)]
+        for f in fields(Candidates)
+    }
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+@settings(deadline=None, max_examples=100)
+@given(sentences=st.lists(LABELED_SENTENCE, min_size=1, max_size=8), group_chars=st.integers(1, 8))
+# Groups of at least 3 characters: "Mr.", then "Smith left.", then "He" with
+# 'said "stop."', two sentences that get warnings 3 and 4.
+@example(sentences=["Mr.", "Smith left.", "He", "said \"stop.\""], group_chars=3)
+def test_grouped_labels_and_reports_equal_the_whole_corpus_reference(
+    cache_models, template_set, sentences, group_chars
+):
+    model = cache_models[template_set]
+    corp = corpus_from_sentences(sentences)
+    want = corpus_reference.label_candidates(corp)
+    reports = [outcome(score, decide(model, want.columns), want)]
+    for chars in (corpus.SLICE_CHARS, group_chars):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "SLICE_CHARS", chars)
+            groups = list(label_groups(corp))
+            whole = label_candidates(corp)
+            reports.append(outcome(evaluate, model, label_groups(corp)))
+        # Every group but the last holds at least ``chars`` characters.
+        spans = [len(" ".join(corp.sentences[a:b])) for a, b in pairwise(
+            [0, *accumulate(g.sentences for g in groups)]
+        )]
+        assert min(spans[:-1], default=chars) >= chars
+        for got in (groups, [whole]):
+            # Positions in the joined corpus, labels, warnings numbered
+            # across the corpus, and sentence counts, as one whole scan gives.
+            assert joined_columns(got) == joined_columns([want])
+            assert [label for g in got for label in g.labels] == want.labels
+            assert [w for g in got for w in g.warnings] == want.warnings
+            assert sum(g.sentences for g in got) == want.sentences
+    # The same counts and the same float ratios at every group size, or the
+    # same refusal of a corpus without candidates.
+    assert reports[1] == reports[2] == reports[0]
+
+
 def test_a_text_of_one_slice_is_scanned_whole(portable_model, monkeypatch):
     scanned = []
 
@@ -532,4 +591,21 @@ def test_segmentation_memory_follows_the_slice_not_the_text(portable_model):
     finally:
         tracemalloc.stop()
     assert len(offsets) > 5_000
+    assert peak < 4 * 2**20
+
+
+def test_evaluation_memory_follows_a_group_not_the_corpus(portable_model):
+    # 10,000 synthetic sentences, built before tracing starts: 498,220
+    # characters joined, and 31,011 candidates. The tracemalloc peak of this
+    # call measured 10.08 MiB when the whole corpus was labeled at once, and
+    # 1.36 MiB in groups of 64 Ki characters. The bound leaves about three
+    # times the grouped peak, and 2.5 times under the whole-corpus peak.
+    corp = make_corpus(10_000, seed=2)
+    tracemalloc.start()
+    try:
+        report = evaluate(portable_model, label_groups(corp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.sentences == 10_000 and report.candidates > 30_000
     assert peak < 4 * 2**20
