@@ -7,16 +7,15 @@ positions, which callers consume with ``map`` and ``zip``. It builds them
 without a Python loop over tokens or marks: ``str.split`` and ``" ".join``
 normalise the whitespace, ``str.find`` finds each kind of mark, and
 ``str.count``/``str.rfind`` between consecutive marks place each in its
-token. While it runs it holds one string per token of its text; raw text
-reaches it from ``pipeline.boundary_offsets`` one slice at a time, with the
-words on either side of the slice as its edge words, so segmentation holds
-the tokens of one slice only and its columns come out whole. A ``Candidate``
-is one row of the columns, read as a named tuple, for code that decides one
-candidate at a time.
+token. While it runs it holds one string per token of its text, so
+segmentation and labeling pass it their text one slice at a time, cut by
+``slices``, the one cutting rule. A ``Candidate`` is one row of the columns,
+read as a named tuple, for code that decides one candidate at a time.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
@@ -28,14 +27,19 @@ BOUNDARY_MARKS = frozenset(".?!")
 # token, which is always a non-empty string.
 NO_WORD: Optional[str] = None
 
-# Characters that ``pipeline.boundary_offsets`` scans and decides at a time
-# (one slice of raw text), and that ``corpus.label_groups`` labels at a time
-# (one group of sentences, at least this long): about 11,000 tokens of
-# news-like text. One slice's columns then peak under 2 MB (tracemalloc), a
-# small share of a process that has loaded a model, and the few calls that
-# stitch slices together cost nothing measurable once per slice. Slices of
-# 1 Ki characters ran about 6% slower; 16 Ki saved under 1 MB more.
+# The least length of a slice (``slices``), which segmentation decides and
+# labeling labels at a time: about 11,000 tokens of news-like text. One
+# slice's columns then peak under 2 MB (tracemalloc), a small share of a
+# process that has loaded a model, and the few calls that stitch slices
+# together cost nothing measurable once per slice. Slices of 1 Ki
+# characters ran about 6% slower; 16 Ki saved under 1 MB more.
 SLICE_CHARS = 1 << 16
+
+# Where a slice may end, and the next word after it. ``\s`` matches exactly
+# the characters for which ``str.isspace()`` holds, which ``str.split``
+# splits on.
+_SPACE_RE = re.compile(r"\s")
+_WORD_RE = re.compile(r"\S+")
 
 
 def _marks(text: str) -> list[int]:
@@ -114,10 +118,34 @@ def scan(
         prev_words=list(map(padded.__getitem__, index)),
         next_words=list(map(padded.__getitem__, map((2).__add__, index))),
         # Marks are never whitespace, so ``text`` holds the same marks in the
-        # same order; at equal lengths every gap is one character, and the
-        # positions agree.
-        positions=at if len(norm) == len(text) else _marks(text),
+        # same order. When ``norm`` begins ``text`` (single-spaced text, or a
+        # slice of it that ends in a space), the rest of ``text`` holds no
+        # non-whitespace character, so every mark keeps its ``norm`` index.
+        positions=at if text.startswith(norm) else _marks(text),
     )
+
+
+def slices(text: str) -> Iterator[tuple[int, str, Optional[str], Optional[str]]]:
+    """``text`` cut into slices, as (start, slice, prev_word, next_word): where
+    the slice starts, the slice, and the words of ``text`` beyond its first
+    and last tokens (NO_WORD at the edges of ``text``), ``scan``'s edge words.
+    A slice holds at least ``SLICE_CHARS`` characters and ends just after a
+    whitespace character, so no token is cut, or at the end of the text; a
+    text of at most ``SLICE_CHARS`` characters is one slice, ``text`` itself."""
+    start, prev_word = 0, NO_WORD
+    while True:
+        end = len(text)
+        if end - start > SLICE_CHARS:
+            cut = _SPACE_RE.search(text, start + SLICE_CHARS - 1)
+            end = cut.end() if cut else end
+        piece = text[start:end]
+        word = _WORD_RE.search(text, end)
+        yield start, piece, prev_word, word[0] if word else NO_WORD
+        if end == len(text):
+            return
+        words = piece.rsplit(maxsplit=1)
+        prev_word = words[-1] if words else prev_word
+        start = end
 
 
 def tokenize_with_positions(text: str) -> tuple[list[str], list[int]]:

@@ -6,25 +6,24 @@ columns of the sentences joined with single spaces, plus a column of boolean
 labels (True where the mark ends a sentence) and the count of its sentences,
 which training, abbreviation induction and scoring read as columns.
 
-``label_groups`` is the one labeling path. It scans and labels the corpus
-one group of consecutive sentences (at least ``SLICE_CHARS`` characters) at
-a time, with the words beyond the group as ``scan``'s edge words and
-positions in the whole joined corpus, so a group's candidates are those of
-the whole corpus, field for field. ``evaluate`` consumes the groups one by
-one, so its memory follows one group and the corpus's sentences, not the
-corpus's tokens; training and abbreviation induction read the groups
-concatenated, which ``label_candidates`` returns.
+``label_groups`` is the one labeling path. It scans and labels the joined
+corpus one slice at a time, cut as ``candidates.slices`` cuts raw text for
+segmentation, so a slice's candidates are those of the whole corpus, field
+for field, and each set counts the sentences that end in its slice.
+``evaluate`` consumes the sets one by one, so its memory follows one slice
+and the corpus's text, not the corpus's tokens; training and abbreviation
+induction read the sets concatenated, which ``label_candidates`` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, count
+from itertools import accumulate, chain, count
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .candidates import BOUNDARY_MARKS, NO_WORD, SLICE_CHARS, Candidates, scan
+from .candidates import BOUNDARY_MARKS, Candidates, scan, slices
 
 
 class CorpusError(Exception):
@@ -32,12 +31,22 @@ class CorpusError(Exception):
 
 
 class EmptyCorpusError(CorpusError):
-    """File contained no non-blank lines."""
+    """A corpus, or the file it is read from, holds no sentences."""
 
 
 @dataclass(frozen=True)
 class AnnotatedCorpus:
+    """Sentences as ``load_annotated`` reads them: at least one, each
+    non-empty and without outer whitespace (as ``str.strip`` defines it)."""
+
     sentences: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.sentences:
+            raise EmptyCorpusError("corpus has no sentences")
+        for s_i, sent in enumerate(self.sentences, 1):
+            if not sent or sent.strip() != sent:
+                raise CorpusError(f"sentence {s_i} is empty or has outer whitespace: {sent!r}")
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -78,67 +87,45 @@ def load_raw(path: str | Path, encoding: str = "utf-8") -> str:
 
 
 def corpus_from_sentences(sentences: Iterable[str]) -> AnnotatedCorpus:
-    sentences = tuple(s.strip() for s in sentences if s.strip())
-    if not sentences:
-        raise EmptyCorpusError("no sentences given")
-    return AnnotatedCorpus(sentences)
+    """The corpus of ``sentences`` stripped, blank ones dropped."""
+    return AnnotatedCorpus(tuple(s.strip() for s in sentences if s.strip()))
 
 
 def label_groups(corpus: AnnotatedCorpus) -> Iterator[LabeledCandidateSet]:
-    """The corpus's labeled candidates, one group of consecutive sentences at
-    a time: what one scan of the sentences joined with single spaces gives,
-    cut between sentences.
+    """The corpus's labeled candidates, one slice (``candidates.slices``) of
+    the sentences joined with single spaces at a time, with positions in the
+    joined corpus: together, what one scan of the joined corpus gives.
 
-    A group holds at least ``SLICE_CHARS`` characters, or the rest of the
-    corpus. Its sentences are joined and scanned with the words beyond it as
-    edge words, and its positions are shifted to the joined corpus, as
-    ``pipeline.boundary_offsets`` does for a slice of raw text. A candidate is
-    labeled True iff its mark is the last character of a sentence. Sentences
-    that end in anything else get no True label and are recorded as
-    warnings, numbered across the corpus, not errors. Each group counts its
-    own sentences.
+    A candidate is labeled True iff its mark is the last character of a
+    sentence. Sentences that end in anything else get no True label and are
+    recorded as warnings, numbered across the corpus, not errors. Each set
+    counts, and warns of, the sentences whose last character is in its slice.
     """
     sentences = corpus.sentences
-    if not sentences:
-        raise EmptyCorpusError("corpus has no sentences")
-    n = len(sentences)
-    first, start, prev_word = 0, 0, NO_WORD
-    while first < n:
-        # The group is sentences[first:end], ``chars`` long when joined.
-        end, chars = first + 1, len(sentences[first])
-        while chars < SLICE_CHARS and end < n:
-            chars += 1 + len(sentences[end])
-            end += 1
-        next_word = sentences[end].split(maxsplit=1)[0] if end < n else NO_WORD
-        # Built in a call, so this frame keeps none of the group's columns
-        # while the next group's are built.
-        yield _label_group(sentences[first:end], first, start, prev_word, next_word)
-        first, start, prev_word = end, start + chars + 1, sentences[end - 1].rsplit(maxsplit=1)[-1]
-
-
-def _label_group(
-    group: tuple[str, ...],
-    first: int,
-    start: int,
-    prev_word: Optional[str],
-    next_word: Optional[str],
-) -> LabeledCandidateSet:
-    """The labeled candidates of ``group``, whose first sentence is the
-    corpus's ``first`` (from 0) and starts at ``start`` in the joined corpus."""
-    cands = scan(" ".join(group), prev_word, next_word)
-    # Sentence k's last character in the group's text: its length and those
-    # before it, plus the k joining spaces, minus one.
-    ends = set(map(add, accumulate(map(len, group)), count(-1)))
-    labels = list(map(ends.__contains__, cands.positions))
-    if start:
-        cands.positions = list(map(start.__add__, cands.positions))
-    warnings = [
-        f"sentence {s_i} ends in token {sent.split()[-1]!r}, whose last "
-        "character is not a boundary mark, so it gets no boundary label"
-        for s_i, sent in enumerate(group, first + 1)
-        if sent[-1] not in BOUNDARY_MARKS
-    ]
-    return LabeledCandidateSet(cands, labels, len(group), warnings)
+    joined = " ".join(sentences)
+    # Each sentence's last character in the joined corpus (its length and
+    # those before it, plus the spaces that join them, minus one), read as the
+    # slices reach them; then the corpus's length, which no slice reaches.
+    ends = chain(map(add, accumulate(map(len, sentences)), count(-1)), (len(joined),))
+    first, ahead = 0, next(ends)  # sentences[first] ends at ``ahead``
+    for start, piece, prev_word, next_word in slices(joined):
+        cands = scan(piece, prev_word, next_word)
+        if start:
+            cands.positions = list(map(start.__add__, cands.positions))
+        stop, last = start + len(piece), set()
+        while ahead < stop:
+            last.add(ahead)
+            ahead = next(ends)
+        warnings = [
+            f"sentence {s_i} ends in token {sent.split()[-1]!r}, whose last "
+            "character is not a boundary mark, so it gets no boundary label"
+            for s_i, sent in enumerate(sentences[first : first + len(last)], first + 1)
+            if sent[-1] not in BOUNDARY_MARKS
+        ]
+        labels = list(map(last.__contains__, cands.positions))
+        yield LabeledCandidateSet(cands, labels, len(last), warnings)
+        first += len(last)
+        del cands  # this slice's columns go before the next slice's are built
 
 
 def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:

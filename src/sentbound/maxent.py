@@ -326,8 +326,9 @@ def load_model(path: str | Path) -> Model:
     names a predicate twice, or that holds a value ``save_model`` never
     writes: a non-finite weight or correction, C below 1 or above the
     registry's size (1 for an empty registry), a cutoff below 1, a negative
-    iteration count or section count, a predicate count below 1, or a
-    resource section whose entries are not strictly increasing."""
+    iteration count or section count, a predicate count below 1, an integer
+    that ``str`` spells otherwise (``+5``, ``05``), a resource section whose
+    entries are not strictly increasing, or a line after the end marker."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -342,6 +343,16 @@ def load_model(path: str | Path) -> Model:
         read += 1
         return lines[read - 1]
 
+    def integer(name: str, text: str, low: int) -> int:
+        # At least ``low`` and spelled as ``str`` spells it, as ``save_model``
+        # writes it: a value spelled otherwise would save back as other bytes.
+        value = int(text)
+        if value < low:
+            raise ModelFormatError(f"{path}: {name} {text} is below {low}")
+        if str(value) != text:
+            raise ModelFormatError(f"{path}: {name} {text!r} is not spelled as str spells it")
+        return value
+
     def header_field(name: str) -> str:
         line = next_line()
         key, sep, value = line.partition(" ")
@@ -354,9 +365,7 @@ def load_model(path: str | Path) -> Model:
         head, _, size = line.partition(" ")
         if head != tag:
             raise ModelFormatError(f"{path}: expected section {tag}, got {line!r}")
-        if int(size) < 0:
-            raise ModelFormatError(f"{path}: {tag} count {size} is below 0")
-        return [next_line() for _ in range(int(size))]
+        return [next_line() for _ in range(integer(f"{tag} count", size, 0))]
 
     def entries(tag: str) -> frozenset[str]:
         # Sorted and without repeats, as ``save_model`` writes them: a set
@@ -387,22 +396,19 @@ def load_model(path: str | Path) -> Model:
         converged = header_field("converged")
         if converged not in ("0", "1"):
             raise ModelFormatError(f"{path}: bad converged flag {converged!r}")
-        iterations = int(header_field("iterations"))
-        if iterations < 0:
-            raise ModelFormatError(f"{path}: iterations {iterations} is below 0")
+        iterations = integer("iterations", header_field("iterations"), 0)
         template_set = header_field("template_set")
-        C = int(header_field("C"))
-        if C < 1:
-            raise ModelFormatError(f"{path}: C {C} is below 1")
-        cutoff = int(header_field("cutoff"))
+        C = integer("C", header_field("C"), 1)
+        cutoff = integer("cutoff", header_field("cutoff"), 1)
         keys, counts, log_alpha = [], [], []
         for i, row in enumerate(section("[registry]")):
             parts = row.split("\t")
             if len(parts) != 5 or parts[0] != str(i):
                 raise ModelFormatError(f"{path}: bad registry row {i}: {row!r}")
-            counts.append(int(parts[1]))
-            if counts[-1] < 1:
-                raise ModelFormatError(f"{path}: registry row {i} count {parts[1]} is below 1")
+            count = int(parts[1])  # ``integer``'s checks, inlined for speed
+            if count < 1 or str(count) != parts[1]:
+                integer(f"registry row {i} count", parts[1], 1)  # raises
+            counts.append(count)
             keys.append(parts[2])
             log_alpha.append((weight(parts[3]), weight(parts[4])))
         resources = {name: entries(f"[{name}]") for name in RESOURCES}
@@ -416,6 +422,8 @@ def load_model(path: str | Path) -> Model:
             corrections.append(weight(value))
         if next_line() != "[end]":
             raise ModelFormatError(f"{path}: missing end marker")
+        if read < len(lines):
+            raise ModelFormatError(f"{path}: line {read + 1} follows the end marker")
         registry = PredicateRegistry(Templates(template_set, **resources), keys, counts, cutoff)
         # C is the most fitted features any context has, at most one per predicate.
         if C > max(len(registry), 1):

@@ -3,23 +3,20 @@
 ``train_model`` picks the template set's resources once; from there the
 model's registry carries them to every encoding. Training events take the
 ``scan`` columns of the whole training corpus, as ``label_candidates``
-concatenates them; ``evaluate`` takes them one group of sentences at a time
-(``corpus.label_groups``), and ``boundary_offsets`` (which ``segment_text``
-calls before it joins sentences) one slice of raw text at a time. Groups
-and slices hold at least ``SLICE_CHARS`` characters, so that memory grows
-with the text and one slice, not with the text's token count, and ``scan``
-gets the words on either side of each as its edge words. Training encodes
-its columns with ``features.active_predicates``, through slot lookups of
-predicate indices; ``decide``, imported from ``maxent``, decides each
-candidate from slot lookups of scores, and ``make_classifier`` decides one
-candidate the same way. The ``features`` module says what the slot lookups
-are and how far they grow.
+concatenates them; ``evaluate`` takes them one slice of the joined corpus
+at a time (``corpus.label_groups``), and ``boundary_offsets`` (which
+``segment_text`` calls before it joins sentences) one slice of raw text at
+a time, both cut by ``candidates.slices``. Training encodes its columns
+with ``features.active_predicates``, through slot lookups of predicate
+indices; ``decide``, imported from ``maxent``, decides each candidate from
+slot lookups of scores, and ``make_classifier`` decides one candidate the
+same way. The ``features`` module says what the slot lookups are and how
+far they grow.
 """
 
 from __future__ import annotations
 
 import codecs
-import re
 from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Optional
@@ -28,11 +25,10 @@ from . import features, maxent
 # perfbench's tracer patches ``pipeline.tokenize_with_positions``; nothing
 # here calls it.
 from .candidates import (  # noqa: F401
-    NO_WORD,
-    SLICE_CHARS,
     Candidate,
     Candidates,
     scan,
+    slices,
     tokenize_with_positions,
 )
 from .corpus import (
@@ -43,12 +39,6 @@ from .corpus import (
 )
 from .features import Templates
 from .maxent import Model, decide
-
-# Where a slice may end, and the next word after it. ``\s`` matches exactly
-# the characters for which ``str.isspace()`` holds, which ``str.split``, and
-# so ``scan``, splits on.
-_SPACE_RE = re.compile(r"\s")
-_WORD_RE = re.compile(r"\S+")
 
 
 def events_from_labeled(
@@ -104,30 +94,16 @@ def boundary_offsets(model: Model, text: str) -> list[int]:
     """Character offsets of the marks in raw text that the model calls
     boundaries, in text order.
 
-    The text is scanned and decided one slice at a time, so only one slice's
-    candidates are held at once. A slice holds at least ``SLICE_CHARS``
-    characters and ends just after a whitespace character, or at the end of
-    the text, so no token is cut. A text of at most ``SLICE_CHARS``
-    characters is one slice, passed to ``scan`` as it is."""
+    The text is scanned and decided one slice (``candidates.slices``) at a
+    time, so only one slice's candidates are held at once."""
     offsets: list[int] = []
-    start, prev_word = 0, NO_WORD
-    while True:
-        end = len(text)
-        if end - start > SLICE_CHARS:
-            cut = _SPACE_RE.search(text, start + SLICE_CHARS - 1)
-            end = cut.end() if cut else end
-        piece = text[start:end]
-        word = _WORD_RE.search(text, end)
-        cands = scan(piece, prev_word, word[0] if word else NO_WORD)
+    for start, piece, prev_word, next_word in slices(text):
+        cands = scan(piece, prev_word, next_word)
         if start:
             cands.positions = list(map(start.__add__, cands.positions))
         offsets += compress(cands.positions, decide(model, cands))
-        if end == len(text):
-            return offsets
         del cands  # this slice's columns go before the next slice's are built
-        words = piece.rsplit(maxsplit=1)
-        prev_word = words[-1] if words else prev_word
-        start = end
+    return offsets
 
 
 def segment_text(model: Model, text: str) -> Segmentation:

@@ -147,6 +147,11 @@ def oracle_texts(draw):
 @example("  ... a.\r\n\n! (b.) ?\u2028\u2028")
 @example("\x85")
 @example("!")
+# Whitespace after the last token only: the normalised text begins the text,
+# so every mark keeps its normalised position.
+@example("Dr. Smith left. ")
+@example("Mr. Smith. He left.\t\t\t")
+@example("Why? Now!\u3000")
 def test_scan_rows_equal_the_reference_scan(text):
     want = scan_reference.scan(text, *scan_reference.tokenize_with_positions(text))
     assert [row(c) for c in scan(text)] == [tuple(c) for c in want]

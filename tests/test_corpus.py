@@ -1,4 +1,5 @@
 import string
+from contextlib import suppress
 
 import pytest
 from hypothesis import example, given
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from sentbound.candidates import BOUNDARY_MARKS, scan
 from sentbound.cli import EXIT_OK, main
 from sentbound.corpus import (
+    AnnotatedCorpus,
+    CorpusError,
     EmptyCorpusError,
     corpus_from_sentences,
     induce_abbreviations,
@@ -192,3 +195,27 @@ def test_labels_come_from_the_inference_scan(sentences):
         start = end + 2
     assert lab.labels.count(True) == len(corp) - unmarked
     assert len(lab.warnings) == unmarked
+
+
+# Short strings of letters, marks and whitespace: empty, blank and padded
+# sentences among them.
+any_sentence_strategy = st.text(alphabet="ab.?! \t\n\x85\u3000", max_size=8)
+
+
+@given(st.lists(any_sentence_strategy, max_size=6).map(tuple))
+@example(())
+@example(("Dr. Smith left.", ""))
+@example(("Dr. Smith left.", " \t"))
+@example((" He left. ",))
+def test_a_corpus_either_labels_or_is_refused(sentences):
+    # A corpus holds exactly what the readers produce, and then labels each
+    # sentence: one True label if it ends in a mark, else one warning.
+    try:
+        corp = AnnotatedCorpus(sentences)
+    except CorpusError:
+        with suppress(EmptyCorpusError):
+            assert corpus_from_sentences(sentences).sentences != sentences
+        return
+    assert corpus_from_sentences(sentences) == corp
+    lab = label_candidates(corp)
+    assert lab.sentences == len(sentences) == lab.labels.count(True) + len(lab.warnings)

@@ -401,23 +401,35 @@ def test_load_refuses_a_registry_that_names_a_predicate_twice(tmp_path):
         # {Dr., Mr.}, which saves back as "[honorifics] 2" / "Dr." / "Mr.".
         (r"^\[honorifics\] 0$", r"[honorifics] 3\nMr.\nDr.\nMr.",
          r"\[honorifics\] entries are not strictly increasing"),
+        # Integers that int() reads but save_model never writes: each saves
+        # back spelled as str spells it, under another fingerprint.
+        (r"^(0\t)(\d+)", r"\1+\2", r"registry row 0 count '\+\d+' is not spelled as str spells it"),
+        (r"^(C )(.*)", r"\g<1>0\2", r"C '0\d+' is not spelled as str spells it"),
+        (r"^(iterations )(.*)", r"\g<1>+\2", r"iterations '\+\d+' is not spelled as str spells it"),
+        (r"^(cutoff )(.*)", r"\g<1> \2", r"cutoff ' \d+' is not spelled as str spells it"),
+        (r"^(\[honorifics\] )0$", r"\g<1>00", r"\[honorifics\] count '00' is not spelled as str spells it"),
+        # A line that save_model never writes, after the end marker.
+        (r"^\[end\]$", "[end]\n[end]", r"line \d+ follows the end marker"),
     ],
     ids=["nan-weight", "inf-correction", "C-0", "iterations-negative", "C-above-registry",
          "section-count-negative", "predicate-count-0", "cutoff-0", "cutoff-negative",
-         "resource-entries-unsorted"],
+         "resource-entries-unsorted", "predicate-count-plus", "C-leading-zero",
+         "iterations-plus", "cutoff-leading-space", "section-count-leading-zero",
+         "line-after-end"],
 )
 def test_load_refuses_values_gis_cannot_produce(tmp_path, pattern, value, problem):
     # GIS clamps every weight and correction to a finite range, gives C >= 1
     # (at most one fitted feature per predicate) and counts its updates
     # from 0; a section counts its entries, sorted and without repeats; a
     # registered predicate occurred at least once, and passed a cutoff of at
-    # least 1. The file is signed again, so only the value can refuse it.
+    # least 1; every integer is spelled as str spells it, and nothing follows
+    # the end marker. The file is signed again, so only the value can refuse it.
     model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
     path = tmp_path / "model.txt"
     save_model(model, path)
     text = re.sub(pattern, value, path.read_text(encoding="utf-8"), count=1, flags=re.M)
     lines = text.split("\n")
-    lines[1] = f"fingerprint {_digest(lines[4:-2])}"
+    lines[1] = f"fingerprint {_digest(lines[4 : lines.index('[end]')])}"
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=problem):
         load_model(path)

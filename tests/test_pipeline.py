@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import corpus_reference
 import pipeline_reference
-from sentbound import corpus, features, maxent, pipeline
+from sentbound import candidates, corpus, features, maxent, pipeline
 from sentbound.candidates import NO_WORD, Candidates, scan
 from sentbound.corpus import CorpusError, corpus_from_sentences, label_candidates, label_groups
 from sentbound.evaluation import evaluate, score
@@ -452,6 +452,29 @@ def sliced_texts(draw):
     return lead + "".join(map(add, tokens, gaps)) + trail
 
 
+@settings(deadline=None)
+@given(text=sliced_texts(), slice_chars=st.integers(1, 8))
+# Slices "Mr. ", "Smith. " and "He": the first ends in a candidate.
+@example(text="Mr. Smith. He", slice_chars=4)
+# Slices "a.\t", "\u3000\u2028" and " b": one holds whitespace only.
+@example(text="a.\t\u3000\u2028 b", slice_chars=2)
+def test_slices_cut_after_whitespace_with_the_neighbouring_words(text, slice_chars):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(candidates, "SLICE_CHARS", slice_chars)
+        cut = list(candidates.slices(text))
+    starts, pieces, _, _ = map(list, zip(*cut))
+    assert "".join(pieces) == text
+    assert starts == list(accumulate(map(len, pieces[:-1]), initial=0))
+    # Every slice but the last holds at least ``slice_chars`` characters and
+    # ends in whitespace, so no token is cut.
+    assert all(len(p) >= slice_chars and p[-1].isspace() for p in pieces[:-1])
+    # The edge words are the whole text's words on either side of the slice.
+    for start, piece, prev_word, next_word in cut:
+        before, after = text[:start].split(), text[start + len(piece) :].split()
+        assert prev_word == (before[-1] if before else NO_WORD)
+        assert next_word == (after[0] if after else NO_WORD)
+
+
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
 @settings(deadline=None, max_examples=150)
 @given(text=sliced_texts(), slice_chars=st.integers(1, 8))
@@ -470,7 +493,7 @@ def test_sliced_offsets_equal_the_whole_text_reference(cache_models, template_se
         return decide(model, cands)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "SLICE_CHARS", slice_chars)
+        mp.setattr(candidates, "SLICE_CHARS", slice_chars)
         mp.setattr(pipeline, "decide", recording_decide)
         assert pipeline.boundary_offsets(model, text) == want
     # Each candidate was decided once, with the words and position that the
@@ -494,9 +517,9 @@ def test_labels_used_as_decisions_give_back_the_corpus(sentences, slice_chars):
     def label_decide(model, cands):
         return list(map(ends.__contains__, cands.positions))
 
-    for chars in (pipeline.SLICE_CHARS, slice_chars):
+    for chars in (candidates.SLICE_CHARS, slice_chars):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "SLICE_CHARS", chars)
+            mp.setattr(candidates, "SLICE_CHARS", chars)
             mp.setattr(pipeline, "decide", label_decide)
             assert segment_text(None, " ".join(sentences)).sentences == sentences
 
@@ -525,27 +548,45 @@ def joined_columns(sets):
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
 @settings(deadline=None, max_examples=100)
 @given(sentences=st.lists(LABELED_SENTENCE, min_size=1, max_size=8), group_chars=st.integers(1, 8))
-# Groups of at least 3 characters: "Mr.", then "Smith left.", then "He" with
-# 'said "stop."', two sentences that get warnings 3 and 4.
+# Slices of at least 3 characters: "Mr. ", "Smith ", "left. ", "He ",
+# "said " and '"stop."'. Sentence 2 spans two slices, two slices end no
+# sentence, and sentences 3 and 4 get warnings.
 @example(sentences=["Mr.", "Smith left.", "He", "said \"stop.\""], group_chars=3)
 def test_grouped_labels_and_reports_equal_the_whole_corpus_reference(
     cache_models, template_set, sentences, group_chars
 ):
     model = cache_models[template_set]
     corp = corpus_from_sentences(sentences)
+    joined = " ".join(corp.sentences)
     want = corpus_reference.label_candidates(corp)
     reports = [outcome(score, decide(model, want.columns), want)]
-    for chars in (corpus.SLICE_CHARS, group_chars):
+    for chars in (candidates.SLICE_CHARS, group_chars):
+        pieces = []
+
+        def recording_scan(text, prev_word, next_word):
+            pieces.append(text)
+            return scan(text, prev_word, next_word)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus, "SLICE_CHARS", chars)
-            groups = list(label_groups(corp))
+            mp.setattr(candidates, "SLICE_CHARS", chars)
             whole = label_candidates(corp)
             reports.append(outcome(evaluate, model, label_groups(corp)))
-        # Every group but the last holds at least ``chars`` characters.
-        spans = [len(" ".join(corp.sentences[a:b])) for a, b in pairwise(
-            [0, *accumulate(g.sentences for g in groups)]
-        )]
-        assert min(spans[:-1], default=chars) >= chars
+            mp.setattr(corpus, "scan", recording_scan)
+            groups = list(label_groups(corp))
+        # One piece per group, cut from the joined corpus: every piece but
+        # the last holds at least ``chars`` characters and ends in
+        # whitespace, and no piece holds whitespace from its ``chars``-th
+        # character to the one before its last, so it ends at the first cut.
+        assert len(pieces) == len(groups) and "".join(pieces) == joined
+        assert all(len(p) >= chars and p[-1].isspace() for p in pieces[:-1])
+        assert not any(ch.isspace() for p in pieces for ch in p[chars - 1 : -1])
+        # Each group counts the sentences whose last character is in its
+        # piece, that is, that stop (one past that character) within it.
+        stops = [e - 1 for e in accumulate(len(s) + 1 for s in corp.sentences)]
+        cuts = list(accumulate(map(len, pieces), initial=0))
+        assert [g.sentences for g in groups] == [
+            sum(a < e <= b for e in stops) for a, b in pairwise(cuts)
+        ]
         for got in (groups, [whole]):
             # Positions in the joined corpus, labels, warnings numbered
             # across the corpus, and sentence counts, as one whole scan gives.
@@ -575,7 +616,7 @@ def test_a_text_of_one_slice_is_scanned_whole(portable_model, monkeypatch):
 
 def test_slices_end_where_str_split_splits():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
-    cuts = [m.start() for m in pipeline._SPACE_RE.finditer(every)]
+    cuts = [m.start() for m in candidates._SPACE_RE.finditer(every)]
     assert cuts == [i for i, ch in enumerate(every) if ch.isspace()]
 
 
