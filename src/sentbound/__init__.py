@@ -6,7 +6,6 @@ from .corpus import (
     LabeledCandidateSet,
     induce_abbreviations,
     label_candidates,
-    label_groups,
     load_annotated,
     load_raw,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "evaluate",
     "induce_abbreviations",
     "label_candidates",
-    "label_groups",
     "learning_curve",
     "load_annotated",
     "load_model",

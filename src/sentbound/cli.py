@@ -99,9 +99,14 @@ def _lexicons(args) -> Optional[dict[str, frozenset[str]]]:
     return features.load_lexicons(args.honorifics, args.designators)
 
 
+def _log_warnings(corp: corpus_mod.AnnotatedCorpus) -> None:
+    for warning in corpus_mod.label_warnings(corp):
+        _log(f"warning: {warning}")
+
+
 def cmd_train(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
-    model, labeled = pipeline.train_model(
+    model, _ = pipeline.train_model(
         corp,
         args.templates,
         cutoff=args.cutoff,
@@ -109,8 +114,7 @@ def cmd_train(args) -> int:
         tolerance=args.tolerance,
         lexicons=_lexicons(args),
     )
-    for warning in labeled.warnings:
-        _log(f"warning: {warning}")
+    _log_warnings(corp)
     for i, (ll, viol) in enumerate(model.history):
         _log(f"iter {i}: log-likelihood {ll:.6f}  max-violation {viol:.6g}")
     n_features = sum(w is not None for pair in model.log_alpha for w in pair)
@@ -139,7 +143,8 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     model = maxent.load_model(args.model)
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
-    report = evaluation.evaluate(model, corpus_mod.label_groups(corp))
+    report = evaluation.evaluate(model, corp)
+    _log_warnings(corp)
     _write_output(evaluation.format_report(report), args.output)
     return EXIT_OK
 
@@ -155,13 +160,12 @@ def cmd_induce_abbrevs(args) -> int:
 
 def cmd_learning_curve(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
-    # Refused before the held-out corpus is read and labeled.
+    # Refused before the held-out corpus is read.
     evaluation.check_training_sizes(args.sizes, corp)
     eval_corp = corpus_mod.load_annotated(args.input, encoding=args.encoding)
-    eval_labeled = corpus_mod.label_candidates(eval_corp)
     rows = evaluation.learning_curve(
         corp,
-        eval_labeled,
+        eval_corp,
         args.sizes,
         args.templates,
         args.seed,

@@ -1,23 +1,24 @@
 """Corpus IO, candidate labeling and abbreviation induction.
 
 Training format: one sentence per line, tokens whitespace-separated. The line
-break is the boundary annotation. A labeled candidate set is the ``scan``
-columns of the sentences joined with single spaces, plus a column of boolean
-labels (True where the mark ends a sentence) and the count of its sentences,
-which training, abbreviation induction and scoring read as columns.
+break is the boundary annotation. Labeling scans the sentences joined with
+single spaces and labels each candidate True iff its mark ends a sentence;
+a sentence that ends in anything else gets no True label and a warning
+(``label_warnings``), a fact about the corpus that labeling does not carry.
 
 ``label_groups`` is the one labeling path. It scans and labels the joined
 corpus one slice at a time, cut as ``candidates.slices`` cuts raw text for
-segmentation, so a slice's candidates are those of the whole corpus, field
-for field, and each set counts the sentences that end in its slice.
-``evaluate`` consumes the sets one by one, so its memory follows one slice
-and the corpus's text, not the corpus's tokens; training and abbreviation
-induction read the sets concatenated, which ``label_candidates`` returns.
+segmentation, and yields each slice's columns and labels, so a slice's
+candidates are those of the whole corpus, field for field. ``evaluate``
+consumes the slices one by one, so its memory follows one slice and the
+corpus's text, not the corpus's tokens; training and abbreviation induction
+read the slices concatenated, with the corpus's sentence count, as the
+``LabeledCandidateSet`` that ``label_candidates`` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import accumulate, chain, count
 from operator import add
 from pathlib import Path
@@ -60,7 +61,6 @@ class LabeledCandidateSet:
     columns: Candidates
     labels: list[bool]
     sentences: int
-    warnings: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -91,23 +91,19 @@ def corpus_from_sentences(sentences: Iterable[str]) -> AnnotatedCorpus:
     return AnnotatedCorpus(tuple(s.strip() for s in sentences if s.strip()))
 
 
-def label_groups(corpus: AnnotatedCorpus) -> Iterator[LabeledCandidateSet]:
-    """The corpus's labeled candidates, one slice (``candidates.slices``) of
-    the sentences joined with single spaces at a time, with positions in the
-    joined corpus: together, what one scan of the joined corpus gives.
-
-    A candidate is labeled True iff its mark is the last character of a
-    sentence. Sentences that end in anything else get no True label and are
-    recorded as warnings, numbered across the corpus, not errors. Each set
-    counts, and warns of, the sentences whose last character is in its slice.
-    """
+def label_groups(corpus: AnnotatedCorpus) -> Iterator[tuple[Candidates, list[bool]]]:
+    """The corpus's labeled candidates as (columns, labels), one slice
+    (``candidates.slices``) of the sentences joined with single spaces at a
+    time, with positions in the joined corpus: together, what one scan of
+    the joined corpus gives. A candidate is labeled True iff its mark is the
+    last character of a sentence."""
     sentences = corpus.sentences
     joined = " ".join(sentences)
     # Each sentence's last character in the joined corpus (its length and
     # those before it, plus the spaces that join them, minus one), read as the
     # slices reach them; then the corpus's length, which no slice reaches.
     ends = chain(map(add, accumulate(map(len, sentences)), count(-1)), (len(joined),))
-    first, ahead = 0, next(ends)  # sentences[first] ends at ``ahead``
+    ahead = next(ends)
     for start, piece, prev_word, next_word in slices(joined):
         cands = scan(piece, prev_word, next_word)
         if start:
@@ -116,31 +112,31 @@ def label_groups(corpus: AnnotatedCorpus) -> Iterator[LabeledCandidateSet]:
         while ahead < stop:
             last.add(ahead)
             ahead = next(ends)
-        warnings = [
-            f"sentence {s_i} ends in token {sent.split()[-1]!r}, whose last "
-            "character is not a boundary mark, so it gets no boundary label"
-            for s_i, sent in enumerate(sentences[first : first + len(last)], first + 1)
-            if sent[-1] not in BOUNDARY_MARKS
-        ]
-        labels = list(map(last.__contains__, cands.positions))
-        yield LabeledCandidateSet(cands, labels, len(last), warnings)
-        first += len(last)
+        yield cands, list(map(last.__contains__, cands.positions))
         del cands  # this slice's columns go before the next slice's are built
+
+
+def label_warnings(corpus: AnnotatedCorpus) -> Iterator[str]:
+    """One warning per sentence, numbered from 1, that ends in anything but a
+    boundary mark (no mark, or a closer after one): it gets no True label."""
+    for s_i, sent in enumerate(corpus.sentences, 1):
+        if sent[-1] not in BOUNDARY_MARKS:
+            yield (
+                f"sentence {s_i} ends in token {sent.rsplit(maxsplit=1)[-1]!r}, whose "
+                "last character is not a boundary mark, so it gets no boundary label"
+            )
 
 
 def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
     """The whole corpus's labeled candidates: ``label_groups`` concatenated,
-    so the columns, labels and warnings are those of one scan of the joined
-    sentences."""
+    so the columns and labels are those of one scan of the joined sentences."""
     groups = label_groups(corpus)
-    whole = next(groups)
-    for group in groups:
+    columns, labels = next(groups)
+    for more, more_labels in groups:
         for column in fields(Candidates):
-            getattr(whole.columns, column.name).extend(getattr(group.columns, column.name))
-        whole.labels += group.labels
-        whole.sentences += group.sentences
-        whole.warnings += group.warnings
-    return whole
+            getattr(columns, column.name).extend(getattr(more, column.name))
+        labels += more_labels
+    return LabeledCandidateSet(columns, labels, len(corpus))
 
 
 def induce_abbreviations(labeled: LabeledCandidateSet) -> frozenset[str]:

@@ -1,14 +1,15 @@
-"""Scoring against a labeled corpus: accuracy, error cells, the two
+"""Scoring against an annotated corpus: accuracy, error cells, the two
 reference baselines, and the training-set-size experiment.
 
 Accuracy is measured over candidate punctuation marks, not sentences.
 Decisions and labels are both booleans, True at a sentence boundary.
-``evaluate`` decides and counts one group of labeled candidates at a time,
-as ``corpus.label_groups`` yields them, and sums integer counts (sentences,
-candidates, false positives and negatives, True labels, token-final
+``evaluate`` labels, decides and counts one slice of the corpus at a time,
+as ``corpus.label_groups`` yields them, and sums integer counts
+(candidates, false positives and negatives, True labels, token-final
 agreements); the report's ratios are computed once, from the totals, so a
-corpus scored in groups gives the same report as scored whole, float for
-float, while only one group's columns are held.
+corpus scored in slices gives the same report as scored whole, float for
+float, while only one slice's columns are held. The report's sentence
+count is the corpus's.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import add, eq, gt, lt
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from .candidates import Candidates
 from .corpus import (
     AnnotatedCorpus,
     CorpusError,
     LabeledCandidateSet,
     corpus_from_sentences,
+    label_groups,
 )
 from .maxent import Model
 # perfbench's tracer patches ``evaluation.make_classifier``; nothing here
@@ -41,17 +44,18 @@ class EvaluationReport:
     baseline_token_final: float
 
 
-def _counts(decisions: Sequence[bool], labeled: LabeledCandidateSet) -> tuple[int, ...]:
-    """Sentences, candidates, false positives, false negatives, True labels
-    and token-final agreements (a mark ends its token iff it ends its
-    sentence) of one decision per candidate of ``labeled``, in its order.
-    Counts of consecutive groups of a corpus add up to the corpus's."""
-    if len(decisions) != len(labeled):
-        raise CorpusError(f"{len(decisions)} decisions for {len(labeled)} candidates")
-    labels, c = labeled.labels, labeled.columns
-    token_final = map(eq, c.offsets, map((-1).__add__, map(len, c.tokens)))
+def _counts(
+    decisions: Sequence[bool], columns: Candidates, labels: Sequence[bool]
+) -> tuple[int, ...]:
+    """Candidates, false positives, false negatives, True labels and
+    token-final agreements (a mark ends its token iff it ends its sentence)
+    of one decision per candidate of ``columns``, in its order, against its
+    ``labels``. Counts of consecutive slices of a corpus add up to the
+    corpus's."""
+    if len(decisions) != len(labels):
+        raise CorpusError(f"{len(decisions)} decisions for {len(labels)} candidates")
+    token_final = map(eq, columns.offsets, map((-1).__add__, map(len, columns.tokens)))
     return (
-        labeled.sentences,
         len(labels),
         sum(map(gt, decisions, labels)),
         sum(map(lt, decisions, labels)),
@@ -80,29 +84,19 @@ def _report(
 
 def score(decisions: Sequence[bool], labeled: LabeledCandidateSet) -> EvaluationReport:
     """Score one decision per candidate of ``labeled``, in its order."""
-    return _report(*_counts(decisions, labeled))
+    return _report(labeled.sentences, *_counts(decisions, labeled.columns, labeled.labels))
 
 
-def baseline_all_yes(labeled: LabeledCandidateSet) -> float:
-    """Accuracy of guessing a boundary at every candidate site."""
-    return score(labeled.labels, labeled).baseline_all_yes
-
-
-def baseline_token_final(labeled: LabeledCandidateSet) -> float:
-    """Accuracy of 'boundary iff the mark ends its token'."""
-    return score(labeled.labels, labeled).baseline_token_final
-
-
-def evaluate(model: Model, groups: Iterable[LabeledCandidateSet]) -> EvaluationReport:
-    """Score the model's decisions on labeled candidates, given as groups,
-    such as ``label_groups`` yields: only one group's columns and decisions
-    are held at a time, and the report is the one that scoring the groups
-    concatenated gives."""
-    totals = (0,) * 6
-    for labeled in groups:
-        totals = tuple(map(add, totals, _counts(decide(model, labeled.columns), labeled)))
-        del labeled  # this group's columns go before the next group's are built
-    return _report(*totals)
+def evaluate(model: Model, corpus: AnnotatedCorpus) -> EvaluationReport:
+    """Score the model's decisions on the corpus's candidates. The corpus is
+    labeled and decided one slice at a time (``label_groups``), so only one
+    slice's columns and decisions are held, and the report is the one that
+    scoring ``label_candidates(corpus)`` whole gives."""
+    totals = (0,) * 5
+    for columns, labels in label_groups(corpus):
+        totals = tuple(map(add, totals, _counts(decide(model, columns), columns, labels)))
+        del columns, labels  # this slice's go before the next slice's are built
+    return _report(len(corpus), *totals)
 
 
 def check_training_sizes(sizes: Sequence[int], corpus: AnnotatedCorpus) -> None:
@@ -115,14 +109,14 @@ def check_training_sizes(sizes: Sequence[int], corpus: AnnotatedCorpus) -> None:
 
 def learning_curve(
     corpus: AnnotatedCorpus,
-    eval_labeled: LabeledCandidateSet,
+    eval_corpus: AnnotatedCorpus,
     sizes: Sequence[int],
     template_set: str,
     seed: int,
     **train_kwargs,
 ) -> list[tuple[int, float]]:
     """Train one model per prefix-sample of each size (under a seeded shuffle
-    of the training corpus) and score each on the fixed held-out set.
+    of the training corpus) and score each on the held-out ``eval_corpus``.
     ``train_kwargs`` go to ``train_model``."""
     check_training_sizes(sizes, corpus)
     shuffled = list(corpus.sentences)
@@ -131,7 +125,7 @@ def learning_curve(
     for size in sizes:
         subset = corpus_from_sentences(shuffled[:size])
         model, _ = train_model(subset, template_set, **train_kwargs)
-        rows.append((size, evaluate(model, [eval_labeled]).accuracy))
+        rows.append((size, evaluate(model, eval_corpus).accuracy))
     return rows
 
 

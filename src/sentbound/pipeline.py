@@ -3,14 +3,15 @@
 ``train_model`` picks the template set's resources once; from there the
 model's registry carries them to every encoding. Training events take the
 ``scan`` columns of the whole training corpus, as ``label_candidates``
-concatenates them; ``evaluate`` takes them one slice of the joined corpus
-at a time (``corpus.label_groups``), and ``boundary_offsets`` (which
-``segment_text`` calls before it joins sentences) one slice of raw text at
-a time, both cut by ``candidates.slices``. Training encodes its columns
-with ``features.active_predicates``, through slot lookups of predicate
-indices; ``decide``, imported from ``maxent``, decides each candidate from
-slot lookups of scores, and ``make_classifier`` decides one candidate the
-same way. The ``features`` module says what the slot lookups are and how
+concatenates them; ``evaluate`` takes a corpus and labels it one slice of
+the joined sentences at a time (``corpus.label_groups``), and
+``boundary_offsets`` (which ``segment_text`` calls before it joins
+sentences) scans one slice of raw text at a time, both cut by
+``candidates.slices``. Training encodes its columns with
+``features.active_predicates``, through slot lookups of predicate indices;
+``decide``, imported from ``maxent``, decides each candidate from slot
+lookups of scores, and ``make_classifier`` decides one candidate the same
+way. The ``features`` module says what the slot lookups are and how
 far they grow.
 """
 

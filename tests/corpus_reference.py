@@ -1,7 +1,9 @@
 """Reference labeling: the whole-corpus ``label_candidates`` that
 ``sentbound.corpus`` ran before it labeled one group of sentences at a time,
-kept unchanged. ``sentbound.corpus.label_groups`` must give the same
-candidates, labels and warnings, and ``label_candidates`` the same set.
+kept unchanged but for its warnings, which ``label_warnings`` gives apart.
+``sentbound.corpus.label_groups`` must give the same candidates and labels,
+``label_candidates`` the same set, and ``sentbound.corpus.label_warnings``
+the same warnings.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
     does, and label each candidate.
 
     A candidate is labeled True iff its mark is the last character of a
-    sentence. Sentences that end in anything else get no True label and are
-    recorded as warnings, not errors.
+    sentence. Sentences that end in anything else get no True label.
     """
     sentences = corpus.sentences
     if not sentences:
@@ -29,10 +30,14 @@ def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
     # before it, plus the k joining spaces, minus one.
     ends = set(map(add, accumulate(map(len, sentences)), count(-1)))
     labels = list(map(ends.__contains__, cands.positions))
-    warnings = [
+    return LabeledCandidateSet(cands, labels, len(sentences))
+
+
+def label_warnings(corpus: AnnotatedCorpus) -> list[str]:
+    """The warnings, not errors, of the sentences that get no True label."""
+    return [
         f"sentence {s_i} ends in token {sent.split()[-1]!r}, whose last "
         "character is not a boundary mark, so it gets no boundary label"
-        for s_i, sent in enumerate(sentences, 1)
+        for s_i, sent in enumerate(corpus.sentences, 1)
         if sent[-1] not in BOUNDARY_MARKS
     ]
-    return LabeledCandidateSet(cands, labels, len(sentences), warnings)

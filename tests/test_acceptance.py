@@ -54,8 +54,13 @@ def train_corpus():
 
 
 @pytest.fixture(scope="module")
-def eval_labeled():
-    return label_candidates(make_corpus(200, seed=977))
+def eval_corpus():
+    return make_corpus(200, seed=977)
+
+
+@pytest.fixture(scope="module")
+def eval_labeled(eval_corpus):
+    return label_candidates(eval_corpus)
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +86,11 @@ def test_criterion_1_paper_corpora_optional(lexicons):
     if not (train_path and test_path):
         pytest.skip("WSJ corpora not supplied; criterion 1 is optional and non-gating")
     corp = load_annotated(train_path)
-    test_labeled = label_candidates(load_annotated(test_path))
+    test_corpus = load_annotated(test_path)
     best, _ = train_model(corp, "best", lexicons=lexicons, max_iters=MAX_ITERS)
     portable, _ = train_model(corp, "portable", max_iters=MAX_ITERS)
-    acc_best = evaluate(best, [test_labeled]).accuracy
-    acc_port = evaluate(portable, [test_labeled]).accuracy
+    acc_best = evaluate(best, test_corpus).accuracy
+    acc_port = evaluate(portable, test_corpus).accuracy
     report(
         1,
         "wsj-reproduction",
@@ -219,13 +224,13 @@ def test_criterion_5_worked_example_fidelity(lexicons):
     )
 
 
-def test_criterion_6_synthetic_end_to_end(trained, eval_labeled):
+def test_criterion_6_synthetic_end_to_end(trained, eval_corpus):
     t0 = time.perf_counter()
     ok = True
     details = []
     for template_set in ("portable", "best"):
         model, _labeled, _lex = trained[template_set]
-        rep = evaluate(model, [eval_labeled])
+        rep = evaluate(model, eval_corpus)
         beats = rep.accuracy > rep.baseline_all_yes and rep.accuracy > rep.baseline_token_final
         ok = ok and beats and rep.accuracy >= 0.95
         details.append(

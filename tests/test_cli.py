@@ -242,6 +242,23 @@ def test_evaluate_on_training_corpus(corpus_file, model_file, capsys):
     assert float(kv["accuracy"]) >= float(kv["baseline_token_final"])
 
 
+def test_evaluate_logs_the_warnings_that_train_logs(tmp_path, model_file, capsys):
+    corp = tmp_path / "c.txt"
+    corp.write_text('He said "stop."\nDr. Smith left.\n', encoding="utf-8")
+    assert main(["evaluate", "--model", str(model_file), "--corpus", str(corp)]) == EXIT_OK
+    evaluated = capsys.readouterr()
+    warnings = [line for line in evaluated.err.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: sentence 1 ends in token '\"stop.\"', whose last character is not a "
+        "boundary mark, so it gets no boundary label"
+    ]
+    assert "warning:" not in evaluated.out and "candidates=3" in evaluated.out
+    assert main(["train", "--corpus", str(corp), "--model", str(tmp_path / "m.txt"),
+                 "--max-iters", "5"]) == EXIT_OK
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")] == warnings
+
+
 def test_induce_abbrevs_example1(tmp_path, capsys):
     corp = tmp_path / "c.txt"
     corp.write_text("ANLP Corp. chairman Dr. Smith resigned.\n")

@@ -14,6 +14,7 @@ from sentbound.corpus import (
     corpus_from_sentences,
     induce_abbreviations,
     label_candidates,
+    label_warnings,
     load_annotated,
     load_raw,
 )
@@ -110,8 +111,9 @@ def test_label_dc(dc_corpus):
 
 
 def test_label_warns_on_unpunctuated_final_token():
-    lab = label_candidates(corpus_from_sentences(["A headline without period"]))
-    assert len(lab.warnings) == 1
+    corp = corpus_from_sentences(["A headline without period"])
+    lab = label_candidates(corp)
+    assert len(list(label_warnings(corp))) == 1
     assert True not in lab.labels
 
 
@@ -194,7 +196,7 @@ def test_labels_come_from_the_inference_scan(sentences):
             unmarked += 1
         start = end + 2
     assert lab.labels.count(True) == len(corp) - unmarked
-    assert len(lab.warnings) == unmarked
+    assert len(list(label_warnings(corp))) == unmarked
 
 
 # Short strings of letters, marks and whitespace: empty, blank and padded
@@ -218,4 +220,5 @@ def test_a_corpus_either_labels_or_is_refused(sentences):
         return
     assert corpus_from_sentences(sentences) == corp
     lab = label_candidates(corp)
-    assert lab.sentences == len(sentences) == lab.labels.count(True) + len(lab.warnings)
+    warnings = list(label_warnings(corp))
+    assert lab.sentences == len(sentences) == lab.labels.count(True) + len(warnings)

@@ -1,10 +1,8 @@
 import pytest
 
-from sentbound.corpus import CorpusError, corpus_from_sentences, label_candidates, label_groups
+from sentbound.corpus import CorpusError, corpus_from_sentences, label_candidates
 from sentbound.evaluation import (
     EvaluationReport,
-    baseline_all_yes,
-    baseline_token_final,
     evaluate,
     format_learning_curve,
     format_report,
@@ -22,29 +20,35 @@ def token_final(lab):
     return [offset == len(token) - 1 for token, offset in zip(c.tokens, c.offsets)]
 
 
+def baselines(lab):
+    """The report's two baselines, which need no model."""
+    report = score(lab.labels, lab)
+    return report.baseline_all_yes, report.baseline_token_final
+
+
 def test_baseline_all_yes_example1(example1_labeled):
-    assert baseline_all_yes(example1_labeled) == pytest.approx(1 / 3)
+    assert baselines(example1_labeled)[0] == pytest.approx(1 / 3)
 
 
 def test_baseline_all_yes_all_boundaries():
     lab = label_candidates(corpus_from_sentences(["Hello world .", "Bye ."]))
-    assert baseline_all_yes(lab) == 1.0
+    assert baselines(lab)[0] == 1.0
 
 
 def test_baseline_token_final_example1(example1_labeled):
     # Corp., Dr. and resigned. are all token-final; only resigned. is a boundary.
-    assert baseline_token_final(example1_labeled) == pytest.approx(1 / 3)
+    assert baselines(example1_labeled)[1] == pytest.approx(1 / 3)
 
 
 def test_baseline_token_final_dc(dc_corpus):
     lab = label_candidates(dc_corpus)
-    assert baseline_token_final(lab) == 1.0
+    assert baselines(lab)[1] == 1.0
 
 
 def test_baselines_reject_empty():
     lab = label_candidates(corpus_from_sentences(["no punctuation here"]))
     with pytest.raises(CorpusError):
-        baseline_all_yes(lab)
+        baselines(lab)
 
 
 def test_constant_yes_classifier_reproduces_baseline(example1_labeled):
@@ -74,59 +78,56 @@ def test_score_refuses_a_decision_column_of_another_length(example1_labeled, ext
 
 
 def test_perfect_model_on_separable_corpus(synthetic_train):
-    model, labeled = train_model(
-        synthetic_train, "portable", max_iters=2000, tolerance=1e-3
-    )
-    report = evaluate(model, [labeled])
+    model, _ = train_model(synthetic_train, "portable", max_iters=2000, tolerance=1e-3)
+    report = evaluate(model, synthetic_train)
     assert report.accuracy > max(report.baseline_all_yes, report.baseline_token_final)
 
 
 def test_report_counts_the_sentences_of_the_labeled_corpus(synthetic_train, synthetic_eval):
     model, _ = train_model(synthetic_train, "portable", max_iters=20)
     for corpus in (synthetic_train, synthetic_eval):
-        assert evaluate(model, label_groups(corpus)).sentences == len(corpus)
+        assert evaluate(model, corpus).sentences == len(corpus)
 
 
 def test_baselines_model_independent(synthetic_train, synthetic_eval):
-    eval_lab = label_candidates(synthetic_eval)
     m1, _ = train_model(synthetic_train, "portable", max_iters=5)
     m2, _ = train_model(synthetic_train, "portable", max_iters=200)
-    r1 = evaluate(m1, [eval_lab])
-    r2 = evaluate(m2, [eval_lab])
+    r1 = evaluate(m1, synthetic_eval)
+    r2 = evaluate(m2, synthetic_eval)
     assert r1.baseline_all_yes == r2.baseline_all_yes
     assert r1.baseline_token_final == r2.baseline_token_final
 
 
 def test_learning_curve_shape_and_determinism():
     corp = make_corpus(60, seed=5)
-    eval_lab = label_candidates(make_corpus(30, seed=6))
+    eval_corp = make_corpus(30, seed=6)
     sizes = [10, 25, 60]
-    rows1 = learning_curve(corp, eval_lab, sizes, "portable", seed=42, max_iters=50)
-    rows2 = learning_curve(corp, eval_lab, sizes, "portable", seed=42, max_iters=50)
+    rows1 = learning_curve(corp, eval_corp, sizes, "portable", seed=42, max_iters=50)
+    rows2 = learning_curve(corp, eval_corp, sizes, "portable", seed=42, max_iters=50)
     assert [s for s, _ in rows1] == sizes
     assert rows1 == rows2
 
 
 def test_learning_curve_size_exceeds_corpus():
     corp = make_corpus(10, seed=5)
-    eval_lab = label_candidates(make_corpus(5, seed=6))
+    eval_corp = make_corpus(5, seed=6)
     with pytest.raises(CorpusError):
-        learning_curve(corp, eval_lab, [11], "portable", seed=0)
+        learning_curve(corp, eval_corp, [11], "portable", seed=0)
 
 
 @pytest.mark.parametrize("size", [0, -1])
 def test_learning_curve_size_below_one(size):
     corp = make_corpus(10, seed=5)
-    eval_lab = label_candidates(make_corpus(5, seed=6))
+    eval_corp = make_corpus(5, seed=6)
     with pytest.raises(CorpusError, match="below 1"):
-        learning_curve(corp, eval_lab, [5, size], "portable", seed=0)
+        learning_curve(corp, eval_corp, [5, size], "portable", seed=0)
 
 
 def test_portable_learning_curve_refuses_lexicons():
     corp = make_corpus(20, seed=5)
-    eval_lab = label_candidates(make_corpus(5, seed=6))
+    eval_corp = make_corpus(5, seed=6)
     with pytest.raises(FeatureError):
-        learning_curve(corp, eval_lab, [10], "portable", seed=0, lexicons=load_lexicons())
+        learning_curve(corp, eval_corp, [10], "portable", seed=0, lexicons=load_lexicons())
 
 
 def test_format_report_contains_kv_lines(example1_labeled):

@@ -1,7 +1,7 @@
 """Pinned outputs: train best and portable on small seeded news and Zipfian
 sets through ``cli.main``, and compare the sha256 of each model file and of
 the ``segment``, ``segment --offsets`` and ``evaluate`` outputs with
-literals.
+literals; likewise each ``learning-curve`` and ``induce-abbrevs`` output.
 
 Model weights follow numpy's SIMD ``exp`` and ``log`` kernels in their last
 bits (see ``sentbound.gis``), so each model file is pinned with its
@@ -50,6 +50,20 @@ PINNED = {
         "offsets": "e784a2741228afae93f561ed18b2e882121b0b80506dd7bbdf0540fba59774c6",
         "evaluate": "fcd1a67c4dfa4cd4475b5f289bf422a54d61bc2f1ce29182e8a3c6aa00687c22",
     },
+}
+
+# ``learning-curve --sizes 100,300 --max-iters 5000`` per corpus kind and
+# template set, and ``induce-abbrevs`` per corpus kind (it takes no template
+# set).
+PINNED_CURVES = {
+    ("news", "best"): "1ddee4dd01324ab583f2ed433173cd628b857d45244ae569cb5f0a9187a55aa4",
+    ("news", "portable"): "1f8b7e50285d64abdf513fc159b83fa25bbaec15dfb709ed62cc7a77853210f4",
+    ("zipf", "best"): "932179235aa6fa3f88174a2441817fa4aa256abc6572e6de9437a488c66264cc",
+    ("zipf", "portable"): "2c4655eaa598e2da47bb211c1a82a886f3918f0158047ec9fe3c82c743010fc1",
+}
+PINNED_ABBREVS = {
+    "news": "6fb250fdabcae560e86f25aa6d56684e15ed5af90937e5324016890fc0b30cfd",
+    "zipf": "c6b819c6d4a32dbd1b30f55e8b359704b872ad1101354907bab5c435a17813e8",
 }
 
 
@@ -108,3 +122,21 @@ def test_outputs_match_the_pinned_digests(inputs, tmp_path, kind, templates):
         assert main([*argv, "--output", str(out)]) == EXIT_OK
         digests[name] = _sha256(out.read_bytes())
     assert digests == PINNED[kind, templates]
+
+
+@pytest.mark.parametrize("kind, templates", sorted(PINNED_CURVES))
+def test_learning_curve_matches_the_pinned_digest(inputs, tmp_path, kind, templates):
+    train, heldout, _ = inputs[kind]
+    out = tmp_path / "curve.csv"
+    rc = main(["learning-curve", "--corpus", str(train), "--input", str(heldout),
+               "--templates", templates, "--sizes", "100,300", "--max-iters", "5000",
+               "--output", str(out)])
+    assert rc == EXIT_OK
+    assert _sha256(out.read_bytes()) == PINNED_CURVES[kind, templates]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_ABBREVS))
+def test_induced_abbreviations_match_the_pinned_digest(inputs, tmp_path, kind):
+    out = tmp_path / "abbrevs.txt"
+    assert main(["induce-abbrevs", "--corpus", str(inputs[kind][0]), "--output", str(out)]) == EXIT_OK
+    assert _sha256(out.read_bytes()) == PINNED_ABBREVS[kind]

@@ -4,7 +4,7 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import fields
-from itertools import accumulate, compress, pairwise
+from itertools import accumulate, compress
 from operator import add
 
 import pytest
@@ -153,9 +153,9 @@ def test_segmentation_offsets_locate_marks_and_keep_text(portable_model, encodin
 
 
 def test_best_and_portable_models_learn_training_data(portable_model, best_model):
-    labeled = label_candidates(make_corpus(300, seed=1))
+    corp = make_corpus(300, seed=1)
     for model in (portable_model, best_model):
-        report = evaluate(model, [labeled])
+        report = evaluate(model, corp)
         assert report.accuracy > 0.95
 
 
@@ -537,12 +537,9 @@ def outcome(func, *args):
         return str(exc)
 
 
-def joined_columns(sets):
-    """Each column of ``scan``'s result, concatenated over labeled sets."""
-    return {
-        f.name: [v for labeled in sets for v in getattr(labeled.columns, f.name)]
-        for f in fields(Candidates)
-    }
+def joined_columns(columns):
+    """Each column of ``scan``'s result, concatenated over ``Candidates``."""
+    return {f.name: [v for c in columns for v in getattr(c, f.name)] for f in fields(Candidates)}
 
 
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
@@ -570,7 +567,7 @@ def test_grouped_labels_and_reports_equal_the_whole_corpus_reference(
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(candidates, "SLICE_CHARS", chars)
             whole = label_candidates(corp)
-            reports.append(outcome(evaluate, model, label_groups(corp)))
+            reports.append(outcome(evaluate, model, corp))
             mp.setattr(corpus, "scan", recording_scan)
             groups = list(label_groups(corp))
         # One piece per group, cut from the joined corpus: every piece but
@@ -580,20 +577,13 @@ def test_grouped_labels_and_reports_equal_the_whole_corpus_reference(
         assert len(pieces) == len(groups) and "".join(pieces) == joined
         assert all(len(p) >= chars and p[-1].isspace() for p in pieces[:-1])
         assert not any(ch.isspace() for p in pieces for ch in p[chars - 1 : -1])
-        # Each group counts the sentences whose last character is in its
-        # piece, that is, that stop (one past that character) within it.
-        stops = [e - 1 for e in accumulate(len(s) + 1 for s in corp.sentences)]
-        cuts = list(accumulate(map(len, pieces), initial=0))
-        assert [g.sentences for g in groups] == [
-            sum(a < e <= b for e in stops) for a, b in pairwise(cuts)
-        ]
-        for got in (groups, [whole]):
-            # Positions in the joined corpus, labels, warnings numbered
-            # across the corpus, and sentence counts, as one whole scan gives.
-            assert joined_columns(got) == joined_columns([want])
-            assert [label for g in got for label in g.labels] == want.labels
-            assert [w for g in got for w in g.warnings] == want.warnings
-            assert sum(g.sentences for g in got) == want.sentences
+        # Positions in the joined corpus and labels, as one whole scan gives.
+        assert joined_columns([c for c, _ in groups]) == joined_columns([want.columns])
+        assert [label for _, labels in groups for label in labels] == want.labels
+        assert joined_columns([whole.columns]) == joined_columns([want.columns])
+        assert (whole.labels, whole.sentences) == (want.labels, want.sentences)
+    # Warnings numbered across the corpus, as the reference gives them.
+    assert list(corpus.label_warnings(corp)) == corpus_reference.label_warnings(corp)
     # The same counts and the same float ratios at every group size, or the
     # same refusal of a corpus without candidates.
     assert reports[1] == reports[2] == reports[0]
@@ -644,7 +634,7 @@ def test_evaluation_memory_follows_a_group_not_the_corpus(portable_model):
     corp = make_corpus(10_000, seed=2)
     tracemalloc.start()
     try:
-        report = evaluate(portable_model, label_groups(corp))
+        report = evaluate(portable_model, corp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
