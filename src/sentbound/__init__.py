@@ -3,7 +3,6 @@
 from .candidates import Candidate, Candidates, scan
 from .corpus import (
     AnnotatedCorpus,
-    LabeledCandidateSet,
     induce_abbreviations,
     label_candidates,
     load_annotated,
@@ -20,7 +19,6 @@ __all__ = [
     "Candidate",
     "Candidates",
     "EvaluationReport",
-    "LabeledCandidateSet",
     "Model",
     "classify",
     "conditional_yes",

@@ -1,7 +1,7 @@
 """Command-line surface: train, segment, evaluate, induce-abbrevs, learning-curve.
 
-Logs go to stderr; data to stdout or --output. Exit codes: 0 success, 2 IO,
-3 format/contract, 4 training divergence.
+Logs go to stderr; data to stdout or --output. Exit codes: 0 success, 2 IO
+or bad command line, 3 format/contract, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ def _sizes(text: str) -> list[int]:
 
 
 def _file_path(text: str) -> str:
-    """argparse type: a non-empty path (an empty one would name no file)."""
-    if not text:
-        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    """argparse type of every path flag: a path that names a file, which
+    '', '.' and '/' do not."""
+    if not Path(text).name:
+        raise argparse.ArgumentTypeError(f"expected a file path, got {text!r}")
     return text
 
 
@@ -106,7 +107,7 @@ def _log_warnings(corp: corpus_mod.AnnotatedCorpus) -> None:
 
 def cmd_train(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
-    model, _ = pipeline.train_model(
+    model = pipeline.train_model(
         corp,
         args.templates,
         cutoff=args.cutoff,
@@ -188,13 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help, *, model=False, corpus=False, inp=False, output=True):
         p = sub.add_parser(name, help=help)
         if corpus:
-            p.add_argument("--corpus", required=True, help="annotated corpus, one sentence per line")
+            p.add_argument("--corpus", required=True, type=_file_path,
+                           help="annotated corpus, one sentence per line")
         if model:
-            p.add_argument("--model", required=True, help="model file path")
+            p.add_argument("--model", required=True, type=_file_path, help="model file path")
         if inp:
-            p.add_argument("--input", required=True)
+            p.add_argument("--input", required=True, type=_file_path)
         if output:
-            p.add_argument("--output", default=None)
+            p.add_argument("--output", default=None, type=_file_path)
         p.add_argument("--encoding", default="utf-8", type=_encoding)
         p.set_defaults(func=func)
         return p

@@ -11,9 +11,9 @@ corpus one slice at a time, cut as ``candidates.slices`` cuts raw text for
 segmentation, and yields each slice's columns and labels, so a slice's
 candidates are those of the whole corpus, field for field. ``evaluate``
 consumes the slices one by one, so its memory follows one slice and the
-corpus's text, not the corpus's tokens; training and abbreviation induction
-read the slices concatenated, with the corpus's sentence count, as the
-``LabeledCandidateSet`` that ``label_candidates`` returns.
+corpus's text, not the corpus's tokens; training, abbreviation induction and
+``evaluation.score`` read the slices concatenated, as the one (columns,
+labels) pair that ``label_candidates`` returns.
 """
 
 from __future__ import annotations
@@ -51,19 +51,6 @@ class AnnotatedCorpus:
 
     def __len__(self) -> int:
         return len(self.sentences)
-
-
-@dataclass
-class LabeledCandidateSet:
-    """Candidates from an annotated corpus of ``sentences`` sentences:
-    ``labels[i]`` is True iff the i-th candidate of ``columns`` ends a sentence."""
-
-    columns: Candidates
-    labels: list[bool]
-    sentences: int
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def load_annotated(path: str | Path, encoding: str = "utf-8") -> AnnotatedCorpus:
@@ -127,23 +114,25 @@ def label_warnings(corpus: AnnotatedCorpus) -> Iterator[str]:
             )
 
 
-def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
-    """The whole corpus's labeled candidates: ``label_groups`` concatenated,
-    so the columns and labels are those of one scan of the joined sentences."""
+def label_candidates(corpus: AnnotatedCorpus) -> tuple[Candidates, list[bool]]:
+    """The whole corpus's labeled candidates as (columns, labels):
+    ``label_groups`` concatenated, so they are those of one scan of the
+    joined sentences."""
     groups = label_groups(corpus)
     columns, labels = next(groups)
     for more, more_labels in groups:
         for column in fields(Candidates):
             getattr(columns, column.name).extend(getattr(more, column.name))
         labels += more_labels
-    return LabeledCandidateSet(columns, labels, len(corpus))
+    return columns, labels
 
 
-def induce_abbreviations(labeled: LabeledCandidateSet) -> frozenset[str]:
-    """Training tokens containing at least one '.' that ends no sentence."""
-    c = labeled.columns
+def induce_abbreviations(labeled: tuple[Candidates, list[bool]]) -> frozenset[str]:
+    """Training tokens, of the (columns, labels) pair ``label_candidates``
+    returns, containing at least one '.' that ends no sentence."""
+    c, labels = labeled
     return frozenset(
         token
-        for token, offset, ends in zip(c.tokens, c.offsets, labeled.labels)
+        for token, offset, ends in zip(c.tokens, c.offsets, labels)
         if not ends and token[offset] == "."
     )

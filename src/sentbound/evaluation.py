@@ -8,8 +8,10 @@ as ``corpus.label_groups`` yields them, and sums integer counts
 (candidates, false positives and negatives, True labels, token-final
 agreements); the report's ratios are computed once, from the totals, so a
 corpus scored in slices gives the same report as scored whole, float for
-float, while only one slice's columns are held. The report's sentence
-count is the corpus's.
+float, while only one slice's columns are held. ``score`` takes decisions
+made for a whole corpus, such as the two baselines', and labels the corpus
+whole (``corpus.label_candidates``). Both reports' sentence count is the
+corpus's.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .candidates import Candidates
 from .corpus import (
     AnnotatedCorpus,
     CorpusError,
-    LabeledCandidateSet,
     corpus_from_sentences,
+    label_candidates,
     label_groups,
 )
 from .maxent import Model
@@ -82,9 +84,11 @@ def _report(
     )
 
 
-def score(decisions: Sequence[bool], labeled: LabeledCandidateSet) -> EvaluationReport:
-    """Score one decision per candidate of ``labeled``, in its order."""
-    return _report(labeled.sentences, *_counts(decisions, labeled.columns, labeled.labels))
+def score(decisions: Sequence[bool], corpus: AnnotatedCorpus) -> EvaluationReport:
+    """Score one decision per candidate of the corpus, in the order of
+    ``label_candidates(corpus)``."""
+    columns, labels = label_candidates(corpus)
+    return _report(len(corpus), *_counts(decisions, columns, labels))
 
 
 def evaluate(model: Model, corpus: AnnotatedCorpus) -> EvaluationReport:
@@ -124,7 +128,7 @@ def learning_curve(
     rows = []
     for size in sizes:
         subset = corpus_from_sentences(shuffled[:size])
-        model, _ = train_model(subset, template_set, **train_kwargs)
+        model = train_model(subset, template_set, **train_kwargs)
         rows.append((size, evaluate(model, eval_corpus).accuracy))
     return rows
 

@@ -12,10 +12,12 @@ them: it refuses a resource to a set that does not read it. The registry
 carries it, so ``encode(candidate, registry)`` needs nothing else.
 ``Templates.extract`` is the union of the slots.
 
-``build_registry`` calls the slot functions through ``SlotMemos`` made for
-the call, because it must count keys that miss the cutoff too: once per
-distinct slot value, until a slot passes ``CACHE_ENTRIES`` values and its
-emptied memo computes recurring values again.
+``build_registry`` reads the training candidates as the (columns, labels)
+pair ``corpus.label_candidates`` returns. It calls the slot functions
+through ``SlotMemos`` made for the call, because it must count keys that
+miss the cutoff too: once per distinct slot value, until a slot passes
+``CACHE_ENTRIES`` values and its emptied memo computes recurring values
+again.
 
 ``PredicateRegistry.lookups`` is the one constructor of slot lookups: given
 a value per predicate and a zero, they map a slot value to the sum of its
@@ -45,7 +47,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from .candidates import BOUNDARY_MARKS, NO_WORD, Candidate, Candidates
-from .corpus import LabeledCandidateSet
+
 
 class FeatureError(Exception):
     pass
@@ -377,21 +379,23 @@ class PredicateRegistry:
 
 
 def build_registry(
-    labeled: LabeledCandidateSet,
+    labeled: tuple[Candidates, list[bool]],
     templates: Templates,
     cutoff: int = 1,
 ) -> PredicateRegistry:
-    """Count predicate occurrences over the training candidates, drop those
-    below the cutoff, and assign dense indices in first-occurrence order. A
-    cutoff below 1 raises FeatureError, as ``PredicateRegistry`` refuses it.
+    """Count predicate occurrences over the training candidates, the columns
+    of ``labeled``, drop those below the cutoff, and assign dense indices in
+    first-occurrence order. A cutoff below 1 raises FeatureError, as
+    ``PredicateRegistry`` refuses it.
 
     Each slot's keys are read from a slot memo made for the call, which must
     count keys that miss the cutoff too."""
-    if not labeled.labels:
+    columns, labels = labeled
+    if not labels:
         raise FeatureError("no training candidates")
     # Counter keeps first-occurrence order; a candidate's keys count in sorted order.
     counts = Counter(chain.from_iterable(
-        map(sorted, SlotMemos.of(templates, tuple).sums(labeled.columns))
+        map(sorted, SlotMemos.of(templates, tuple).sums(columns))
     ))
     keys = [k for k, n in counts.items() if n >= cutoff]
     if not keys:

@@ -2,17 +2,17 @@
 
 ``train_model`` picks the template set's resources once; from there the
 model's registry carries them to every encoding. Training events take the
-``scan`` columns of the whole training corpus, as ``label_candidates``
-concatenates them; ``evaluate`` takes a corpus and labels it one slice of
-the joined sentences at a time (``corpus.label_groups``), and
-``boundary_offsets`` (which ``segment_text`` calls before it joins
-sentences) scans one slice of raw text at a time, both cut by
-``candidates.slices``. Training encodes its columns with
-``features.active_predicates``, through slot lookups of predicate indices;
-``decide``, imported from ``maxent``, decides each candidate from slot
-lookups of scores, and ``make_classifier`` decides one candidate the same
-way. The ``features`` module says what the slot lookups are and how
-far they grow.
+``scan`` columns and labels of the whole training corpus, the pair that
+``label_candidates`` concatenates, and the pair goes before GIS runs;
+``evaluate`` takes a corpus and labels it one slice of the joined sentences
+at a time (``corpus.label_groups``), and ``boundary_offsets`` (which
+``segment_text`` calls before it joins sentences) scans one slice of raw
+text at a time, both cut by ``candidates.slices``. Training encodes its
+columns with ``features.active_predicates``, through slot lookups of
+predicate indices; ``decide``, imported from ``maxent``, decides each
+candidate from slot lookups of scores, and ``make_classifier`` decides one
+candidate the same way. The ``features`` module says what the slot lookups
+are and how far they grow.
 """
 
 from __future__ import annotations
@@ -32,22 +32,19 @@ from .candidates import (  # noqa: F401
     slices,
     tokenize_with_positions,
 )
-from .corpus import (
-    AnnotatedCorpus,
-    LabeledCandidateSet,
-    induce_abbreviations,
-    label_candidates,
-)
+from .corpus import AnnotatedCorpus, induce_abbreviations, label_candidates
 from .features import Templates
 from .maxent import Model, decide
 
 
 def events_from_labeled(
-    labeled: LabeledCandidateSet,
+    labeled: tuple[Candidates, list[bool]],
     registry: features.PredicateRegistry,
 ) -> list[maxent.TrainingEvent]:
-    actives = features.active_predicates(registry, labeled.columns)
-    return maxent.merge_events(zip(actives, labeled.labels))
+    """The merged training events of the (columns, labels) pair
+    ``label_candidates`` returns."""
+    columns, labels = labeled
+    return maxent.merge_events(zip(features.active_predicates(registry, columns), labels))
 
 
 def train_model(
@@ -58,8 +55,9 @@ def train_model(
     max_iters: int = maxent.DEFAULT_MAX_ITERS,
     tolerance: float = maxent.DEFAULT_TOLERANCE,
     lexicons: Optional[dict[str, frozenset[str]]] = None,
-) -> tuple[Model, LabeledCandidateSet]:
-    """Label the corpus, build resources and registry, and run GIS.
+) -> Model:
+    """Label the corpus, build resources and registry, encode the events,
+    and run GIS on them once the labeled columns are dropped.
 
     The portable system induces its abbreviation list from the corpus, and
     refuses ``lexicons``; the best system needs them, as
@@ -75,8 +73,8 @@ def train_model(
         templates = replace(templates, abbreviations=induce_abbreviations(labeled))
     registry = features.build_registry(labeled, templates, cutoff=cutoff)
     events = events_from_labeled(labeled, registry)
-    model = maxent.train_gis(events, registry, max_iters=max_iters, tolerance=tolerance)
-    return model, labeled
+    del labeled  # the columns go before GIS builds its problem
+    return maxent.train_gis(events, registry, max_iters=max_iters, tolerance=tolerance)
 
 
 def make_classifier(model: Model) -> Callable[[Candidate], bool]:

@@ -1,9 +1,10 @@
 """Reference labeling: the whole-corpus ``label_candidates`` that
 ``sentbound.corpus`` ran before it labeled one group of sentences at a time,
-kept unchanged but for its warnings, which ``label_warnings`` gives apart.
-``sentbound.corpus.label_groups`` must give the same candidates and labels,
-``label_candidates`` the same set, and ``sentbound.corpus.label_warnings``
-the same warnings.
+kept unchanged but for its warnings, which ``label_warnings`` gives apart,
+and for its sentence count, which the corpus gives. It returns the
+(columns, labels) pair. ``sentbound.corpus.label_groups`` must give the same
+candidates and labels, ``label_candidates`` the same pair, and
+``sentbound.corpus.label_warnings`` the same warnings.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 from itertools import accumulate, count
 from operator import add
 
-from sentbound.candidates import BOUNDARY_MARKS, scan
-from sentbound.corpus import AnnotatedCorpus, EmptyCorpusError, LabeledCandidateSet
+from sentbound.candidates import BOUNDARY_MARKS, Candidates, scan
+from sentbound.corpus import AnnotatedCorpus, EmptyCorpusError
 
 
-def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
+def label_candidates(corpus: AnnotatedCorpus) -> tuple[Candidates, list[bool]]:
     """Join the sentences with single spaces, scan the text as segmentation
     does, and label each candidate.
 
@@ -30,7 +31,7 @@ def label_candidates(corpus: AnnotatedCorpus) -> LabeledCandidateSet:
     # before it, plus the k joining spaces, minus one.
     ends = set(map(add, accumulate(map(len, sentences)), count(-1)))
     labels = list(map(ends.__contains__, cands.positions))
-    return LabeledCandidateSet(cands, labels, len(sentences))
+    return cands, labels
 
 
 def label_warnings(corpus: AnnotatedCorpus) -> list[str]:

@@ -68,14 +68,14 @@ def trained(train_corpus, lexicons):
     out = {}
     t0 = time.perf_counter()
     for template_set, lex in (("portable", None), ("best", lexicons)):
-        model, labeled = train_model(
+        model = train_model(
             train_corpus,
             template_set,
             lexicons=lex,
             max_iters=MAX_ITERS,
             tolerance=1e-3,
         )
-        out[template_set] = (model, labeled, lex)
+        out[template_set] = (model, lex)
     out["train_seconds"] = time.perf_counter() - t0
     return out
 
@@ -87,8 +87,8 @@ def test_criterion_1_paper_corpora_optional(lexicons):
         pytest.skip("WSJ corpora not supplied; criterion 1 is optional and non-gating")
     corp = load_annotated(train_path)
     test_corpus = load_annotated(test_path)
-    best, _ = train_model(corp, "best", lexicons=lexicons, max_iters=MAX_ITERS)
-    portable, _ = train_model(corp, "portable", max_iters=MAX_ITERS)
+    best = train_model(corp, "best", lexicons=lexicons, max_iters=MAX_ITERS)
+    portable = train_model(corp, "portable", max_iters=MAX_ITERS)
     acc_best = evaluate(best, test_corpus).accuracy
     acc_port = evaluate(portable, test_corpus).accuracy
     report(
@@ -99,11 +99,11 @@ def test_criterion_1_paper_corpora_optional(lexicons):
     )
 
 
-def test_criterion_2_baseline_identities(eval_labeled):
+def test_criterion_2_baseline_identities(eval_corpus, eval_labeled):
     t0 = time.perf_counter()
-    c = eval_labeled.columns
-    all_yes = score([True] * len(eval_labeled), eval_labeled)
-    token_final = score([o == len(t) - 1 for t, o in zip(c.tokens, c.offsets)], eval_labeled)
+    c, labels = eval_labeled
+    all_yes = score([True] * len(labels), eval_corpus)
+    token_final = score([o == len(t) - 1 for t, o in zip(c.tokens, c.offsets)], eval_corpus)
     elapsed = time.perf_counter() - t0
     ok = (
         all_yes.accuracy == all_yes.baseline_all_yes
@@ -130,15 +130,16 @@ def test_criterion_3_gis_correctness(trained):
         runs.append((model, events, "toy"))
     t0 = time.perf_counter()
     for template_set in ("portable", "best"):
-        lex = trained[template_set][2]
-        model, labeled = train_model(
-            make_corpus(500, seed=11),
+        lex = trained[template_set][1]
+        corpus = make_corpus(500, seed=11)
+        model = train_model(
+            corpus,
             template_set,
             lexicons=lex,
             max_iters=MAX_ITERS,
             tolerance=1e-3,
         )
-        events = events_from_labeled(labeled, model.registry)
+        events = events_from_labeled(label_candidates(corpus), model.registry)
         runs.append((model, events, template_set))
     elapsed = time.perf_counter() - t0
     ok = True
@@ -229,7 +230,7 @@ def test_criterion_6_synthetic_end_to_end(trained, eval_corpus):
     ok = True
     details = []
     for template_set in ("portable", "best"):
-        model, _labeled, _lex = trained[template_set]
+        model, _lex = trained[template_set]
         rep = evaluate(model, eval_corpus)
         beats = rep.accuracy > rep.baseline_all_yes and rep.accuracy > rep.baseline_token_final
         ok = ok and beats and rep.accuracy >= 0.95
@@ -243,8 +244,8 @@ def test_criterion_6_synthetic_end_to_end(trained, eval_corpus):
 
 
 def test_criterion_7_determinism_and_persistence(trained, train_corpus, tmp_path, eval_labeled):
-    model, _, _ = trained["portable"]
-    retrained, _ = train_model(
+    model, _ = trained["portable"]
+    retrained = train_model(
         train_corpus, "portable", max_iters=MAX_ITERS, tolerance=1e-3
     )
     p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
@@ -258,7 +259,7 @@ def test_criterion_7_determinism_and_persistence(trained, train_corpus, tmp_path
     agree = all(
         classify(loaded, encode(cand, loaded.registry))
         == classify(model, encode(cand, model.registry))
-        for cand in eval_labeled.columns
+        for cand in eval_labeled[0]
     )
     report(
         7,
@@ -269,7 +270,7 @@ def test_criterion_7_determinism_and_persistence(trained, train_corpus, tmp_path
 
 
 def test_criterion_8_throughput(trained):
-    model, _, _ = trained["portable"]
+    model, _ = trained["portable"]
     words = " ".join(make_corpus(60, seed=123).sentences).split()[:500]
     article = " ".join(words)
     t0 = time.perf_counter()

@@ -455,6 +455,45 @@ def test_output_onto_a_directory_leaves_no_tmp(tmp_path, corpus_file):
         assert target.is_dir()
 
 
+def written_path_argv(command, corpus_file, model_file):
+    """argv of ``command`` without the flag it writes to."""
+    return {
+        "train": ["train", "--corpus", str(corpus_file), "--max-iters", "5"],
+        "segment": ["segment", "--model", str(model_file), "--input", str(corpus_file)],
+        "evaluate": ["evaluate", "--model", str(model_file), "--corpus", str(corpus_file)],
+        "induce-abbrevs": ["induce-abbrevs", "--corpus", str(corpus_file)],
+        "learning-curve": [
+            "learning-curve", "--corpus", str(corpus_file), "--input", str(corpus_file),
+            "--sizes", "30", "--max-iters", "5",
+        ],
+    }[command]
+
+
+@pytest.mark.parametrize("path", ["", ".", "/"], ids=["empty", "dot", "root"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("train", "--model"),
+        ("segment", "--output"),
+        ("evaluate", "--output"),
+        ("induce-abbrevs", "--output"),
+        ("learning-curve", "--output"),
+    ],
+)
+def test_a_written_path_that_names_no_file_exits_2(
+    tmp_path, monkeypatch, corpus_file, model_file, command, flag, path, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*written_path_argv(command, corpus_file, model_file), flag, path])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {flag}: expected a file path, got {path!r}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 @pytest.mark.parametrize("command", ["segment", "evaluate"])
 def test_undecodable_utf16_input_exits_2(tmp_path, model_file, command, capsys):
     # An even number of UTF-8 bytes with no byte-order mark: the UTF-16 codec

@@ -21,8 +21,8 @@ from sentbound.corpus import (
 
 
 def rows(lab):
-    """(candidate, label) pairs of a labeled set."""
-    return list(zip(lab.columns, lab.labels))
+    """(candidate, label) pairs of a (columns, labels) pair."""
+    return list(zip(*lab))
 
 
 sentence_strategy = st.lists(
@@ -94,9 +94,9 @@ def test_load_raw_bad_encoding(tmp_path):
 
 
 def test_label_single_boundary():
-    lab = label_candidates(corpus_from_sentences(["Hello world ."]))
-    assert len(lab) == 1
-    assert lab.labels[0] is True
+    _, labels = label_candidates(corpus_from_sentences(["Hello world ."]))
+    assert len(labels) == 1
+    assert labels[0] is True
 
 
 def test_label_example1(example1_labeled):
@@ -112,9 +112,9 @@ def test_label_dc(dc_corpus):
 
 def test_label_warns_on_unpunctuated_final_token():
     corp = corpus_from_sentences(["A headline without period"])
-    lab = label_candidates(corp)
+    _, labels = label_candidates(corp)
     assert len(list(label_warnings(corp))) == 1
-    assert True not in lab.labels
+    assert True not in labels
 
 
 def test_induce_example1(example1_labeled):
@@ -145,15 +145,16 @@ def test_label_deterministic_and_bounded(sentences):
     lab1 = label_candidates(corp)
     lab2 = label_candidates(corp)
     assert rows(lab1) == rows(lab2)
-    assert all(type(label) is bool for label in lab1.labels)
-    assert lab1.labels.count(True) <= len(corp)
+    _, labels = lab1
+    assert all(type(label) is bool for label in labels)
+    assert labels.count(True) <= len(corp)
 
 
 @given(st.lists(sentence_strategy, min_size=1, max_size=8))
 def test_token_stream_preserves_characters(sentences):
     corp = corpus_from_sentences(sentences)
-    lab = label_candidates(corp)
-    marks = "".join(map(str.__getitem__, lab.columns.tokens, lab.columns.offsets))
+    columns, _ = label_candidates(corp)
+    marks = "".join(map(str.__getitem__, columns.tokens, columns.offsets))
     original = "".join(ch for s in corp.sentences for ch in s if ch in BOUNDARY_MARKS)
     assert marks == original
 
@@ -179,8 +180,9 @@ closer_sentence_strategy = st.lists(
 def test_labels_come_from_the_inference_scan(sentences):
     corp = corpus_from_sentences(sentences)
     lab = label_candidates(corp)
+    columns, labels = lab
     text = " ".join(corp.sentences)
-    assert lab.columns == scan(text)
+    assert columns == scan(text)
     start, unmarked = 0, 0
     for sent in corp.sentences:
         end = start + len(sent) - 1
@@ -195,7 +197,7 @@ def test_labels_come_from_the_inference_scan(sentences):
             assert yes == []
             unmarked += 1
         start = end + 2
-    assert lab.labels.count(True) == len(corp) - unmarked
+    assert labels.count(True) == len(corp) - unmarked
     assert len(list(label_warnings(corp))) == unmarked
 
 
@@ -219,6 +221,6 @@ def test_a_corpus_either_labels_or_is_refused(sentences):
             assert corpus_from_sentences(sentences).sentences != sentences
         return
     assert corpus_from_sentences(sentences) == corp
-    lab = label_candidates(corp)
+    _, labels = label_candidates(corp)
     warnings = list(label_warnings(corp))
-    assert lab.sentences == len(sentences) == lab.labels.count(True) + len(warnings)
+    assert len(sentences) == labels.count(True) + len(warnings)

@@ -14,84 +14,84 @@ from sentbound.pipeline import train_model
 from sentbound.synthetic import make_corpus
 
 
-def token_final(lab):
-    """One decision per candidate: yes iff the mark ends its token."""
-    c = lab.columns
+def token_final(corpus):
+    """One decision per candidate of the corpus: yes iff the mark ends its token."""
+    c, _ = label_candidates(corpus)
     return [offset == len(token) - 1 for token, offset in zip(c.tokens, c.offsets)]
 
 
-def baselines(lab):
+def baselines(corpus):
     """The report's two baselines, which need no model."""
-    report = score(lab.labels, lab)
+    report = score(label_candidates(corpus)[1], corpus)
     return report.baseline_all_yes, report.baseline_token_final
 
 
-def test_baseline_all_yes_example1(example1_labeled):
-    assert baselines(example1_labeled)[0] == pytest.approx(1 / 3)
+def all_yes(corpus):
+    """One decision per candidate of the corpus: always yes."""
+    return [True] * len(label_candidates(corpus)[1])
+
+
+def test_baseline_all_yes_example1(example1_corpus):
+    assert baselines(example1_corpus)[0] == pytest.approx(1 / 3)
 
 
 def test_baseline_all_yes_all_boundaries():
-    lab = label_candidates(corpus_from_sentences(["Hello world .", "Bye ."]))
-    assert baselines(lab)[0] == 1.0
+    assert baselines(corpus_from_sentences(["Hello world .", "Bye ."]))[0] == 1.0
 
 
-def test_baseline_token_final_example1(example1_labeled):
+def test_baseline_token_final_example1(example1_corpus):
     # Corp., Dr. and resigned. are all token-final; only resigned. is a boundary.
-    assert baselines(example1_labeled)[1] == pytest.approx(1 / 3)
+    assert baselines(example1_corpus)[1] == pytest.approx(1 / 3)
 
 
 def test_baseline_token_final_dc(dc_corpus):
-    lab = label_candidates(dc_corpus)
-    assert baselines(lab)[1] == 1.0
+    assert baselines(dc_corpus)[1] == 1.0
 
 
 def test_baselines_reject_empty():
-    lab = label_candidates(corpus_from_sentences(["no punctuation here"]))
     with pytest.raises(CorpusError):
-        baselines(lab)
+        baselines(corpus_from_sentences(["no punctuation here"]))
 
 
-def test_constant_yes_classifier_reproduces_baseline(example1_labeled):
-    report = score([True] * len(example1_labeled), example1_labeled)
+def test_constant_yes_classifier_reproduces_baseline(example1_corpus):
+    report = score(all_yes(example1_corpus), example1_corpus)
     assert report.accuracy == report.baseline_all_yes
     assert report.false_negatives == 0
 
 
 def test_token_final_classifier_reproduces_baseline(two_sentence_corpus):
-    lab = label_candidates(two_sentence_corpus)
-    report = score(token_final(lab), lab)
+    report = score(token_final(two_sentence_corpus), two_sentence_corpus)
     assert report.accuracy == report.baseline_token_final
 
 
 def test_accuracy_identity(two_sentence_corpus):
-    lab = label_candidates(two_sentence_corpus)
-    report = score(token_final(lab), lab)
+    report = score(token_final(two_sentence_corpus), two_sentence_corpus)
     errors = report.false_positives + report.false_negatives
     assert report.accuracy == pytest.approx(1 - errors / report.candidates)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
-def test_score_refuses_a_decision_column_of_another_length(example1_labeled, extra):
-    decisions = [True] * (len(example1_labeled) + extra)
+def test_score_refuses_a_decision_column_of_another_length(example1_corpus, extra):
+    decisions = [True] * (len(label_candidates(example1_corpus)[1]) + extra)
     with pytest.raises(CorpusError, match="decisions for 3 candidates"):
-        score(decisions, example1_labeled)
+        score(decisions, example1_corpus)
 
 
 def test_perfect_model_on_separable_corpus(synthetic_train):
-    model, _ = train_model(synthetic_train, "portable", max_iters=2000, tolerance=1e-3)
+    model = train_model(synthetic_train, "portable", max_iters=2000, tolerance=1e-3)
     report = evaluate(model, synthetic_train)
     assert report.accuracy > max(report.baseline_all_yes, report.baseline_token_final)
 
 
 def test_report_counts_the_sentences_of_the_labeled_corpus(synthetic_train, synthetic_eval):
-    model, _ = train_model(synthetic_train, "portable", max_iters=20)
+    model = train_model(synthetic_train, "portable", max_iters=20)
     for corpus in (synthetic_train, synthetic_eval):
         assert evaluate(model, corpus).sentences == len(corpus)
 
 
 def test_baselines_model_independent(synthetic_train, synthetic_eval):
-    m1, _ = train_model(synthetic_train, "portable", max_iters=5)
-    m2, _ = train_model(synthetic_train, "portable", max_iters=200)
+    m1 = train_model(synthetic_train, "portable", max_iters=5)
+    m2 = train_model(synthetic_train, "portable", max_iters=200)
     r1 = evaluate(m1, synthetic_eval)
     r2 = evaluate(m2, synthetic_eval)
     assert r1.baseline_all_yes == r2.baseline_all_yes
@@ -130,8 +130,8 @@ def test_portable_learning_curve_refuses_lexicons():
         learning_curve(corp, eval_corp, [10], "portable", seed=0, lexicons=load_lexicons())
 
 
-def test_format_report_contains_kv_lines(example1_labeled):
-    report = score([True] * len(example1_labeled), example1_labeled)
+def test_format_report_contains_kv_lines(example1_corpus):
+    report = score(all_yes(example1_corpus), example1_corpus)
     text = format_report(report)
     assert "accuracy=" in text
     assert "baseline_token_final=" in text

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from sentbound import features
 from sentbound.candidates import Candidate, Candidates, scan
-from sentbound.corpus import LabeledCandidateSet
 from sentbound.features import (
     FOLLOWING,
     PREVIOUS,
@@ -265,11 +264,9 @@ def registry_cases(draw):
 
 @given(registry_cases())
 def test_build_registry_equals_the_per_candidate_count(case):
-    from sentbound.corpus import LabeledCandidateSet
-
     templates, candidates, cutoff = case
     keys, counts = reference_registry(candidates, templates, cutoff)
-    labeled = LabeledCandidateSet(Candidates.from_rows(candidates), [False] * len(candidates), 0)
+    labeled = Candidates.from_rows(candidates), [False] * len(candidates)
     # The default bound, and a bound of 2, so the build's slot memos get
     # emptied in the middle of it.
     for bound in (None, 2):
@@ -306,13 +303,8 @@ def test_build_registry_refuses_a_cutoff_below_one(example1_labeled, cutoff):
 
 
 def test_registry_counts_scale_linearly(example1_labeled):
-    from sentbound.corpus import LabeledCandidateSet
-
-    doubled = LabeledCandidateSet(
-        Candidates.from_rows(list(example1_labeled.columns) * 2),
-        example1_labeled.labels * 2,
-        example1_labeled.sentences * 2,
-    )
+    columns, labels = example1_labeled
+    doubled = Candidates.from_rows(list(columns) * 2), labels * 2
     templates = Templates("portable")
     reg1 = build_registry(example1_labeled, templates)
     reg2 = build_registry(doubled, templates)
@@ -322,7 +314,7 @@ def test_registry_counts_scale_linearly(example1_labeled):
 
 def test_encode_idempotent_and_drops_unseen(example1_labeled):
     reg = build_registry(example1_labeled, Templates("portable"))
-    cand = next(iter(example1_labeled.columns))
+    cand = next(iter(example1_labeled[0]))
     idx = encode(cand, reg)
     assert idx == encode(cand, reg)
     assert idx == tuple(sorted(idx))
@@ -366,7 +358,7 @@ def test_portable_tables_encode_as_the_slot_functions(
     templates = Templates("portable", abbreviations)
     train += " x."  # at least one candidate
     columns = scan(train)
-    built = build_registry(LabeledCandidateSet(columns, [False] * len(columns), 0), templates)
+    built = build_registry((columns, [False] * len(columns)), templates)
     registry = PredicateRegistry(
         templates, built.keys + unproduced, built.counts + [1] * len(unproduced)
     )
@@ -400,7 +392,7 @@ def test_lookups_sum_the_values_of_the_encoded_predicates(
     templates = Templates(name, abbreviations, **(DEFAULT_LEXICONS if name == "best" else {}))
     train += " x."  # at least one candidate
     columns = scan(train)
-    registry = build_registry(LabeledCandidateSet(columns, [False] * len(columns), 0), templates)
+    registry = build_registry((columns, [False] * len(columns)), templates)
     n = len(registry)
     values = data.draw(st.lists(SMALL_COMPLEX, min_size=n, max_size=n))
     path = tmp_path_factory.getbasetemp() / "lookups-model.txt"

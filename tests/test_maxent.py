@@ -367,7 +367,7 @@ def test_load_rejects_unknown_template_set(tmp_path, retag_template_set):
 def test_load_refuses_a_registry_that_names_a_predicate_twice(tmp_path):
     # save_model computes the fingerprint, so only the duplicate can refuse
     # the file; row 0's weights would otherwise never be read.
-    model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
+    model = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
     keys = model.registry.keys
     keys[1] = keys[0]
     path = tmp_path / "model.txt"
@@ -424,7 +424,7 @@ def test_load_refuses_values_gis_cannot_produce(tmp_path, pattern, value, proble
     # registered predicate occurred at least once, and passed a cutoff of at
     # least 1; every integer is spelled as str spells it, and nothing follows
     # the end marker. The file is signed again, so only the value can refuse it.
-    model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
+    model = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
     path = tmp_path / "model.txt"
     save_model(model, path)
     text = re.sub(pattern, value, path.read_text(encoding="utf-8"), count=1, flags=re.M)
@@ -442,7 +442,7 @@ def test_a_weight_respelled_without_signing_again_is_refused(tmp_path):
     # The fingerprint covers the lines as written. A yes weight spelled with
     # upper-case hex digits keeps its value, but the file is not the one that
     # was signed.
-    model, _ = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
+    model = train_model(make_corpus(30, seed=4), "portable", max_iters=10)
     path = tmp_path / "model.txt"
     save_model(model, path)
     text = path.read_text(encoding="utf-8")
@@ -565,11 +565,11 @@ def test_stored_v2_file_loads_and_saves_byte_for_byte(tmp_path, text, templates)
 def saved_models(tmp_path_factory):
     """template set -> (model file text, candidates, decisions on them)."""
     corpus = make_corpus(30, seed=4)
-    candidates = list(label_candidates(corpus).columns)
+    candidates = list(label_candidates(corpus)[0])
     out = {}
     for template_set in TEMPLATE_SETS:
         lexicons = load_lexicons() if template_set == "best" else None
-        model, _ = train_model(corpus, template_set, lexicons=lexicons, max_iters=30)
+        model = train_model(corpus, template_set, lexicons=lexicons, max_iters=30)
         path = tmp_path_factory.mktemp("saved") / "model.txt"
         save_model(model, path)
         decide = make_classifier(model)

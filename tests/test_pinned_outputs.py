@@ -6,18 +6,23 @@ literals; likewise each ``learning-curve`` and ``induce-abbrevs`` output.
 Model weights follow numpy's SIMD ``exp`` and ``log`` kernels in their last
 bits (see ``sentbound.gis``), so each model file is pinned with its
 fingerprint, weight and correction fields masked. Every other line, and
-every output here, was the same with numpy's AVX-512 and AVX2 kernels. A
-change that means to alter these outputs updates the literals and says why.
+every output here, was the same with numpy's AVX-512 and AVX2 kernels. The
+weights are pinned apart, within ``WEIGHT_TOLERANCE``, through five sums
+over the loaded model (``weight_sums``). A change that means to alter these
+outputs updates the literals and says why.
 """
 
 import hashlib
 import importlib.util
+import math
 import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from sentbound.cli import EXIT_OK, main
+from sentbound.maxent import load_model
 from sentbound.synthetic import make_corpus
 
 ZIPF_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "zipf_corpus.py"
@@ -66,6 +71,28 @@ PINNED_ABBREVS = {
     "zipf": "c6b819c6d4a32dbd1b30f55e8b359704b872ad1101354907bab5c435a17813e8",
 }
 
+# ``weight_sums`` of each model of ``PINNED``. Between numpy's AVX-512 and
+# AVX2 kernels these sums differed by at most 1.2e-13; no sum exceeds 2.3e3.
+PINNED_WEIGHTS = {
+    ("news", "best"): (
+        -0.6162354873624575, -0.5211586297179764,
+        69.86884541402227, 305.1282591274127, 49.12892004930113,
+    ),
+    ("news", "portable"): (
+        -2.226672737321142, -0.889145913281143,
+        125.39598421608082, 587.021729927084, 76.51661876846028,
+    ),
+    ("zipf", "best"): (
+        -1.5481159391764236, -0.23077965662263134,
+        408.9377035311968, 978.40803308075, 211.65648799430505,
+    ),
+    ("zipf", "portable"): (
+        -1.903857191376771, -1.5528235090670892,
+        995.5178874069634, 2207.267986703032, 509.9238318357766,
+    ),
+}
+WEIGHT_TOLERANCE = 1e-10
+
 
 def _zipf_sentences():
     spec = importlib.util.spec_from_file_location("perfbench_zipf_corpus", ZIPF_PATH)
@@ -105,6 +132,21 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def weight_sums(model) -> tuple[float, ...]:
+    """The (yes, no) corrections, then sums over the fitted weights w of the
+    (yes, no) slots numbered i from 0 in registry order: of w, of w squared,
+    and of (i + 1) * w divided by the number of slots, so that every value
+    stays within a few times the weights' own sum."""
+    slots = list(chain.from_iterable(model.log_alpha))
+    fitted = [(i, w) for i, w in enumerate(slots) if w is not None]
+    return (
+        *model.corrections,
+        math.fsum(w for _, w in fitted),
+        math.fsum(w * w for _, w in fitted),
+        math.fsum((i + 1) * w for i, w in fitted) / len(slots),
+    )
+
+
 @pytest.mark.parametrize("kind, templates", sorted(PINNED))
 def test_outputs_match_the_pinned_digests(inputs, tmp_path, kind, templates):
     train, heldout, raw = inputs[kind]
@@ -140,3 +182,14 @@ def test_induced_abbreviations_match_the_pinned_digest(inputs, tmp_path, kind):
     out = tmp_path / "abbrevs.txt"
     assert main(["induce-abbrevs", "--corpus", str(inputs[kind][0]), "--output", str(out)]) == EXIT_OK
     assert _sha256(out.read_bytes()) == PINNED_ABBREVS[kind]
+
+
+@pytest.mark.parametrize("kind, templates", sorted(PINNED_WEIGHTS))
+def test_weights_match_the_pinned_sums(inputs, tmp_path, kind, templates):
+    # Loading the file also checks its fingerprint against its contents.
+    model = tmp_path / "model.txt"
+    rc = main(["train", "--corpus", str(inputs[kind][0]), "--model", str(model),
+               "--templates", templates, "--max-iters", "5000"])
+    assert rc == EXIT_OK
+    sums = weight_sums(load_model(model))
+    assert sums == pytest.approx(PINNED_WEIGHTS[kind, templates], rel=0, abs=WEIGHT_TOLERANCE)

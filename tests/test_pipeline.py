@@ -40,16 +40,14 @@ from sentbound.synthetic import make_corpus
 
 @pytest.fixture(scope="module")
 def portable_model():
-    model, _ = train_model(make_corpus(300, seed=1), "portable", max_iters=400)
-    return model
+    return train_model(make_corpus(300, seed=1), "portable", max_iters=400)
 
 
 @pytest.fixture(scope="module")
 def best_model(lexicons_session):
-    model, _ = train_model(
+    return train_model(
         make_corpus(300, seed=1), "best", lexicons=lexicons_session, max_iters=400
     )
-    return model
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +173,7 @@ def test_portable_training_without_any_lexicons(monkeypatch):
 
     monkeypatch.setattr(features, "load_lexicons", boom)
     monkeypatch.setattr(features, "_shipped_lexicon", boom)
-    model, _ = train_model(make_corpus(50, seed=9), "portable", max_iters=50)
+    model = train_model(make_corpus(50, seed=9), "portable", max_iters=50)
     assert segment_text(model, "Dr. Smith resigned. He left.").sentences
 
 
@@ -186,14 +184,15 @@ def test_a_dropped_model_is_freed_without_the_collector():
     gc.disable()
     try:
         for name in TEMPLATE_SETS:
-            model, labeled = train_model(
-                make_corpus(40, seed=4),
+            corp = make_corpus(40, seed=4)
+            model = train_model(
+                corp,
                 name,
                 lexicons=load_lexicons() if name == "best" else None,
                 max_iters=20,
             )
             decide = make_classifier(model)
-            assert any(map(decide, labeled.columns))
+            assert any(map(decide, label_candidates(corp)[0]))
             assert all(model.scores.slots)
             refs = weakref.ref(model), weakref.ref(model.registry)
             del model, decide
@@ -206,13 +205,13 @@ def test_a_dropped_model_is_freed_without_the_collector():
 def test_scorer_matches_training_path(template_set, synthetic_train, lexicons):
     # GIS scores contexts with its own matrices; the decision scorer must
     # reproduce its final log-likelihood and constraint violation.
-    model, labeled = train_model(
+    model = train_model(
         synthetic_train,
         template_set,
         lexicons=lexicons if template_set == "best" else None,
         max_iters=2000,
     )
-    events = events_from_labeled(labeled, model.registry)
+    events = events_from_labeled(label_candidates(synthetic_train), model.registry)
     assert len({ev.active_predicates for ev in events}) > 10
     ll = 0.0
     for ev in events:
@@ -232,7 +231,7 @@ def cache_models():
             name,
             lexicons=load_lexicons() if name == "best" else None,
             max_iters=100,
-        )[0]
+        )
         for name in TEMPLATE_SETS
     }
 
@@ -511,8 +510,8 @@ MARK_FINAL_SENTENCE = st.builds(
 @given(sentences=st.lists(MARK_FINAL_SENTENCE, min_size=1, max_size=8), slice_chars=st.integers(1, 8))
 @example(sentences=["Dr. Smith left.", "He said \"stop.\" twice!", "Why?"], slice_chars=3)
 def test_labels_used_as_decisions_give_back_the_corpus(sentences, slice_chars):
-    labeled = label_candidates(corpus_from_sentences(sentences))
-    ends = set(compress(labeled.columns.positions, labeled.labels))
+    columns, labels = label_candidates(corpus_from_sentences(sentences))
+    ends = set(compress(columns.positions, labels))
 
     def label_decide(model, cands):
         return list(map(ends.__contains__, cands.positions))
@@ -555,8 +554,8 @@ def test_grouped_labels_and_reports_equal_the_whole_corpus_reference(
     model = cache_models[template_set]
     corp = corpus_from_sentences(sentences)
     joined = " ".join(corp.sentences)
-    want = corpus_reference.label_candidates(corp)
-    reports = [outcome(score, decide(model, want.columns), want)]
+    want_columns, want_labels = corpus_reference.label_candidates(corp)
+    reports = [outcome(score, decide(model, want_columns), corp)]
     for chars in (candidates.SLICE_CHARS, group_chars):
         pieces = []
 
@@ -566,7 +565,7 @@ def test_grouped_labels_and_reports_equal_the_whole_corpus_reference(
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(candidates, "SLICE_CHARS", chars)
-            whole = label_candidates(corp)
+            whole_columns, whole_labels = label_candidates(corp)
             reports.append(outcome(evaluate, model, corp))
             mp.setattr(corpus, "scan", recording_scan)
             groups = list(label_groups(corp))
@@ -578,10 +577,10 @@ def test_grouped_labels_and_reports_equal_the_whole_corpus_reference(
         assert all(len(p) >= chars and p[-1].isspace() for p in pieces[:-1])
         assert not any(ch.isspace() for p in pieces for ch in p[chars - 1 : -1])
         # Positions in the joined corpus and labels, as one whole scan gives.
-        assert joined_columns([c for c, _ in groups]) == joined_columns([want.columns])
-        assert [label for _, labels in groups for label in labels] == want.labels
-        assert joined_columns([whole.columns]) == joined_columns([want.columns])
-        assert (whole.labels, whole.sentences) == (want.labels, want.sentences)
+        assert joined_columns([c for c, _ in groups]) == joined_columns([want_columns])
+        assert [label for _, labels in groups for label in labels] == want_labels
+        assert joined_columns([whole_columns]) == joined_columns([want_columns])
+        assert whole_labels == want_labels
     # Warnings numbered across the corpus, as the reference gives them.
     assert list(corpus.label_warnings(corp)) == corpus_reference.label_warnings(corp)
     # The same counts and the same float ratios at every group size, or the
@@ -613,7 +612,8 @@ def test_slices_end_where_str_split_splits():
 def test_segmentation_memory_follows_the_slice_not_the_text(portable_model):
     # 10,000 synthetic sentences: 498,220 characters and 89,063 tokens. The
     # tracemalloc peak of this call measured 9.60 MiB when the whole text was
-    # scanned at once, and 1.85 MiB in slices of 64 Ki characters.
+    # scanned at once, and 1.66 MiB in slices of 64 Ki characters (1.70 MiB
+    # when it is the model's first decision, which builds its score lookups).
     text = " ".join(make_corpus(10_000, seed=2).sentences)
     tracemalloc.start()
     try:
@@ -629,8 +629,8 @@ def test_evaluation_memory_follows_a_group_not_the_corpus(portable_model):
     # 10,000 synthetic sentences, built before tracing starts: 498,220
     # characters joined, and 31,011 candidates. The tracemalloc peak of this
     # call measured 10.08 MiB when the whole corpus was labeled at once, and
-    # 1.36 MiB in groups of 64 Ki characters. The bound leaves about three
-    # times the grouped peak, and 2.5 times under the whole-corpus peak.
+    # 2.01 MiB in groups of 64 Ki characters. The bound leaves about twice
+    # the grouped peak, and 2.5 times under the whole-corpus peak.
     corp = make_corpus(10_000, seed=2)
     tracemalloc.start()
     try:
