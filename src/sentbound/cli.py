@@ -152,8 +152,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_induce_abbrevs(args) -> int:
     corp = corpus_mod.load_annotated(args.corpus, encoding=args.encoding)
-    labeled = corpus_mod.label_candidates(corp)
-    abbrevs = corpus_mod.induce_abbreviations(labeled)
+    groups = corpus_mod.label_groups(corp)
+    abbrevs = frozenset().union(*map(corpus_mod.induce_abbreviations, groups))
     out = "".join(tok + "\n" for tok in sorted(abbrevs))
     _write_output(out, args.output)
     return EXIT_OK

@@ -9,11 +9,11 @@ a sentence that ends in anything else gets no True label and a warning
 ``label_groups`` is the one labeling path. It scans and labels the joined
 corpus one slice at a time, cut as ``candidates.slices`` cuts raw text for
 segmentation, and yields each slice's columns and labels, so a slice's
-candidates are those of the whole corpus, field for field. ``evaluate``
-consumes the slices one by one, so its memory follows one slice and the
-corpus's text, not the corpus's tokens; training, abbreviation induction and
-``evaluation.score`` read the slices concatenated, as the one (columns,
-labels) pair that ``label_candidates`` returns.
+candidates are those of the whole corpus, field for field. ``evaluate`` and
+the ``induce-abbrevs`` command consume the slices one by one, so their
+memory follows one slice and the corpus's text, not the corpus's tokens;
+training and ``evaluation.score`` read the slices concatenated, as the one
+(columns, labels) pair that ``label_candidates`` returns.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ def label_candidates(corpus: AnnotatedCorpus) -> tuple[Candidates, list[bool]]:
 
 
 def induce_abbreviations(labeled: tuple[Candidates, list[bool]]) -> frozenset[str]:
-    """Training tokens, of the (columns, labels) pair ``label_candidates``
-    returns, containing at least one '.' that ends no sentence."""
+    """Training tokens, of a (columns, labels) pair as ``label_groups``
+    yields and ``label_candidates`` returns, containing at least one '.'
+    that ends no sentence."""
     c, labels = labeled
     return frozenset(
         token

@@ -9,30 +9,26 @@ word-slot function for the previous and the following word, the resources
 both read, and the kind of slot lookups its registry builds. A ``Templates``
 value is one set with the ``RESOURCES`` a model file stores, and it owns
 them: it refuses a resource to a set that does not read it. The registry
-carries it, so ``encode(candidate, registry)`` needs nothing else.
+carries it, so a registry needs nothing else to encode a candidate.
 ``Templates.extract`` is the union of the slots.
 
-``build_registry`` reads the training candidates as the (columns, labels)
-pair ``corpus.label_candidates`` returns. It calls the slot functions
-through ``SlotMemos`` made for the call, because it must count keys that
-miss the cutoff too: once per distinct slot value, until a slot passes
-``CACHE_ENTRIES`` values and its emptied memo computes recurring values
-again.
+``candidate_keys`` gives each candidate's sorted predicate keys, calling the
+slot functions through ``SlotMemos`` made for the call: once per distinct
+slot value, until a slot passes ``CACHE_ENTRIES`` values and its emptied
+memo computes recurring values again. Training computes them once per
+candidate and ``build_registry`` counts them. ``encode`` maps keys to sorted
+registered indices: each merged training context's, and those of each
+candidate ``maxent.decide`` cannot decide from its slot scores.
 
-``PredicateRegistry.lookups`` is the one constructor of slot lookups: given
-a value per predicate and a zero, they map a slot value to the sum of its
-registered predicates' values. Portable's keys and abbreviation list fix
+``PredicateRegistry.lookups`` builds a model's slot lookups: given a complex
+score per predicate, they map a slot value to the sum of its registered
+predicates' scores, from ``0j``. Portable's keys and abbreviation list fix
 every slot value with a registered predicate, so portable's lookups are
 ``SlotTables``, four dicts built whole that never empty and never grow.
 Best's character-class predicates take any affix, so best's are
 ``SlotMemos``, bounded by ``CACHE_ENTRIES``. ``sums`` adds each candidate's
 slot values, for both, through ``map``, so Python runs only on a best memo's
-miss. With ``(i,)`` as predicate i's value and ``()`` as the zero, a sum is
-a concatenation of indices: ``active_predicates`` encodes the ``scan``
-columns of many candidates so, through lookups made for the call, and sorts
-each. ``maxent.Scores`` builds its lookups from the model's per-predicate
-scores and ``0j``, to score a slot value once. ``encode`` gives one
-candidate's sorted indices from its extracted predicates, with no lookup.
+miss. ``maxent.Scores`` reads them to score a slot value once.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from importlib import resources
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .candidates import BOUNDARY_MARKS, NO_WORD, Candidate, Candidates
 
@@ -185,7 +181,7 @@ class Memo(dict):
 class SlotMemos(NamedTuple):
     """Memos of a conversion of each slot's keys: the token slot keyed by
     (token, offset), the previous- and following-word slots by the word.
-    ``build_registry`` counts keys through them, and a best registry's
+    ``candidate_keys`` reads keys through them, and a best registry's
     lookups are them: best's character-class predicates take any affix, so
     no table of registered values covers its token slot."""
 
@@ -203,16 +199,15 @@ class SlotMemos(NamedTuple):
 
     @classmethod
     def for_registry(
-        cls, templates: Templates, index: dict[str, int], per_predicate: list, zero
+        cls, templates: Templates, index: dict[str, int], scores: list[complex]
     ) -> SlotMemos:
-        def convert(preds: set[str]):
-            return sum([per_predicate[index[k]] for k in preds if k in index], zero)
+        def convert(preds: set[str]) -> complex:
+            return sum([scores[index[k]] for k in preds if k in index], 0j)
 
         return cls.of(templates, convert)
 
-    def sums(self, c: Candidates, missing=()) -> Iterator:
-        """Each candidate's three slot values added together. A memo computes
-        every value it lacks, so ``missing`` is never read."""
+    def sums(self, c: Candidates) -> Iterator:
+        """Each candidate's three slot values added together."""
         return map(
             add,
             map(add, map(self.token.__getitem__, zip(c.tokens, c.offsets)),
@@ -223,21 +218,21 @@ class SlotMemos(NamedTuple):
 
 class SlotTables(NamedTuple):
     """A portable registry's lookups as four tables, from a slot value to the
-    sum of its registered predicates' values: the head of the token (its
+    sum of its registered predicates' scores: the head of the token (its
     prefix and mark), its tail (after the mark), the previous word and the
     following word. Portable reads only token identities and the
     abbreviation list, so the registry's keys and that list fix every value
     with a registered predicate; any other value is left out, and sums to
-    the caller's ``missing``. The tables never change once built."""
+    ``0j``. The tables never change once built."""
 
-    head: dict[str, Any]
-    tail: dict[str, Any]
-    previous: dict[Optional[str], Any]
-    following: dict[Optional[str], Any]
+    head: dict[str, complex]
+    tail: dict[str, complex]
+    previous: dict[Optional[str], complex]
+    following: dict[Optional[str], complex]
 
     @classmethod
     def for_registry(
-        cls, templates: Templates, index: dict[str, int], per_predicate: list, zero
+        cls, templates: Templates, index: dict[str, int], scores: list[complex]
     ) -> SlotTables:
         tables = head, tail, previous, following = cls({}, {}, {}, {})
         # The identity keys, spelled "name=value" as _portable_*_keys spell
@@ -247,7 +242,7 @@ class SlotTables(NamedTuple):
             value = _unrendered(rendered)
             if value is None:
                 continue
-            one = per_predicate[i]
+            one = scores[i]
             if name == FOLLOWING:
                 following[value or NO_WORD] = one
             elif name == PREVIOUS:
@@ -268,24 +263,23 @@ class SlotTables(NamedTuple):
         ):
             flag = index.get(f"{name}Feature=InducedAbbreviation")
             if flag is not None:
-                one = per_predicate[flag]
+                one = scores[flag]
                 for value in values:
-                    table[value] = table.get(value, zero) + one
+                    table[value] = table.get(value, 0j) + one
         return tables
 
-    def sums(self, c: Candidates, missing=()) -> Iterator:
-        """Each candidate's four table values added together; ``missing`` is
-        the value of a slot value that no table holds."""
+    def sums(self, c: Candidates) -> Iterator[complex]:
+        """Each candidate's four table values added together."""
         ends = list(map((1).__add__, c.offsets))
         heads = map(str.__getitem__, c.tokens, map(slice, ends))
         tails = map(str.__getitem__, c.tokens, map(slice, ends, repeat(None)))
         return map(
             add,
             map(add,
-                map(add, map(self.head.get, heads, repeat(missing)),
-                    map(self.tail.get, tails, repeat(missing))),
-                map(self.previous.get, c.prev_words, repeat(missing))),
-            map(self.following.get, c.next_words, repeat(missing)),
+                map(add, map(self.head.get, heads, repeat(0j)),
+                    map(self.tail.get, tails, repeat(0j))),
+                map(self.previous.get, c.prev_words, repeat(0j))),
+            map(self.following.get, c.next_words, repeat(0j)),
         )
 
 
@@ -370,54 +364,47 @@ class PredicateRegistry:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def lookups(self, per_predicate: list, zero) -> SlotMemos | SlotTables:
+    def lookups(self, scores: list[complex]) -> SlotMemos | SlotTables:
         """Slot lookups of this registry's template set (``TEMPLATE_TABLE``),
-        from a slot's value to the sum, from ``zero``, of ``per_predicate``
-        over its registered predicates."""
+        from a slot's value to the sum, from ``0j``, of ``scores`` over its
+        registered predicates."""
         kind = TEMPLATE_TABLE[self.templates.name][3]
-        return kind.for_registry(self.templates, self.index, per_predicate, zero)
+        return kind.for_registry(self.templates, self.index, scores)
+
+
+def candidate_keys(templates: Templates, c: Candidates) -> list[tuple[str, ...]]:
+    """Each candidate's predicate keys, sorted: the union of its slots' keys,
+    read from slot memos made for the call. The slots' keys never overlap,
+    so the concatenation is the union. Candidates with equal keys share one tuple."""
+    distinct: dict[tuple[str, ...], tuple[str, ...]] = {}
+    keys = map(tuple, map(sorted, SlotMemos.of(templates, tuple).sums(c)))
+    return [distinct.setdefault(k, k) for k in keys]
 
 
 def build_registry(
-    labeled: tuple[Candidates, list[bool]],
+    keys: list[tuple[str, ...]],
     templates: Templates,
     cutoff: int = 1,
 ) -> PredicateRegistry:
-    """Count predicate occurrences over the training candidates, the columns
-    of ``labeled``, drop those below the cutoff, and assign dense indices in
-    first-occurrence order. A cutoff below 1 raises FeatureError, as
-    ``PredicateRegistry`` refuses it.
-
-    Each slot's keys are read from a slot memo made for the call, which must
-    count keys that miss the cutoff too."""
-    columns, labels = labeled
-    if not labels:
+    """Count predicate occurrences over the training candidates' keys, as
+    ``candidate_keys`` gives them, drop those below the cutoff, and assign
+    dense indices in first-occurrence order. A cutoff below 1 raises
+    FeatureError, as ``PredicateRegistry`` refuses it."""
+    if not keys:
         raise FeatureError("no training candidates")
     # Counter keeps first-occurrence order; a candidate's keys count in sorted order.
-    counts = Counter(chain.from_iterable(
-        map(sorted, SlotMemos.of(templates, tuple).sums(columns))
-    ))
-    keys = [k for k, n in counts.items() if n >= cutoff]
-    if not keys:
+    counts = Counter(chain.from_iterable(keys))
+    kept = [k for k, n in counts.items() if n >= cutoff]
+    if not kept:
         raise EmptyRegistryError(f"no predicate reached the cutoff of {cutoff}")
-    return PredicateRegistry(templates, keys, [counts[k] for k in keys], cutoff)
+    return PredicateRegistry(templates, kept, [counts[k] for k in kept], cutoff)
 
 
-def active_predicates(registry: PredicateRegistry, c: Candidates) -> Iterator[tuple[int, ...]]:
-    """For each candidate, the sorted indices of the registered predicates
-    active on it: the union of its slots' indices, each read from slot
-    lookups made for the call, with ``(i,)`` as predicate i's value. The
-    slots' keys never overlap, so the concatenation is the union. Predicates
-    unseen at training time are silently dropped."""
-    lookups = registry.lookups([(i,) for i in range(len(registry))], ())
-    return map(tuple, map(sorted, lookups.sums(c, ())))
-
-
-def encode(c: Candidate, registry: PredicateRegistry) -> tuple[int, ...]:
-    """The sorted indices of the registered predicates active on one
-    candidate, from its extracted predicates."""
+def encode(keys: Iterable[str], registry: PredicateRegistry) -> tuple[int, ...]:
+    """The sorted indices of the registered predicates among ``keys``; a key
+    unseen at training time is dropped."""
     index = registry.index
-    return tuple(sorted([index[k] for k in registry.templates.extract(c) if k in index]))
+    return tuple(sorted([index[k] for k in keys if k in index]))
 
 
 def _lexicon_entries(text: str) -> frozenset[str]:

@@ -54,11 +54,12 @@ class Problem:
             if type(ev.outcome) is not bool:
                 raise TrainingError(f"event outcome {ev.outcome!r} is not a bool")
             active = ev.active_predicates
-            # -1 < first < ... < last < n_preds, as features.active_predicates gives them.
+            # -1 < first < ... < last < n_preds, as features.encode gives them.
             if any(a >= b for a, b in zip((-1, *active), (*active, n_preds))):
                 raise TrainingError(
                     f"event predicates {active} must strictly increase within 0..{n_preds - 1}"
                 )
+            # Equal contexts add up: training's merged key contexts may encode alike.
             contexts.setdefault(active, [0, 0])[OUTCOMES.index(ev.outcome)] += ev.multiplicity
         # Canonical ordering makes training invariant to event permutation.
         self.contexts = sorted(contexts)

@@ -10,7 +10,7 @@ of p(yes|c); ``Scores`` restates its decision as a sum of per-slot scores,
 read through slot lookups that the registry builds from each predicate's
 score, and says where that sum is sure to agree. ``decide`` adds each
 candidate's slot scores and sends only the candidates whose sum is not sure
-to ``classify``.
+to ``classify``, encoded by ``features.encode`` as training contexts are.
 ``train_gis`` and ``check_constraints`` import ``sentbound.gis``, GIS's
 array code, only when called, so loading a model and deciding with it need
 no array library. A model file holds everything that turns a candidate into
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, compress, count
 from operator import attrgetter, ge, is_not, ne, or_
@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import features
-from .candidates import Candidate, Candidates
+from .candidates import Candidates
 from .features import RESOURCES, FeatureError, PredicateRegistry, SlotMemos, SlotTables, Templates
 
 OUTCOMES = (True, False)  # GIS's row order: yes, then no
@@ -61,7 +61,7 @@ class ModelFormatError(Exception):
     """Unreadable, truncated, or inconsistent model file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingEvent:
     active_predicates: tuple[int, ...]
     outcome: bool  # True iff the mark ends a sentence
@@ -103,9 +103,10 @@ class Model:
         return _digest(_body(self))
 
 
-def merge_events(raw: Iterable[tuple[tuple[int, ...], bool]]) -> list[TrainingEvent]:
+def merge_events(raw: Iterable[tuple[tuple, bool]]) -> list[TrainingEvent]:
     """Merge identical (context, outcome) events into multiplicities, in
-    first-occurrence order; GIS orders the contexts itself."""
+    first-occurrence order; GIS orders the contexts itself. Training merges
+    contexts of predicate keys, and encodes each merged one."""
     return [TrainingEvent(*event, n) for event, n in Counter(raw).items()]
 
 
@@ -184,7 +185,7 @@ def _slot_scores(model: Model) -> Scores:
     scale = (C + 4) ** 2 * max(1.0, max(map(abs, fitted)))
     margin = scale * 2.0**-40 if scale < 2.0**1000 else math.inf
     base = C * (c_no - c_yes)
-    return Scores(registry.lookups(score, 0j), -base - margin, -base + margin)
+    return Scores(registry.lookups(score), -base - margin, -base + margin)
 
 
 def decide(model: Model, c: Candidates) -> list[bool]:
@@ -192,7 +193,7 @@ def decide(model: Model, c: Candidates) -> list[bool]:
     from the sum of its slot scores where that sum is sure (``Scores``), and
     from ``classify`` on its ``features.encode`` encoding where it is not."""
     scores = model.scores
-    sums = list(scores.slots.sums(c, 0j))
+    sums = list(scores.slots.sums(c))
     odds = list(map(_REAL, sums))
     decisions = list(map(scores.low.__gt__, odds))
     maybe = list(map(scores.high.__gt__, odds))
@@ -200,9 +201,11 @@ def decide(model: Model, c: Candidates) -> list[bool]:
     if decisions != maybe or max(map(_IMAG, sums), default=0.0) > C:
         # The candidates between low and high, or with more fitted predicates than C.
         unsure = map(or_, map(ne, decisions, maybe), map(C.__lt__, map(_IMAG, sums)))
-        for row in list(compress(count(), unsure)):
-            cand = Candidate(*(getattr(c, f.name)[row] for f in fields(c)))
-            decisions[row] = classify(model, features.encode(cand, model.registry))
+        rows = list(compress(count(), unsure))
+        columns = (c.tokens, c.offsets, c.prev_words, c.next_words, c.positions)
+        subset = Candidates(*([column[row] for row in rows] for column in columns))
+        for row, keys in zip(rows, features.candidate_keys(model.registry.templates, subset)):
+            decisions[row] = classify(model, features.encode(keys, model.registry))
     return decisions
 
 

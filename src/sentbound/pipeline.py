@@ -1,18 +1,18 @@
 """End-to-end glue: corpus -> trained model, and model -> segmented text.
 
 ``train_model`` picks the template set's resources once; from there the
-model's registry carries them to every encoding. Training events take the
-``scan`` columns and labels of the whole training corpus, the pair that
-``label_candidates`` concatenates, and the pair goes before GIS runs;
-``evaluate`` takes a corpus and labels it one slice of the joined sentences
-at a time (``corpus.label_groups``), and ``boundary_offsets`` (which
-``segment_text`` calls before it joins sentences) scans one slice of raw
-text at a time, both cut by ``candidates.slices``. Training encodes its
-columns with ``features.active_predicates``, through slot lookups of
-predicate indices; ``decide``, imported from ``maxent``, decides each
-candidate from slot lookups of scores, and ``make_classifier`` decides one
-candidate the same way. The ``features`` module says what the slot lookups
-are and how far they grow.
+model's registry carries them to every encoding. Training reads the ``scan``
+columns and labels of the whole training corpus, the pair that
+``label_candidates`` concatenates; ``evaluate`` takes a corpus and labels it
+one slice of the joined sentences at a time (``corpus.label_groups``), and
+``boundary_offsets`` (which ``segment_text`` calls before it joins
+sentences) scans one slice of raw text at a time, both cut by
+``candidates.slices``. Training computes each candidate's predicate keys
+once (``features.candidate_keys``): the registry counts them, and each
+merged (keys, label) event is encoded with ``features.encode``. ``decide``,
+imported from ``maxent``, decides each candidate from slot lookups of
+scores, and ``make_classifier`` decides one candidate the same way. The
+``features`` module says what the slot lookups are and how far they grow.
 """
 
 from __future__ import annotations
@@ -38,13 +38,18 @@ from .maxent import Model, decide
 
 
 def events_from_labeled(
-    labeled: tuple[Candidates, list[bool]],
+    labeled: tuple[list[tuple[str, ...]], list[bool]],
     registry: features.PredicateRegistry,
 ) -> list[maxent.TrainingEvent]:
-    """The merged training events of the (columns, labels) pair
-    ``label_candidates`` returns."""
-    columns, labels = labeled
-    return maxent.merge_events(zip(features.active_predicates(registry, columns), labels))
+    """The merged training events of the training candidates' keys
+    (``features.candidate_keys``) and labels: each distinct (keys, label)
+    pair once, with its keys encoded."""
+    return [
+        maxent.TrainingEvent(
+            features.encode(ev.active_predicates, registry), ev.outcome, ev.multiplicity
+        )
+        for ev in maxent.merge_events(zip(*labeled))
+    ]
 
 
 def train_model(
@@ -56,8 +61,8 @@ def train_model(
     tolerance: float = maxent.DEFAULT_TOLERANCE,
     lexicons: Optional[dict[str, frozenset[str]]] = None,
 ) -> Model:
-    """Label the corpus, build resources and registry, encode the events,
-    and run GIS on them once the labeled columns are dropped.
+    """Label the corpus, build resources, keys and registry, encode the
+    events, and run GIS on them once the columns and keys are dropped.
 
     The portable system induces its abbreviation list from the corpus, and
     refuses ``lexicons``; the best system needs them, as
@@ -68,12 +73,14 @@ def train_model(
         raise features.FeatureError("best template set requires resource lexicons")
     # Refuses an unknown set, or lexicons to portable, before any labeling.
     templates = Templates(template_set, **(lexicons or {}))
-    labeled = label_candidates(corpus)
+    columns, labels = label_candidates(corpus)
     if template_set == "portable":
-        templates = replace(templates, abbreviations=induce_abbreviations(labeled))
-    registry = features.build_registry(labeled, templates, cutoff=cutoff)
-    events = events_from_labeled(labeled, registry)
-    del labeled  # the columns go before GIS builds its problem
+        templates = replace(templates, abbreviations=induce_abbreviations((columns, labels)))
+    keys = features.candidate_keys(templates, columns)
+    del columns
+    registry = features.build_registry(keys, templates, cutoff=cutoff)
+    events = events_from_labeled((keys, labels), registry)
+    del keys, labels  # they go before GIS builds its problem
     return maxent.train_gis(events, registry, max_iters=max_iters, tolerance=tolerance)
 
 

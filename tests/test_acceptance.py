@@ -16,6 +16,8 @@ from sentbound.corpus import label_candidates, load_annotated
 from sentbound.evaluation import evaluate, score
 from sentbound.features import (
     PredicateRegistry,
+    candidate_keys,
+    encode,
     load_lexicons,
     extract_best,
     Templates,
@@ -139,7 +141,9 @@ def test_criterion_3_gis_correctness(trained):
             max_iters=MAX_ITERS,
             tolerance=1e-3,
         )
-        events = events_from_labeled(label_candidates(corpus), model.registry)
+        columns, labels = label_candidates(corpus)
+        keys = candidate_keys(model.registry.templates, columns)
+        events = events_from_labeled((keys, labels), model.registry)
         runs.append((model, events, template_set))
     elapsed = time.perf_counter() - t0
     ok = True
@@ -254,12 +258,10 @@ def test_criterion_7_determinism_and_persistence(trained, train_corpus, tmp_path
     identical = p1.read_bytes() == p2.read_bytes()
 
     loaded = load_model(p1)
-    from sentbound.features import encode
-
+    keys = candidate_keys(model.registry.templates, eval_labeled[0])
     agree = all(
-        classify(loaded, encode(cand, loaded.registry))
-        == classify(model, encode(cand, model.registry))
-        for cand in eval_labeled[0]
+        classify(loaded, encode(k, loaded.registry)) == classify(model, encode(k, model.registry))
+        for k in keys
     )
     report(
         7,

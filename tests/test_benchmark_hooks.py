@@ -6,7 +6,7 @@ from pathlib import Path
 
 from sentbound import maxent
 from sentbound.corpus import label_candidates
-from sentbound.features import Templates, build_registry
+from sentbound.features import Templates, build_registry, candidate_keys
 from sentbound.pipeline import events_from_labeled
 from sentbound.synthetic import make_corpus
 
@@ -29,9 +29,10 @@ def test_every_patch_point_resolves_to_a_callable():
 def test_gis_summary_fields():
     # perfbench/run.py times a second train_gis(events, registry, max_iters=0)
     # call as the GIS build, then reads these fields off the trained model.
-    labeled = label_candidates(make_corpus(60, seed=2))
-    registry = build_registry(labeled, Templates("portable"))
-    events = events_from_labeled(labeled, registry)
+    columns, labels = label_candidates(make_corpus(60, seed=2))
+    keys = candidate_keys(Templates("portable"), columns)
+    registry = build_registry(keys, Templates("portable"))
+    events = events_from_labeled((keys, labels), registry)
     model = maxent.train_gis(events, registry, max_iters=5)
     build = maxent.train_gis(events, registry, max_iters=0)
     assert (build.iterations, len(build.history)) == (0, 1)

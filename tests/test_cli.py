@@ -4,12 +4,14 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from sentbound import pipeline
 from sentbound.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, main
+from sentbound.corpus import induce_abbreviations, label_candidates
 from sentbound.maxent import ModelFormatError, _digest, load_model
 from sentbound.synthetic import make_corpus, write_corpus
 
@@ -266,6 +268,27 @@ def test_induce_abbrevs_example1(tmp_path, capsys):
     rc = main(["induce-abbrevs", "--corpus", str(corp), "--output", str(out)])
     assert rc == EXIT_OK
     assert out.read_text() == "Corp.\nDr.\n"
+
+
+def test_induce_abbrevs_memory_follows_a_group_not_the_corpus(tmp_path):
+    # 10,000 synthetic sentences, written before tracing starts: 498,220
+    # characters joined, and 31,011 candidates. The tracemalloc peak of this
+    # call measured 8.05 MiB when the whole corpus was labeled at once, and
+    # 3.24 MiB a group of 64 Ki characters at a time, most of it the corpus
+    # itself.
+    sentences = make_corpus(10_000, seed=2)
+    corp, out = tmp_path / "c.txt", tmp_path / "abbrevs.txt"
+    write_corpus(sentences, corp)
+    tracemalloc.start()
+    try:
+        rc = main(["induce-abbrevs", "--corpus", str(corp), "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    abbreviations = induce_abbreviations(label_candidates(sentences))
+    assert out.read_text() == "".join(a + "\n" for a in sorted(abbreviations)) != ""
+    assert peak < 5 * 2**20
 
 
 def test_learning_curve_oversized_request(tmp_path, corpus_file, capsys):

@@ -17,8 +17,8 @@ from sentbound.features import (
     _char_class_preds,
     _unrendered,
     _word_key,
-    active_predicates,
     build_registry,
+    candidate_keys,
     encode,
     extract_best,
     extract_portable,
@@ -266,32 +266,39 @@ def registry_cases(draw):
 def test_build_registry_equals_the_per_candidate_count(case):
     templates, candidates, cutoff = case
     keys, counts = reference_registry(candidates, templates, cutoff)
-    labeled = Candidates.from_rows(candidates), [False] * len(candidates)
-    # The default bound, and a bound of 2, so the build's slot memos get
+    columns = Candidates.from_rows(candidates)
+    # The default bound, and a bound of 2, so the key pass's slot memos get
     # emptied in the middle of it.
     for bound in (None, 2):
         with pytest.MonkeyPatch.context() as mp:
             if bound is not None:
                 mp.setattr(features, "CACHE_ENTRIES", bound)
+            candidates_keys = candidate_keys(templates, columns)
+            assert candidates_keys == [tuple(sorted(templates.extract(c))) for c in candidates]
             if not keys:
                 with pytest.raises(EmptyRegistryError):
-                    build_registry(labeled, templates, cutoff)
+                    build_registry(candidates_keys, templates, cutoff)
                 continue
-            reg = build_registry(labeled, templates, cutoff)
+            reg = build_registry(candidates_keys, templates, cutoff)
             assert reg.keys == keys
             assert reg.counts == counts
 
 
+def keys_of(labeled, templates):
+    return candidate_keys(templates, labeled[0])
+
+
 def test_build_registry_portable_example1(example1_labeled):
     templates = Templates("portable", abbreviations=frozenset({"Corp.", "Dr."}))
-    reg = build_registry(example1_labeled, templates, cutoff=1)
+    reg = build_registry(keys_of(example1_labeled, templates), templates, cutoff=1)
     assert {"Prefix=Corp", "Prefix=Dr", "Prefix=resigned"} <= set(reg.keys)
     assert sorted(reg.index.values()) == list(range(len(reg)))
 
 
 def test_build_registry_cutoff_too_high(example1_labeled):
     with pytest.raises(EmptyRegistryError):
-        build_registry(example1_labeled, Templates("portable"), cutoff=99)
+        templates = Templates("portable")
+        build_registry(keys_of(example1_labeled, templates), templates, cutoff=99)
 
 
 @pytest.mark.parametrize("cutoff", [0, -3])
@@ -299,28 +306,30 @@ def test_build_registry_refuses_a_cutoff_below_one(example1_labeled, cutoff):
     # Any cutoff below 1 keeps the predicates of cutoff 1, and a model would
     # record it under another fingerprint.
     with pytest.raises(FeatureError, match=f"cutoff {cutoff} is below 1"):
-        build_registry(example1_labeled, Templates("portable"), cutoff=cutoff)
+        templates = Templates("portable")
+        build_registry(keys_of(example1_labeled, templates), templates, cutoff=cutoff)
 
 
 def test_registry_counts_scale_linearly(example1_labeled):
     columns, labels = example1_labeled
     doubled = Candidates.from_rows(list(columns) * 2), labels * 2
     templates = Templates("portable")
-    reg1 = build_registry(example1_labeled, templates)
-    reg2 = build_registry(doubled, templates)
+    reg1 = build_registry(keys_of(example1_labeled, templates), templates)
+    reg2 = build_registry(keys_of(doubled, templates), templates)
     assert reg1.keys == reg2.keys
     assert [2 * c for c in reg1.counts] == reg2.counts
 
 
 def test_encode_idempotent_and_drops_unseen(example1_labeled):
-    reg = build_registry(example1_labeled, Templates("portable"))
-    cand = next(iter(example1_labeled[0]))
-    idx = encode(cand, reg)
-    assert idx == encode(cand, reg)
+    templates = Templates("portable")
+    reg = build_registry(keys_of(example1_labeled, templates), templates)
+    keys = templates.extract(next(iter(example1_labeled[0])))
+    idx = encode(keys, reg)
+    assert idx == encode(keys, reg)
     assert idx == tuple(sorted(idx))
-    unseen = make_candidate("zzzz.", 4, prev="qqqq", nxt="wwww")
-    assert all(reg.keys[i] in extract_portable(unseen, frozenset())
-               for i in encode(unseen, reg))
+    assert [reg.keys[i] for i in idx] == [k for k in reg.keys if k in keys]
+    unseen = extract_portable(make_candidate("zzzz.", 4, prev="qqqq", nxt="wwww"), frozenset())
+    assert all(reg.keys[i] in unseen for i in encode(unseen, reg))
 
 
 # Tokens whose keys need escaping, "=", marks, closers and abbreviations. They
@@ -342,38 +351,43 @@ UNPRODUCED_KEYS = [
 ]
 
 
+# Values with small integer parts, so every order of summing them is exact.
+SMALL_COMPLEX = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     train=st.lists(TABLE_WORDS, min_size=1, max_size=25).map(" ".join),
     text=st.lists(TABLE_WORDS, max_size=25).map(" ".join),
     abbreviations=TABLE_ABBREVIATIONS,
     unproduced=st.lists(st.sampled_from(UNPRODUCED_KEYS), unique=True),
+    data=st.data(),
 )
 @example(train="NULL. \\NULL. x", text="", abbreviations=frozenset({"NULL.", "\\NULL"}),
-         unproduced=UNPRODUCED_KEYS)
+         unproduced=UNPRODUCED_KEYS, data=None)
 def test_portable_tables_encode_as_the_slot_functions(
-    tmp_path_factory, train, text, abbreviations, unproduced
+    tmp_path_factory, train, text, abbreviations, unproduced, data
 ):
-    # Both encoders agree on a registry as built, and on one saved and loaded.
+    # The key encoder and the score tables agree with the slot functions on
+    # a registry as built, and on one saved and loaded.
     templates = Templates("portable", abbreviations)
     train += " x."  # at least one candidate
-    columns = scan(train)
-    built = build_registry((columns, [False] * len(columns)), templates)
+    built = build_registry(candidate_keys(templates, scan(train)), templates)
     registry = PredicateRegistry(
         templates, built.keys + unproduced, built.counts + [1] * len(unproduced)
     )
+    n = len(registry)
+    values = data.draw(st.lists(SMALL_COMPLEX, min_size=n, max_size=n)) if data else [1j] * n
     path = tmp_path_factory.getbasetemp() / "tables-model.txt"
-    save_model(Model(registry, [(None, None)] * len(registry), (0.0, 0.0), C=1), path)
+    save_model(Model(registry, [(None, None)] * n, (0.0, 0.0), C=1), path)
     cands = scan(f"{text} {train} {text}")
     for reg in (registry, load_model(path).registry):
-        assert isinstance(reg.lookups([(i,) for i in range(len(reg))], ()), SlotTables)
         index = reg.index
         want = [tuple(sorted(index[k] for k in templates.extract(c) if k in index)) for c in cands]
-        assert list(active_predicates(reg, cands)) == want
-
-
-# Values with small integer parts, so every order of summing them is exact.
-SMALL_COMPLEX = st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+        assert [encode(keys, reg) for keys in candidate_keys(templates, cands)] == want
+        tables = reg.lookups(values)
+        assert isinstance(tables, SlotTables)
+        assert list(tables.sums(cands)) == [sum([values[i] for i in w], 0j) for w in want]
 
 
 @settings(deadline=None, max_examples=100)
@@ -391,16 +405,15 @@ def test_lookups_sum_the_values_of_the_encoded_predicates(
     abbreviations = data.draw(TABLE_ABBREVIATIONS) if name == "portable" else frozenset()
     templates = Templates(name, abbreviations, **(DEFAULT_LEXICONS if name == "best" else {}))
     train += " x."  # at least one candidate
-    columns = scan(train)
-    registry = build_registry((columns, [False] * len(columns)), templates)
+    registry = build_registry(candidate_keys(templates, scan(train)), templates)
     n = len(registry)
     values = data.draw(st.lists(SMALL_COMPLEX, min_size=n, max_size=n))
     path = tmp_path_factory.getbasetemp() / "lookups-model.txt"
     save_model(Model(registry, [(None, None)] * n, (0.0, 0.0), C=1), path)
     cands = scan(f"{text} {train} {text}")
     for reg in (registry, load_model(path).registry):
-        want = [sum([values[i] for i in encode(c, reg)], 0j) for c in cands]
-        assert list(reg.lookups(values, 0j).sums(cands, 0j)) == want
+        want = [sum([values[i] for i in encode(templates.extract(c), reg)], 0j) for c in cands]
+        assert list(reg.lookups(values).sums(cands)) == want
 
 
 def test_load_lexicon_file(tmp_path):

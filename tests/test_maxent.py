@@ -18,6 +18,7 @@ from sentbound.features import (
     PredicateRegistry,
     Templates,
     build_registry,
+    candidate_keys,
     load_lexicons,
 )
 from sentbound.maxent import (
@@ -260,9 +261,11 @@ def test_gis_equals_reference_on_oracle_corpora(spec):
 
 
 def test_gis_equals_reference_on_a_best_corpus(lexicons):
-    labeled = label_candidates(make_corpus(150, seed=21))
-    reg = build_registry(labeled, Templates("best", **lexicons))
-    ref = assert_gis_matches_reference(events_from_labeled(labeled, reg), reg, 400, 1e-3)
+    columns, labels = label_candidates(make_corpus(150, seed=21))
+    templates = Templates("best", **lexicons)
+    keys = candidate_keys(templates, columns)
+    reg = build_registry(keys, templates)
+    ref = assert_gis_matches_reference(events_from_labeled((keys, labels), reg), reg, 400, 1e-3)
     assert len(ref.contexts) > 10
 
 
@@ -273,8 +276,10 @@ def test_gis_equals_reference_on_a_zipfian_portable_corpus():
     spec.loader.exec_module(zipf_corpus)
     sentences = zipf_corpus.ZipfCorpus(3000, 5).sentences(150, "5:train")
     labeled = label_candidates(corpus_from_sentences(sentences))
-    reg = build_registry(labeled, Templates("portable", induce_abbreviations(labeled)))
-    ref = assert_gis_matches_reference(events_from_labeled(labeled, reg), reg, 100, 1e-3)
+    templates = Templates("portable", induce_abbreviations(labeled))
+    keys = candidate_keys(templates, labeled[0])
+    reg = build_registry(keys, templates)
+    ref = assert_gis_matches_reference(events_from_labeled((keys, labeled[1]), reg), reg, 100, 1e-3)
     assert len(ref.contexts) > 100
 
 

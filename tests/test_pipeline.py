@@ -12,12 +12,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus_reference
+import encoder_reference
 import pipeline_reference
 from sentbound import candidates, corpus, features, maxent, pipeline
 from sentbound.candidates import NO_WORD, Candidates, scan
 from sentbound.corpus import CorpusError, corpus_from_sentences, label_candidates, label_groups
 from sentbound.evaluation import evaluate, score
-from sentbound.features import TEMPLATE_SETS, FeatureError, Memo, active_predicates, load_lexicons
+from sentbound.features import (
+    TEMPLATE_SETS,
+    EmptyRegistryError,
+    FeatureError,
+    Memo,
+    build_registry,
+    candidate_keys,
+    encode,
+    load_lexicons,
+)
 from sentbound.maxent import (
     Model,
     _digest,
@@ -211,7 +221,9 @@ def test_scorer_matches_training_path(template_set, synthetic_train, lexicons):
         lexicons=lexicons if template_set == "best" else None,
         max_iters=2000,
     )
-    events = events_from_labeled(label_candidates(synthetic_train), model.registry)
+    columns, labels = label_candidates(synthetic_train)
+    keys = candidate_keys(model.registry.templates, columns)
+    events = events_from_labeled((keys, labels), model.registry)
     assert len({ev.active_predicates for ev in events}) > 10
     ll = 0.0
     for ev in events:
@@ -280,7 +292,8 @@ def test_cached_decisions_equal_uncached_ones(cache_models, template_set, bound,
         cands = scan(text)
         decide = make_classifier(model)
         want = [classify(model, uncached_encoding(model, c)) for c in cands]
-        encoded = list(active_predicates(model.registry, cands))
+        keys = candidate_keys(model.registry.templates, cands)
+        encoded = [encode(k, model.registry) for k in keys]
         assert encoded == [uncached_encoding(model, c) for c in cands]
         assert [decide(c) for c in cands] == want
         offsets = [c.stream_position for c, yes in zip(cands, want) if yes]
@@ -431,6 +444,57 @@ def test_a_saved_model_loads_with_its_templates(cache_models, template_set, tmp_
 def test_portable_training_refuses_lexicons(refuse_labeling):
     with pytest.raises(FeatureError, match="portable template set reads no honorifics"):
         train_model(make_corpus(20, seed=1), "portable", lexicons=load_lexicons(), max_iters=5)
+
+
+# Words that recur across sentences, and rarer made-up ones, so a cutoff of 2
+# or 3 drops some keys and distinct key contexts encode alike.
+ENCODER_SENTENCES = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["Dr.", "Mr.", "Smith", "he", "U.S.", "Inc.", "3.5", "left"])
+                 | st.text(alphabet="aB.", min_size=1, max_size=3), min_size=1, max_size=6),
+        st.sampled_from(".?!"),
+    ).map(lambda words_mark: " ".join(words_mark[0]) + words_mark[1]),
+    min_size=1,
+    max_size=8,
+)
+# "Qx." and "Zy." each end one sentence: at a cutoff of 2 their contexts
+# differ only in keys that are dropped, for both template sets.
+COLLAPSING = ["Mr. Smith saw Qx.", "Mr. Smith saw Zy.", "Mr. Smith left."]
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+@settings(deadline=None, max_examples=60)
+@given(sentences=ENCODER_SENTENCES, cutoff=st.integers(1, 3))
+@example(sentences=COLLAPSING, cutoff=2)
+def test_training_writes_the_two_pass_encoders_model(lexicons, template_set, sentences, cutoff):
+    corp = corpus_from_sentences(sentences)
+    lexicons = lexicons if template_set == "best" else None
+    kwargs = dict(cutoff=cutoff, max_iters=10, lexicons=lexicons)
+    try:
+        want = encoder_reference.train_model(corp, template_set, **kwargs)
+    except EmptyRegistryError:
+        with pytest.raises(EmptyRegistryError):
+            train_model(corp, template_set, **kwargs)
+        return
+    got = train_model(corp, template_set, **kwargs)
+    assert maxent._body(got) == maxent._body(want)
+    assert got.history == want.history
+
+
+@pytest.mark.parametrize("template_set", TEMPLATE_SETS)
+def test_key_contexts_that_encode_alike_train_as_one(lexicons, template_set):
+    corp = corpus_from_sentences(COLLAPSING)
+    lexicons = lexicons if template_set == "best" else None
+    model = train_model(corp, template_set, cutoff=2, max_iters=10, lexicons=lexicons)
+    columns, labels = label_candidates(corp)
+    keys = candidate_keys(model.registry.templates, columns)
+    events = events_from_labeled((keys, labels), build_registry(keys, model.registry.templates, 2))
+    # Two merged (keys, label) events share one encoded (context, label).
+    assert len({(ev.active_predicates, ev.outcome) for ev in events}) < len(events)
+    want = encoder_reference.train_model(
+        corp, template_set, cutoff=2, max_iters=10, lexicons=lexicons
+    )
+    assert maxent._body(model) == maxent._body(want)
 
 
 # The whitespace of test_scan_rows_equal_the_reference_scan, in runs up to 12
