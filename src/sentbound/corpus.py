@@ -53,17 +53,22 @@ class AnnotatedCorpus:
         return len(self.sentences)
 
 
+def corpus_from_sentences(sentences: Iterable[str]) -> AnnotatedCorpus:
+    """The corpus of ``sentences`` stripped, blank ones dropped."""
+    return AnnotatedCorpus(tuple(s.strip() for s in sentences if s.strip()))
+
+
 def load_annotated(path: str | Path, encoding: str = "utf-8") -> AnnotatedCorpus:
-    """Read a one-sentence-per-line corpus. Blank lines are skipped.
+    """Read a one-sentence-per-line corpus, its lines normalized as
+    ``corpus_from_sentences`` normalizes sentences.
 
     Only a line feed ends a line; reading turns CR LF and CR into LF. Other
     breaks ``str.splitlines`` knows, such as U+0085, stay inside the sentence
     and count as whitespace there, as they do at inference."""
-    text = Path(path).read_text(encoding=encoding)
-    sentences = tuple(line.strip() for line in text.split("\n") if line.strip())
-    if not sentences:
-        raise EmptyCorpusError(f"no non-blank lines in {path}")
-    return AnnotatedCorpus(sentences)
+    try:
+        return corpus_from_sentences(Path(path).read_text(encoding=encoding).split("\n"))
+    except EmptyCorpusError:
+        raise EmptyCorpusError(f"no non-blank lines in {path}") from None
 
 
 def load_raw(path: str | Path, encoding: str = "utf-8") -> str:
@@ -71,11 +76,6 @@ def load_raw(path: str | Path, encoding: str = "utf-8") -> str:
     offsets into it count the file's characters. Decoding errors propagate."""
     with open(path, encoding=encoding, newline="") as f:
         return f.read()
-
-
-def corpus_from_sentences(sentences: Iterable[str]) -> AnnotatedCorpus:
-    """The corpus of ``sentences`` stripped, blank ones dropped."""
-    return AnnotatedCorpus(tuple(s.strip() for s in sentences if s.strip()))
 
 
 def label_groups(corpus: AnnotatedCorpus) -> Iterator[tuple[Candidates, list[bool]]]:

@@ -17,7 +17,7 @@ slot functions through ``SlotMemos`` made for the call: once per distinct
 slot value, until a slot passes ``CACHE_ENTRIES`` values and its emptied
 memo computes recurring values again. Training computes them once per
 candidate and ``build_registry`` counts them. ``encode`` maps keys to sorted
-registered indices: each merged training context's, and those of each
+registered indices: each distinct training key tuple's, and those of each
 candidate ``maxent.decide`` cannot decide from its slot scores.
 
 ``PredicateRegistry.lookups`` builds a model's slot lookups: given a complex
@@ -77,24 +77,29 @@ def _unrendered(rendered: str) -> Optional[str]:
 
 # Every predicate of both template systems reads exactly one slot: the token
 # around the mark (at its offset), the previous word or the following word.
-# The word slots name their side in their keys, so the three slots' key sets
-# never overlap and a candidate's predicates are their union.
+# The word slots name their side in their keys, the token slot the affix each
+# key reads, so the slots' key sets never overlap and a candidate's predicates
+# are their union.
 PREVIOUS = "PreviousWord"
 FOLLOWING = "FollowingWord"
+PREFIX = "Prefix"
+SUFFIX = "Suffix"
+
+
+def _affixes(token: str, offset: int) -> tuple[str, str, set[str]]:
+    """The token's prefix and suffix around its mark, and their identity keys."""
+    prefix, suffix = token[:offset], token[offset + 1 :]
+    return prefix, suffix, {f"{PREFIX}={_word_key(prefix)}", f"{SUFFIX}={_word_key(suffix)}"}
 
 
 def _best_token_keys(hon: frozenset[str], des: frozenset[str], token: str, offset: int) -> set[str]:
-    prefix, suffix = token[:offset], token[offset + 1 :]
-    preds = {
-        f"Prefix={_word_key(prefix)}",
-        f"Suffix={_word_key(suffix)}",
-    }
-    preds.update(_char_class_preds("Prefix", prefix))
-    preds.update(_char_class_preds("Suffix", suffix))
+    prefix, suffix, preds = _affixes(token, offset)
+    preds.update(_char_class_preds(PREFIX, prefix))
+    preds.update(_char_class_preds(SUFFIX, suffix))
     if token in hon:
-        preds.add("PrefixFeature=Honorific")
+        preds.add(f"{PREFIX}Feature=Honorific")
     if token in des:
-        preds.add("PrefixFeature=CorporateDesignator")
+        preds.add(f"{PREFIX}Feature=CorporateDesignator")
     return preds
 
 
@@ -133,16 +138,12 @@ def _best_word_keys(
 
 
 def _portable_token_keys(abbrevs: frozenset[str], token: str, offset: int) -> set[str]:
-    prefix, suffix = token[:offset], token[offset + 1 :]
-    preds = {
-        f"Prefix={_word_key(prefix)}",
-        f"Suffix={_word_key(suffix)}",
-    }
+    prefix, suffix, preds = _affixes(token, offset)
     # The prefix with its mark, as an induced abbreviation is spelled.
     if prefix and token[: offset + 1] in abbrevs:
-        preds.add("PrefixFeature=InducedAbbreviation")
+        preds.add(f"{PREFIX}Feature=InducedAbbreviation")
     if suffix and suffix in abbrevs:
-        preds.add("SuffixFeature=InducedAbbreviation")
+        preds.add(f"{SUFFIX}Feature=InducedAbbreviation")
     return preds
 
 
@@ -153,10 +154,10 @@ def _portable_word_keys(abbrevs: frozenset[str], side: str, word: Optional[str])
     return preds
 
 
-# Entries a best slot memo, of indices or of scores, may hold before it is
-# emptied. Enough for the frequent words of a Zipfian vocabulary; an entry
-# costs about 200 bytes, and most entries of a much larger memo would hold
-# words seen once. Portable's slots read tables that never fill (SlotTables).
+# Entries a slot memo, of keys or of best's scores, may hold before it is
+# emptied; an entry costs about 200 bytes. This bounds memory, not misses: on
+# Zipfian text the word memos empty again and again, which a cold process
+# hardly notices. Portable's scores are tables that never fill (SlotTables).
 CACHE_ENTRIES = 1_024
 
 
@@ -235,8 +236,8 @@ class SlotTables(NamedTuple):
         cls, templates: Templates, index: dict[str, int], scores: list[complex]
     ) -> SlotTables:
         tables = head, tail, previous, following = cls({}, {}, {}, {})
-        # The identity keys, spelled "name=value" as _portable_*_keys spell
-        # them. No two give one slot value, so it is set here, not added to.
+        # The identity keys "name=value" (_affixes, _portable_word_keys). No
+        # two give one slot value, so it is set here, not added to.
         for key, i in index.items():
             name, _, rendered = key.partition("=")
             value = _unrendered(rendered)
@@ -247,17 +248,17 @@ class SlotTables(NamedTuple):
                 following[value or NO_WORD] = one
             elif name == PREVIOUS:
                 previous[value or NO_WORD] = one
-            elif name == "Prefix":
+            elif name == PREFIX:
                 for mark in BOUNDARY_MARKS:
                     head[value + mark] = one
-            elif name == "Suffix":
+            elif name == SUFFIX:
                 tail[value] = one
         # The induced-abbreviation flags. A head flags only a non-empty prefix,
         # a tail only a non-empty suffix.
         abbreviations = templates.abbreviations
         for table, name, values in (
-            (head, "Prefix", [a for a in abbreviations if len(a) > 1]),
-            (tail, "Suffix", [a for a in abbreviations if a]),
+            (head, PREFIX, [a for a in abbreviations if len(a) > 1]),
+            (tail, SUFFIX, [a for a in abbreviations if a]),
             (previous, PREVIOUS, abbreviations),
             (following, FOLLOWING, abbreviations),
         ):
@@ -407,20 +408,20 @@ def encode(keys: Iterable[str], registry: PredicateRegistry) -> tuple[int, ...]:
     return tuple(sorted([index[k] for k in keys if k in index]))
 
 
-def _lexicon_entries(text: str) -> frozenset[str]:
-    """One token per line; '#' starts a comment; blank lines ignored."""
-    entries = (line.split("#", 1)[0].strip() for line in text.splitlines())
+def _lexicon_entries(file: Path | resources.abc.Traversable) -> frozenset[str]:
+    """UTF-8, a byte-order mark skipped; one token per line; '#' starts a comment."""
+    lines = file.read_text(encoding="utf-8-sig").splitlines()
+    entries = (line.split("#", 1)[0].strip() for line in lines)
     return frozenset(entry for entry in entries if entry)
 
 
 def load_lexicon_file(path: str | Path) -> frozenset[str]:
-    """The entries of a UTF-8 lexicon file; a byte-order mark is skipped."""
-    return _lexicon_entries(Path(path).read_text(encoding="utf-8-sig"))
+    """The entries of the lexicon file at ``path``."""
+    return _lexicon_entries(Path(path))
 
 
 def _shipped_lexicon(name: str) -> frozenset[str]:
-    data = resources.files("sentbound").joinpath("data")
-    return _lexicon_entries(data.joinpath(name).read_text("utf-8"))
+    return _lexicon_entries(resources.files("sentbound").joinpath("data", name))
 
 
 def load_lexicons(

@@ -59,7 +59,7 @@ class Problem:
                 raise TrainingError(
                     f"event predicates {active} must strictly increase within 0..{n_preds - 1}"
                 )
-            # Equal contexts add up: training's merged key contexts may encode alike.
+            # A context's (yes, no) row; a caller may also repeat an event.
             contexts.setdefault(active, [0, 0])[OUTCOMES.index(ev.outcome)] += ev.multiplicity
         # Canonical ordering makes training invariant to event permutation.
         self.contexts = sorted(contexts)

@@ -106,7 +106,7 @@ class Model:
 def merge_events(raw: Iterable[tuple[tuple, bool]]) -> list[TrainingEvent]:
     """Merge identical (context, outcome) events into multiplicities, in
     first-occurrence order; GIS orders the contexts itself. Training merges
-    contexts of predicate keys, and encodes each merged one."""
+    encoded contexts, so each (context, outcome) is one event."""
     return [TrainingEvent(*event, n) for event, n in Counter(raw).items()]
 
 

@@ -8,8 +8,9 @@ one slice of the joined sentences at a time (``corpus.label_groups``), and
 ``boundary_offsets`` (which ``segment_text`` calls before it joins
 sentences) scans one slice of raw text at a time, both cut by
 ``candidates.slices``. Training computes each candidate's predicate keys
-once (``features.candidate_keys``): the registry counts them, and each
-merged (keys, label) event is encoded with ``features.encode``. ``decide``,
+once (``features.candidate_keys``): the registry counts them, each distinct
+key tuple is encoded once with ``features.encode``, and equal (context,
+label) pairs merge into one event (``maxent.merge_events``). ``decide``,
 imported from ``maxent``, decides each candidate from slot lookups of
 scores, and ``make_classifier`` decides one candidate the same way. The
 ``features`` module says what the slot lookups are and how far they grow.
@@ -42,14 +43,11 @@ def events_from_labeled(
     registry: features.PredicateRegistry,
 ) -> list[maxent.TrainingEvent]:
     """The merged training events of the training candidates' keys
-    (``features.candidate_keys``) and labels: each distinct (keys, label)
-    pair once, with its keys encoded."""
-    return [
-        maxent.TrainingEvent(
-            features.encode(ev.active_predicates, registry), ev.outcome, ev.multiplicity
-        )
-        for ev in maxent.merge_events(zip(*labeled))
-    ]
+    (``features.candidate_keys``) and labels: each distinct key tuple
+    encoded once, then each distinct (context, label) pair one event."""
+    keys, labels = labeled
+    contexts = {k: features.encode(k, registry) for k in dict.fromkeys(keys)}
+    return maxent.merge_events(zip(map(contexts.__getitem__, keys), labels))
 
 
 def train_model(

@@ -1,3 +1,4 @@
+import re
 import string
 from contextlib import suppress
 
@@ -54,7 +55,7 @@ def test_load_annotated_blank_lines_skipped(tmp_path):
 def test_load_annotated_only_blank_lines(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("\n  \n\t\n")
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(EmptyCorpusError, match=f"^no non-blank lines in {re.escape(str(p))}$"):
         load_annotated(p)
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -429,6 +431,20 @@ def test_a_byte_order_mark_is_not_part_of_the_first_entry(tmp_path):
     marked.write_text("Mr.\nDr.\n", encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbfMr.")
     assert load_lexicon_file(marked) == load_lexicon_file(plain) == {"Mr.", "Dr."}
+
+
+def test_a_shipped_lexicon_is_read_as_a_given_file_is(tmp_path, monkeypatch):
+    # The shipped files, saved with a byte-order mark, read as they are.
+    shipped = load_lexicons()
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("honorifics.txt", "designators.txt"):
+        text = features.resources.files("sentbound").joinpath("data", name).read_text("utf-8")
+        (data / name).write_text(text, encoding="utf-8-sig")
+    monkeypatch.setattr(features, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    assert (data / "honorifics.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_lexicons() == shipped
+    assert load_lexicons(designators_path=data / "designators.txt") == shipped
 
 
 def test_load_lexicons_reads_no_shipped_file_for_a_given_path(tmp_path, monkeypatch):

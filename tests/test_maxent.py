@@ -217,8 +217,10 @@ def test_permutation_invariance(rnd):
     rnd.shuffle(shuffled)
     m1 = train_gis(merge_events(raw), registry(3), max_iters=50)
     m2 = train_gis(merge_events(shuffled), registry(3), max_iters=50)
-    assert m1.log_alpha == m2.log_alpha
-    assert m1.corrections == m2.corrections
+    # Unmerged events add up to their merged multiplicities.
+    m3 = train_gis(events_of(*((a, o, 1) for a, o in shuffled)), registry(3), max_iters=50)
+    assert m1.log_alpha == m2.log_alpha == m3.log_alpha
+    assert m1.corrections == m2.corrections == m3.corrections
 
 
 ORACLE_CORPORA = [

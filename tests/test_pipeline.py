@@ -479,6 +479,16 @@ def test_training_writes_the_two_pass_encoders_model(lexicons, template_set, sen
     got = train_model(corp, template_set, **kwargs)
     assert maxent._body(got) == maxent._body(want)
     assert got.history == want.history
+    _, _, events = training_events(corp, got)
+    assert len({(ev.active_predicates, ev.outcome) for ev in events}) == len(events)
+
+
+def training_events(corpus, model):
+    """The training candidates' keys and labels, and the events they merge
+    into under ``model``'s registry."""
+    columns, labels = label_candidates(corpus)
+    keys = candidate_keys(model.registry.templates, columns)
+    return keys, labels, events_from_labeled((keys, labels), model.registry)
 
 
 @pytest.mark.parametrize("template_set", TEMPLATE_SETS)
@@ -486,11 +496,11 @@ def test_key_contexts_that_encode_alike_train_as_one(lexicons, template_set):
     corp = corpus_from_sentences(COLLAPSING)
     lexicons = lexicons if template_set == "best" else None
     model = train_model(corp, template_set, cutoff=2, max_iters=10, lexicons=lexicons)
-    columns, labels = label_candidates(corp)
-    keys = candidate_keys(model.registry.templates, columns)
-    events = events_from_labeled((keys, labels), build_registry(keys, model.registry.templates, 2))
-    # Two merged (keys, label) events share one encoded (context, label).
-    assert len({(ev.active_predicates, ev.outcome) for ev in events}) < len(events)
+    keys, labels, events = training_events(corp, model)
+    assert model.registry == build_registry(keys, model.registry.templates, 2)
+    # Two distinct (keys, label) pairs encode alike, and are one event.
+    assert len(events) < len(set(zip(keys, labels)))
+    assert len({(ev.active_predicates, ev.outcome) for ev in events}) == len(events)
     want = encoder_reference.train_model(
         corp, template_set, cutoff=2, max_iters=10, lexicons=lexicons
     )
